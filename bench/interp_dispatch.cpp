@@ -1,28 +1,22 @@
-// Interpreter dispatch throughput across the three tiers — decode-every-step
-// (DispatchMode::kBaseline, reported as "fallback"), the predecoded cached
-// path ("cached") and the direct-threaded + superinstruction path
-// ("threaded") — over two workloads:
+// Interpreter dispatch throughput of the two modes — decode-every-step
+// (DispatchMode::kBaseline, reported as "fallback") and the predecoded
+// cached path ("cached") — over two workloads:
 //
 //   hot_loop — a tight loop exercising every inline cache the cached path
 //              adds (const-string, sget/sput, invoke-static, monomorphic
-//              invoke-virtual) plus a dispatch-heavy stretch of the three
-//              fusable pairs (cmp+branch, const+move, iget+invoke) the
-//              threaded tier compiles into superinstructions;
+//              invoke-virtual) plus a dispatch-heavy unrolled stretch of
+//              cmp+branch and const+move pairs and one iget+invoke pair;
 //   self_mod — the same loop with a native patching a const literal every
 //              iteration through RtMethod::patch_code_unit, measuring
-//              per-iteration targeted invalidation (fused-span splitting
-//              included).
+//              per-iteration targeted invalidation.
 //
 // Each line prefixed BENCH_JSON is machine-readable; ci.sh collects them
-// into BENCH_interp.json and relies on the exit code: non-zero when any
-// workload's tier ladder regresses (ARCHITECTURE invariant 13 — every tier
-// must beat the one below it).
+// into BENCH_interp.json and relies on the exit code: non-zero when cached
+// falls below the --min-speedup multiple of fallback on either workload
+// (ARCHITECTURE invariant 11 — the cached mode must pay for itself).
 //
 // Usage: interp_dispatch [--loops N] [--reps R] [--min-speedup X]
-//                        [--min-threaded-speedup Y] [--min-ladder Z]
-//   --min-speedup           hot_loop cached vs fallback gate
-//   --min-threaded-speedup  hot_loop threaded vs cached gate
-//   --min-ladder            self_mod gate for both adjacent-tier ratios
+//   --min-speedup  cached vs fallback gate, applied to both workloads
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,8 +42,7 @@ struct Workload {
   bool self_mod = false;
 };
 
-// Lbench/Hot; with a spin(n) loop touching every cached resolution kind and
-// all three superinstruction families.
+// Lbench/Hot; with a spin(n) loop touching every cached resolution kind.
 Workload build_hot_loop(bool self_mod) {
   dex::DexBuilder b;
   const std::string cls = "Lbench/Hot;";
@@ -93,16 +86,15 @@ Workload build_hot_loop(bool self_mod) {
     as.move_result(4);
     as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(vstep_m), {8, 4});
     as.move_result(4);
-    // Fusable stretch — a dispatch-heavy unrolled run of the cmp+branch and
-    // const+move superinstruction families (the threaded tier executes each
-    // pair as one dispatch), plus one iget+invoke pair per iteration.
+    // Dispatch-heavy stretch — an unrolled run of cmp+branch and const+move
+    // pairs, plus one iget+invoke pair per iteration.
     for (int u = 0; u < 64; ++u) {
-      as.binop(Op::kCmp, 6, 0, 9);       // cmp+branch head (i < n in body...)
-      as.if_testz(Op::kIfGez, 6, done);  // ...so this tail never takes
-      as.const16(7, 5);                  // const+move pair
+      as.binop(Op::kCmp, 6, 0, 9);       // i < n in the body...
+      as.if_testz(Op::kIfGez, 6, done);  // ...so this branch never takes
+      as.const16(7, 5);
       as.move(6, 7);
     }
-    as.iget(7, 8, static_cast<uint16_t>(fld));  // iget+invoke pair
+    as.iget(7, 8, static_cast<uint16_t>(fld));
     as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(step_m), {7});
     as.move_result(7);
     if (self_mod) as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(bump_m), {8});
@@ -129,7 +121,7 @@ struct Measurement {
 };
 
 // One live runtime with the workload installed and warmed, ready to be
-// measured repeatedly. Keeping all modes' runners alive and alternating
+// measured repeatedly. Keeping both modes' runners alive and alternating
 // measurements de-correlates machine noise from the mode (a noise burst
 // hits every side instead of whichever mode ran last).
 struct Runner {
@@ -199,49 +191,35 @@ Runner make_runner(const Workload& w, rt::DispatchMode mode) {
       runtime.heap().new_instance(cls, cls->descriptor, cls->instance_slot_count);
   r.spin = cls->find_declared("spin");
 
-  // Warm-up call so all modes measure steady state (caches built, classes
-  // initialized, field resolutions memoized so fused fast paths arm) rather
-  // than first-run setup.
+  // Warm-up call so both modes measure steady state (caches built, classes
+  // initialized, field resolutions memoized) rather than first-run setup.
   runtime.interp().invoke(*r.spin, {rt::Value::Ref(r.self), rt::Value::Int(100)});
   return r;
 }
 
 const char* mode_name(rt::DispatchMode mode) {
-  switch (mode) {
-    case rt::DispatchMode::kCached:
-      return "cached";
-    case rt::DispatchMode::kThreaded:
-      return "threaded";
-    case rt::DispatchMode::kBaseline:
-      break;
-  }
-  return "fallback";
+  return mode == rt::DispatchMode::kCached ? "cached" : "fallback";
 }
 
-constexpr rt::DispatchMode kTierLadder[] = {rt::DispatchMode::kBaseline,
-                                            rt::DispatchMode::kCached,
-                                            rt::DispatchMode::kThreaded};
+constexpr rt::DispatchMode kModes[] = {rt::DispatchMode::kBaseline,
+                                       rt::DispatchMode::kCached};
+constexpr int kModeCount = 2;
 
-// Per-tier measurements for one workload, bottom of the ladder first.
-struct TierResults {
-  Measurement m[3];
+// Per-mode measurements for one workload, fallback first.
+struct ModeResults {
+  Measurement m[kModeCount];
   double cached_vs_fallback() const {
     return m[0].insns_per_sec() > 0.0
                ? m[1].insns_per_sec() / m[0].insns_per_sec()
                : 0.0;
   }
-  double threaded_vs_cached() const {
-    return m[1].insns_per_sec() > 0.0
-               ? m[2].insns_per_sec() / m[1].insns_per_sec()
-               : 0.0;
-  }
 };
 
-// Best-of-`reps`, alternating the three runners each rep.
-TierResults measure_tiers(Runner* runners, int loops, int reps) {
-  TierResults best;
+// Best-of-`reps`, alternating the runners each rep.
+ModeResults measure_modes(Runner* runners, int loops, int reps) {
+  ModeResults best;
   for (int i = 0; i < reps; ++i) {
-    for (int t = 0; t < 3; ++t) {
+    for (int t = 0; t < kModeCount; ++t) {
       Measurement m = runners[t].measure(loops);
       if (best.m[t].wall_ms == 0.0 ||
           m.insns_per_sec() > best.m[t].insns_per_sec()) {
@@ -267,28 +245,22 @@ void report(const char* workload, rt::DispatchMode mode, int loops,
       static_cast<unsigned long long>(m.steps), m.wall_ms, m.insns_per_sec());
 }
 
-// Workload summary line + ladder gate: cached must beat fallback by
-// min_cached, threaded must beat cached by min_threaded. Returns pass.
-bool summarize(const char* workload, const TierResults& r, double min_cached,
-               double min_threaded) {
+// Workload summary line + gate: cached must beat fallback by min_speedup.
+// Returns pass.
+bool summarize(const char* workload, const ModeResults& r, double min_speedup) {
   double cf = r.cached_vs_fallback();
-  double tc = r.threaded_vs_cached();
-  bool pass = cf >= min_cached && tc >= min_threaded;
-  std::printf(
-      "\n%s speedups: cached vs fallback %.2fx (min %.2f), threaded vs "
-      "cached %.2fx (min %.2f)\n",
-      workload, cf, min_cached, tc, min_threaded);
+  bool pass = cf >= min_speedup;
+  std::printf("\n%s speedup: cached vs fallback %.2fx (min %.2f)\n", workload,
+              cf, min_speedup);
   std::printf(
       "BENCH_JSON {\"bench\":\"interp_dispatch\",\"workload\":\"%s\","
-      "\"speedup_cached_vs_fallback\":%.3f,\"speedup_threaded_vs_cached\":"
-      "%.3f,\"min_required\":%.2f,\"min_threaded_required\":%.2f,"
+      "\"speedup_cached_vs_fallback\":%.3f,\"min_required\":%.2f,"
       "\"pass\":%s}\n",
-      workload, cf, tc, min_cached, min_threaded, pass ? "true" : "false");
+      workload, cf, min_speedup, pass ? "true" : "false");
   if (!pass) {
     std::fprintf(stderr,
-                 "FAIL: %s tier ladder regressed: cached %.2fx (>= %.2f), "
-                 "threaded %.2fx (>= %.2f)\n",
-                 workload, cf, min_cached, tc, min_threaded);
+                 "FAIL: %s cached vs fallback %.2fx, below the %.2fx gate\n",
+                 workload, cf, min_speedup);
   }
   return pass;
 }
@@ -298,9 +270,7 @@ bool summarize(const char* workload, const TierResults& r, double min_cached,
 int main(int argc, char** argv) {
   int loops = 300000;
   int reps = 3;
-  double min_speedup = 1.0;           // hot_loop: cached vs fallback
-  double min_threaded_speedup = 1.0;  // hot_loop: threaded vs cached
-  double min_ladder = 1.0;            // self_mod: both adjacent ratios
+  double min_speedup = 1.0;  // cached vs fallback, both workloads
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--loops") == 0 && i + 1 < argc) {
       loops = std::atoi(argv[++i]);
@@ -308,41 +278,38 @@ int main(int argc, char** argv) {
       reps = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
       min_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--min-threaded-speedup") == 0 &&
-               i + 1 < argc) {
-      min_threaded_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--min-ladder") == 0 && i + 1 < argc) {
-      min_ladder = std::atof(argv[++i]);
     }
   }
   if (loops < 1) loops = 1;
   if (reps < 1) reps = 1;
 
-  bench::print_header(
-      "Interpreter dispatch (fallback vs cached vs threaded)");
+  bench::print_header("Interpreter dispatch (fallback vs cached)");
   bench::print_row({"Workload", "Mode", "Steps", "Wall ms", "Insns/sec"},
                    {12, 10, 12, 10, 14});
 
   Workload hot = build_hot_loop(false);
-  Runner hot_runners[3];
-  for (int t = 0; t < 3; ++t) hot_runners[t] = make_runner(hot, kTierLadder[t]);
-  TierResults hot_r = measure_tiers(hot_runners, loops, reps);
-  for (int t = 0; t < 3; ++t) {
-    report("hot_loop", kTierLadder[t], loops, hot_r.m[t]);
+  Runner hot_runners[kModeCount];
+  for (int t = 0; t < kModeCount; ++t) {
+    hot_runners[t] = make_runner(hot, kModes[t]);
+  }
+  ModeResults hot_r = measure_modes(hot_runners, loops, reps);
+  for (int t = 0; t < kModeCount; ++t) {
+    report("hot_loop", kModes[t], loops, hot_r.m[t]);
   }
 
-  // Self-modifying variant: announced per-iteration patches, including the
-  // fused-span split every patch forces in the threaded tier.
+  // Self-modifying variant: announced per-iteration patches.
   int sm_loops = loops / 10 > 0 ? loops / 10 : 1;
   Workload sm = build_hot_loop(true);
-  Runner sm_runners[3];
-  for (int t = 0; t < 3; ++t) sm_runners[t] = make_runner(sm, kTierLadder[t]);
-  TierResults sm_r = measure_tiers(sm_runners, sm_loops, reps);
-  for (int t = 0; t < 3; ++t) {
-    report("self_mod", kTierLadder[t], sm_loops, sm_r.m[t]);
+  Runner sm_runners[kModeCount];
+  for (int t = 0; t < kModeCount; ++t) {
+    sm_runners[t] = make_runner(sm, kModes[t]);
+  }
+  ModeResults sm_r = measure_modes(sm_runners, sm_loops, reps);
+  for (int t = 0; t < kModeCount; ++t) {
+    report("self_mod", kModes[t], sm_loops, sm_r.m[t]);
   }
 
-  bool ok = summarize("hot_loop", hot_r, min_speedup, min_threaded_speedup);
-  ok = summarize("self_mod", sm_r, min_ladder, min_ladder) && ok;
+  bool ok = summarize("hot_loop", hot_r, min_speedup);
+  ok = summarize("self_mod", sm_r, min_speedup) && ok;
   return ok ? 0 : 1;
 }

@@ -33,28 +33,6 @@ std::vector<PredecodedUnit> predecode_linear(std::span<const uint16_t> code) {
   return units;
 }
 
-std::string_view fuse_kind_name(FuseKind kind) {
-  switch (kind) {
-    case FuseKind::kCmpBranch: return "cmp+branch";
-    case FuseKind::kConstMove: return "const+move";
-    case FuseKind::kIgetInvoke: return "iget+invoke";
-    case FuseKind::kNone: break;
-  }
-  return "none";
-}
-
-FusionProfile fusion_profile(std::span<const PredecodedUnit> units) {
-  FusionProfile profile;
-  for (size_t pc = 0; pc < units.size(); ++pc) {
-    if (!units[pc].mapped) continue;
-    size_t tail = pc + consumed_units(units[pc].insn);
-    if (tail >= units.size() || !units[tail].mapped) continue;
-    FuseKind kind = fuse_kind(units[pc].insn.op, units[tail].insn.op);
-    profile.pairs[static_cast<size_t>(kind)]++;
-  }
-  return profile;
-}
-
 namespace {
 std::string reg(uint8_t r) { return "v" + std::to_string(r); }
 }  // namespace

@@ -59,54 +59,6 @@ struct PredecodedUnit {
 // payloads stay unmapped.
 std::vector<PredecodedUnit> predecode_linear(std::span<const uint16_t> code);
 
-// --- superinstruction fusion metadata (threaded dispatch tier) -------------
-// The threaded interpreter (docs/INTERPRETER.md) fuses the hottest adjacent
-// instruction pairs into one dispatch. Legality is per format group: the
-// head must fall through into the tail, and both ends must belong to one of
-// three families whose combined handler can execute the pair without an
-// intervening full dispatch. The families mirror the pairs that dominate
-// extraction workloads: compare feeding a conditional branch, constant
-// materialization feeding a register move, and field load feeding a call.
-enum class FuseKind : uint8_t {
-  kNone = 0,
-  kCmpBranch = 1,   // kCmp + any conditional branch (two-reg if / ifz group)
-  kConstMove = 2,   // kConst16/kConst32/kConstWide + kMove
-  kIgetInvoke = 3,  // kIget + any invoke
-};
-inline constexpr size_t kFuseKindCount = 4;  // including kNone
-
-std::string_view fuse_kind_name(FuseKind kind);
-
-// The family a (head, tail) adjacent pair belongs to, or kNone when the
-// pair is not a legal superinstruction.
-inline FuseKind fuse_kind(Op head, Op tail) {
-  switch (head) {
-    case Op::kCmp:
-      return is_conditional_branch(tail) ? FuseKind::kCmpBranch : FuseKind::kNone;
-    case Op::kConst16:
-    case Op::kConst32:
-    case Op::kConstWide:
-      return tail == Op::kMove ? FuseKind::kConstMove : FuseKind::kNone;
-    case Op::kIget:
-      return is_invoke(tail) ? FuseKind::kIgetInvoke : FuseKind::kNone;
-    default:
-      return FuseKind::kNone;
-  }
-}
-
-// Static per-method fusion profile: how many legal adjacent pairs of each
-// family the predecoded sweep found. The threaded tier's predecoder fuses
-// families hottest-first from this profile (src/runtime/predecode.h).
-struct FusionProfile {
-  std::array<uint32_t, kFuseKindCount> pairs{};
-  uint32_t total() const {
-    uint32_t sum = 0;
-    for (size_t k = 1; k < kFuseKindCount; ++k) sum += pairs[k];
-    return sum;
-  }
-};
-FusionProfile fusion_profile(std::span<const PredecodedUnit> units);
-
 // One instruction; `file` may be null (pool indices shown raw).
 std::string disassemble_insn(const dex::DexFile* file, const Insn& insn, size_t pc);
 

@@ -63,6 +63,11 @@ CodeItem read_code_item(ByteReader& r) {
   CodeItem code;
   code.registers_size = r.u16();
   code.ins_size = r.u16();
+  // Arguments occupy the trailing ins_size registers of the frame; more ins
+  // than registers would place them below it.
+  if (code.ins_size > code.registers_size) {
+    throw ParseError("ins exceed registers in code item");
+  }
   uint32_t n_insns = r.u32();
   check_count(r, n_insns, 2, "insns");
   code.insns.reserve(n_insns);

@@ -2,7 +2,7 @@
 // it SSA-well-formed (verify_function clean); lowering honours the marks
 // the pass leaves behind (Inst::dead, Function::drop_unreachable). The
 // contract every pass must keep: the lowered body stays behaviourally
-// equivalent to the source under all interpreter dispatch tiers
+// equivalent to the source under both interpreter dispatch modes
 // (ARCHITECTURE invariant 15), checked by the differential oracle.
 #pragma once
 

@@ -341,14 +341,6 @@ ClassLinker::ResolvedField ClassLinker::resolve_field_cached(
   return resolved;
 }
 
-bool ClassLinker::instance_field_memoized(const DexImage& image,
-                                          uint16_t field_idx) const {
-  size_t id = static_cast<size_t>(image.id);
-  if (id >= image_caches_.size() || !image_caches_[id]) return false;
-  const auto& entries = image_caches_[id]->instance_fields;
-  return field_idx < entries.size() && entries[field_idx].has_value();
-}
-
 Object* ClassLinker::interned_string(const DexImage& image,
                                      uint16_t string_idx) {
   ImageCache& cache = image_cache(image);

@@ -83,12 +83,6 @@ class ClassLinker {
                                        uint16_t method_idx);
   ResolvedField resolve_field_cached(const DexImage& image, uint16_t field_idx,
                                      bool want_static);
-  // True when resolve_field_cached(image, idx, false) would be a pure memo
-  // hit — no class loading, no hooks, no code. The threaded tier's
-  // iget+invoke superinstruction only takes its fused fast path across
-  // resolutions that cannot run code; register_dex flushes these entries,
-  // so a dynamic load de-memoizes and the next execution re-resolves.
-  bool instance_field_memoized(const DexImage& image, uint16_t field_idx) const;
   // The interned literal for a const-string operand (Heap::intern_string
   // keyed by string index so repeat executions skip the content lookup).
   Object* interned_string(const DexImage& image, uint16_t string_idx);

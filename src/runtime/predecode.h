@@ -20,15 +20,7 @@
 //      is observed on the very next execution of the patched pc.
 // Layers 1+2 keep the fast path fast; layer 3 makes correctness independent
 // of patch discipline. tests/interp_cache_test.cpp pins all three against
-// the decode-every-step baseline.
-//
-// For the direct-threaded tier (DispatchMode::kThreaded) the cache also
-// keeps one ThreadedSlot per code unit: the dispatch handler address
-// resolved at predecode time plus superinstruction fusion state. All three
-// invalidation layers extend to fusion spans — a fused head is split back
-// to a plain slot whenever any unit its pair covers is patched or
-// redecoded, and the fused fast path additionally re-checks the tail
-// slot's own source-unit guard before every fused execution.
+// the decode-every-step kBaseline mode, the cache's only oracle.
 #pragma once
 
 #include <cstdint>
@@ -52,33 +44,6 @@ struct InlineSite {
   RtMethod* target = nullptr;
 };
 
-// Extended opcode space for the threaded tier's handler table: one entry
-// per plain opcode, then one per superinstruction family. Slots store the
-// extended opcode so the portable (non-computed-goto) build can dispatch
-// through a dense switch over the same numbering.
-inline constexpr size_t kPlainXopCount = static_cast<size_t>(bc::Op::kMaxOp) + 1;
-inline constexpr size_t kXopCount = kPlainXopCount + (bc::kFuseKindCount - 1);
-inline constexpr uint8_t fused_xop(bc::FuseKind kind) {
-  return static_cast<uint8_t>(kPlainXopCount + static_cast<size_t>(kind) - 1);
-}
-
-// Direct-threaded dispatch state for one code unit, parallel to the
-// PredecodedUnit array. `handler` is the computed-goto label address for
-// `xop` (null in builds without computed goto — dispatch falls back to a
-// switch over `xop`). A fused slot additionally names the tail instruction
-// it absorbed; the tail's decoded form is NOT duplicated here — fused
-// execution reads it from the tail's own PredecodedUnit, so the tail's
-// source-unit guard keeps protecting it.
-struct ThreadedSlot {
-  const void* handler = nullptr;
-  uint32_t tail_pc = 0;       // meaningful only when fused
-  uint16_t span = 0;          // code units head+tail cover when fused
-  uint8_t xop = 0;            // plain op, or fused_xop(kind) when fused
-  bool fused = false;
-  bool head_regs_ok = false;  // every head register operand is in-bounds
-  bool tail_regs_ok = false;  // same for the fused tail
-};
-
 class PredecodedCode {
  public:
   // Churn cap: a hostile native that replaces or resizes the instruction
@@ -90,20 +55,10 @@ class PredecodedCode {
   // (RtMethod::invalidate_code_cache) and start a fresh count.
   static constexpr uint64_t kMaxRebuilds = 64;
 
-  // Fusion coverage cap: superinstructions are selected hottest-family-
-  // first from the predecoder's static profile (bc::fusion_profile); the
-  // cap bounds per-method fusion state on pathological inputs.
-  static constexpr size_t kMaxFusedPerMethod = 256;
-  // No fused pair spans more code units than the widest head + widest tail
-  // (const-wide + invoke); split scans are bounded by this.
-  static constexpr size_t kMaxFuseSpan = 10;
-
   struct Stats {
     uint64_t rebuilds = 0;        // full linear-sweep predecodes
     uint64_t lazy_decodes = 0;    // unmapped pcs decoded on demand
     uint64_t guard_redecodes = 0; // slots invalidated by the unit guard
-    uint64_t fusions = 0;         // fused pairs formed (across rebuilds)
-    uint64_t fusion_splits = 0;   // fused heads split by patch/redecode
   };
 
   // True when the cache still describes `code` at `generation`: same
@@ -132,63 +87,22 @@ class PredecodedCode {
 
   // Targeted invalidation: clears every slot whose decode can span the
   // written unit (instructions start at most kMaxGuardUnits-1 units before
-  // it) and its inline-cache site, splits every fused superinstruction
-  // whose span covers the unit, then re-stamps the generation.
+  // it) and its inline-cache site, then re-stamps the generation.
   void patch_unit(size_t index, uint64_t new_generation);
 
   const Stats& stats() const { return stats_; }
-
-  // --- threaded tier -------------------------------------------------------
-  // Arms the threaded slot array: `handlers` is the interpreter's extended
-  // handler-address table indexed by xop (null in builds without computed
-  // goto), `registers` the frame's register count (precomputes the per-slot
-  // register-bounds flags), `fuse` whether to form superinstructions.
-  // Prepares slots for already-decoded units immediately; rebuild() and
-  // lazy decodes keep them in sync afterwards.
-  void set_threaded(const void* const* handlers, uint16_t registers, bool fuse);
-  bool threaded() const { return threaded_; }
-
-  const ThreadedSlot& threaded_slot(size_t pc) const { return tslots_[pc]; }
-  const bc::PredecodedUnit& unit(size_t pc) const { return units_[pc]; }
-  // Raw slot arrays for the threaded dispatch loop's hot path. Valid until
-  // the next rebuild(); in-place mutation (lazy decodes, patch_unit,
-  // split_spanning) never reallocates, so pointers taken after rebuild()
-  // stay good for the whole execution.
-  const bc::PredecodedUnit* units_data() const { return units_.data(); }
-  const ThreadedSlot* threaded_data() const { return tslots_.data(); }
-
-  // --- fusion introspection (tests, bench) ---------------------------------
-  bool is_fused(size_t pc) const {
-    return pc < tslots_.size() && tslots_[pc].fused && units_[pc].mapped;
-  }
-  struct FusedSpan {
-    size_t pc = 0;       // head
-    size_t tail_pc = 0;
-    size_t end_pc = 0;   // one past the pair's last code unit
-  };
-  std::vector<FusedSpan> fused_spans() const;
 
  private:
   // Cold half of fetch(): lazy decode of unmapped slots and redecode of
   // guard-invalidated ones.
   const bc::Insn& decode_slow(std::span<const uint16_t> code, size_t pc);
 
-  // Threaded-slot maintenance (no-ops until set_threaded()).
-  void prepare_slots();
-  void fill_plain_slot(size_t pc);
-  void split_spanning(size_t index);
-
   std::vector<bc::PredecodedUnit> units_;
   std::vector<InlineSite> sites_;
-  std::vector<ThreadedSlot> tslots_;
   const uint16_t* data_ = nullptr;
   size_t size_ = 0;
   uint64_t generation_ = 0;
   Stats stats_;
-  const void* const* handlers_ = nullptr;
-  uint16_t registers_ = 0;
-  bool fuse_ = false;
-  bool threaded_ = false;
 };
 
 }  // namespace dexlego::rt

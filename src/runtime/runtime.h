@@ -25,17 +25,14 @@ namespace dexlego::rt {
 
 enum class DeviceProfile { kPhone, kTablet, kEmulator };
 
-// Interpreter dispatch strategy — a three-rung tier ladder, every rung
-// observationally equivalent (docs/ARCHITECTURE.md invariant 13). kCached
-// predecodes instruction streams and inline-caches pool resolution
-// (src/runtime/predecode.h); kThreaded additionally resolves a direct-
-// threaded handler address into every predecoded slot and fuses hot
-// adjacent pairs into superinstructions (src/runtime/interp_threaded.cpp);
-// kBaseline re-decodes every step and re-resolves every pool ref —
-// deliberately kept alive as the differential oracle the faster tiers are
-// tested against (tests/interp_cache_test.cpp, tests/dispatch_tier_test.cpp,
+// Interpreter dispatch mode: two modes of one loop (docs/INTERPRETER.md).
+// kCached predecodes instruction streams and inline-caches pool resolution
+// (src/runtime/predecode.h); it is the only production mode. kBaseline
+// re-decodes every step and re-resolves every pool ref — deliberately kept
+// alive as the single differential oracle the cached mode is tested
+// against (docs/ARCHITECTURE.md invariant 11; tests/interp_cache_test.cpp,
 // bench/interp_dispatch.cpp).
-enum class DispatchMode : uint8_t { kCached, kBaseline, kThreaded };
+enum class DispatchMode : uint8_t { kCached, kBaseline };
 
 struct RuntimeConfig {
   DeviceProfile device = DeviceProfile::kPhone;
@@ -46,9 +43,6 @@ struct RuntimeConfig {
   bool lenient_framework = false;
   uint64_t step_limit = 200'000'000;
   DispatchMode dispatch = DispatchMode::kCached;
-  // kThreaded only: fuse hot adjacent pairs into superinstructions. Off is
-  // the unfused threaded tier — the fusion property tests diff the two.
-  bool fuse_superinstructions = true;
 };
 
 class Runtime {

@@ -126,6 +126,20 @@ TEST(DexIo, DetectsBadMagic) {
   EXPECT_THROW(read_dex(bytes), support::ParseError);
 }
 
+TEST(DexIo, RejectsInsExceedingRegisters) {
+  // The interpreter places arguments in the trailing ins_size registers of a
+  // registers_size frame, so an item claiming more ins than registers would
+  // index below the frame. The parser rejects it, as the real-DEX one does.
+  DexFile f = make_sample_file();
+  CodeItem& code = *f.classes[0].virtual_methods[0].code;
+  code.registers_size = 1;
+  code.ins_size = 40;
+  EXPECT_THROW(read_dex(write_dex(f)), support::ParseError);
+
+  code.ins_size = 1;  // every argument register inside the frame: accepted
+  EXPECT_NO_THROW(read_dex(write_dex(f)));
+}
+
 TEST(DexVerify, AcceptsWellFormed) {
   auto result = verify_structure(make_sample_file());
   EXPECT_TRUE(result.ok()) << result.message();

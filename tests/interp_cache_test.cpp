@@ -1,12 +1,15 @@
-// Differential suite for the interpreter's dispatch modes plus this PR's
-// satellite regressions. The predecoded cached path
-// (rt::DispatchMode::kCached) must be observationally identical to the
-// decode-every-step fallback (kBaseline): byte-identical traces and
-// revealed files over the full DroidBench-analog set (including the four
-// self-modifying samples) and identical fuzz-campaign reports over seeds
-// 1-10. The self-modification guard tests pin the three invalidation
-// layers of src/runtime/predecode.h — including un-announced direct writes
-// to code->insns, which only the per-slot source-unit guard catches.
+// Differential suite for the interpreter's two dispatch modes
+// (ARCHITECTURE invariant 11), including the string-interning and
+// overload-resolution cases both modes must agree on. The predecoded
+// cached path (rt::DispatchMode::kCached) must be observationally
+// identical to the decode-every-step fallback (kBaseline), its only
+// oracle: byte-identical traces and revealed files over the full
+// DroidBench-analog set (including the four self-modifying samples),
+// identical traces over the hostile fuzz-job family, and identical
+// fuzz-campaign reports over seeds 1-10. The self-modification guard tests
+// pin the three invalidation layers of src/runtime/predecode.h — including
+// un-announced direct writes to code->insns, which only the per-slot
+// source-unit guard catches.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,6 +20,7 @@
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
 #include "src/fuzz/triage.h"
+#include "src/pipeline/scenarios.h"
 #include "tests/harness/diff_fixture.h"
 
 namespace dexlego {
@@ -95,6 +99,28 @@ std::vector<std::string> all_sample_names() {
 INSTANTIATE_TEST_SUITE_P(DroidBench, DispatchParityEverySample,
                          ::testing::ValuesIn(all_sample_names()),
                          [](const auto& info) { return info.param; });
+
+// --- hostile-app scenario family -------------------------------------------
+
+// The fuzzer-mutant population the batch pipeline runs (guard stacking,
+// reflection mazes, self-modifying writes, nested packing, bytecode
+// mutants), traced in both modes. Each job runs under its own declared
+// runtime config, so the goto-loop mutants stop at the job's step budget
+// exactly as they do in the pipeline.
+TEST(DispatchParityHostile, FuzzFamilyTracesIdenticalAcrossModes) {
+  std::vector<pipeline::BatchJob> jobs = pipeline::fuzz_jobs(12);
+  ASSERT_FALSE(jobs.empty());
+  for (const pipeline::BatchJob& job : jobs) {
+    rt::RuntimeConfig config = job.reveal.runtime;
+    config.dispatch = rt::DispatchMode::kBaseline;
+    harness::ExecutionTrace baseline =
+        harness::run_and_trace(job.apk, job.configure_runtime, config);
+    config.dispatch = rt::DispatchMode::kCached;
+    harness::ExecutionTrace cached =
+        harness::run_and_trace(job.apk, job.configure_runtime, config);
+    EXPECT_TRUE(harness::TraceEquivalent(baseline, cached)) << job.name;
+  }
+}
 
 // --- self-modification guards ----------------------------------------------
 

@@ -4,7 +4,7 @@
 //  - lift→lower byte identity over original and revealed method bodies and
 //    the pinned fuzz replay corpus;
 //  - DCE'd revealed files staying trace-equivalent to the direct path under
-//    kBaseline, kCached and kThreaded dispatch;
+//    kBaseline and kCached dispatch;
 //  - the SSA taint engine's recall/precision contract against the bytecode
 //    engine (no missed flows anywhere, strictly fewer false positives on the
 //    flow-sensitivity samples), printed as a comparison table.
@@ -278,13 +278,12 @@ bool traces_equal(const harness::ExecutionTrace& a,
 // Reveal each sample once, then: (a) the revealed bodies round-trip
 // byte-identically — which is exactly why the ir_roundtrip reassembly path
 // emits the same revealed files as the direct path; (b) a DCE'd revealed
-// file stays trace-equivalent to the revealed one under every dispatch
-// tier. Self-modifying samples are excluded from (b): their natives patch
+// file stays trace-equivalent to the revealed one under both dispatch
+// modes. Self-modifying samples are excluded from (b): their natives patch
 // code units at hard-coded pcs, which DCE legitimately shifts.
 TEST(IrRoundtrip, RevealedFilesRoundTripAndDcedTracesMatchAllTiers) {
   const rt::DispatchMode kModes[] = {rt::DispatchMode::kBaseline,
-                                     rt::DispatchMode::kCached,
-                                     rt::DispatchMode::kThreaded};
+                                     rt::DispatchMode::kCached};
   size_t dce_checked = 0;
   size_t dce_changed = 0;
   for (const suite::Sample& sample : droidbench().samples) {

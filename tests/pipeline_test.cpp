@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "src/benchsuite/droidbench.h"
+#include "src/bytecode/assembler.h"
 #include "src/core/dexlego.h"
 #include "src/coverage/force.h"
+#include "src/dex/builder.h"
 #include "src/dex/io.h"
 #include "src/pipeline/batch.h"
 #include "src/pipeline/dedup_store.h"
@@ -508,20 +510,43 @@ TEST(BatchPipeline, ReportsLeaksCoverageAndGroundTruth) {
   EXPECT_EQ(report.fleet.observed_leaky, 1u);
 }
 
-TEST(BatchPipeline, WorkerFailureIsIsolated) {
-  std::vector<pipeline::BatchJob> jobs = pipeline::generated_jobs(2);
-  pipeline::BatchJob broken;
-  broken.name = "broken";
-  broken.apk.set_classes({0xde, 0xad, 0xbe, 0xef});  // not an LDEX image
-  jobs.insert(jobs.begin() + 1, std::move(broken));
+// A one-instruction onCreate whose code item claims 40 argument registers
+// in a 1-register frame: run, it would place the arguments below the frame.
+dex::Apk frame_underflow_apk() {
+  dex::DexBuilder b;
+  b.start_class("Lhostile/Frame;", "Landroid/app/Activity;");
+  bc::MethodAssembler as(1, 1);
+  as.return_void();
+  dex::CodeItem code = as.finish();
+  code.ins_size = 40;  // the assembler refuses this; a hostile file need not
+  b.add_virtual_method("onCreate", "V", {}, code);
+  dex::Manifest manifest;
+  manifest.package = "hostile.frame";
+  manifest.entry_class = "Lhostile/Frame;";
+  dex::Apk apk;
+  apk.set_manifest(manifest);
+  apk.set_classes(dex::write_dex(std::move(b).build()));
+  return apk;
+}
 
-  pipeline::BatchReport report = pipeline::run_batch(jobs, {});
-  ASSERT_EQ(report.jobs.size(), 3u);
-  EXPECT_TRUE(report.jobs[0].ok);
-  EXPECT_FALSE(report.jobs[1].ok);
-  EXPECT_FALSE(report.jobs[1].error.empty());
-  EXPECT_TRUE(report.jobs[2].ok);
-  EXPECT_EQ(report.fleet.ok, 2u);
+TEST(BatchPipeline, WorkerFailureIsIsolated) {
+  dex::Apk not_ldex;
+  not_ldex.set_classes({0xde, 0xad, 0xbe, 0xef});  // not an LDEX image
+  for (const dex::Apk& apk : {not_ldex, frame_underflow_apk()}) {
+    std::vector<pipeline::BatchJob> jobs = pipeline::generated_jobs(2);
+    pipeline::BatchJob broken;
+    broken.name = "broken";
+    broken.apk = apk;
+    jobs.insert(jobs.begin() + 1, std::move(broken));
+
+    pipeline::BatchReport report = pipeline::run_batch(jobs, {});
+    ASSERT_EQ(report.jobs.size(), 3u);
+    EXPECT_TRUE(report.jobs[0].ok);
+    EXPECT_FALSE(report.jobs[1].ok);
+    EXPECT_FALSE(report.jobs[1].error.empty());
+    EXPECT_TRUE(report.jobs[2].ok);
+    EXPECT_EQ(report.fleet.ok, 2u);
+  }
 }
 
 TEST(BatchPipeline, NonStdExceptionFailsClosed) {

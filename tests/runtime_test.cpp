@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/bytecode/assembler.h"
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
@@ -71,6 +73,42 @@ TEST(Interp, AllBinops) {
     ExecOutcome out = rt->interp().invoke(*find_method(*rt, "Lt/A;", "f"),
                                           {Value::Int(c.a), Value::Int(c.b)});
     ASSERT_TRUE(out.completed);
+    EXPECT_EQ(out.ret.i, c.expect) << bc::op_info(c.op).name;
+  }
+}
+
+TEST(Interp, OverflowingArithmeticWraps) {
+  // Like Java long arithmetic: two's-complement wrap-around, and MIN / -1
+  // is MIN with remainder 0 instead of a host trap.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case { Op op; int64_t a, b, expect; };
+  const Case cases[] = {
+      {Op::kAdd, kMax, 1, kMin},     {Op::kSub, kMin, 1, kMax},
+      {Op::kMul, kMax, 2, -2},       {Op::kDiv, kMin, -1, kMin},
+      {Op::kRem, kMin, -1, 0},       {Op::kShl, -1, 63, kMin},
+      {Op::kAddLit8, kMax, 1, kMin}, {Op::kMulLit8, kMin, -1, kMin},
+      {Op::kNeg, kMin, 0, kMin},
+  };
+  for (const Case& c : cases) {
+    dex::DexBuilder b;
+    b.start_class("Lt/A;");
+    MethodAssembler as(3, 2);
+    if (c.op == Op::kAddLit8) {
+      as.add_lit8(0, 1, static_cast<int8_t>(c.b));
+    } else if (c.op == Op::kMulLit8) {
+      as.mul_lit8(0, 1, static_cast<int8_t>(c.b));
+    } else if (c.op == Op::kNeg) {
+      as.unop(Op::kNeg, 0, 1);
+    } else {
+      as.binop(c.op, 0, 1, 2);
+    }
+    as.return_value(0);
+    b.add_direct_method("f", "I", {"I", "I"}, as.finish());
+    auto rt = runtime_with(std::move(b).build());
+    ExecOutcome out = rt->interp().invoke(*find_method(*rt, "Lt/A;", "f"),
+                                          {Value::Int(c.a), Value::Int(c.b)});
+    ASSERT_TRUE(out.completed) << bc::op_info(c.op).name;
     EXPECT_EQ(out.ret.i, c.expect) << bc::op_info(c.op).name;
   }
 }

@@ -474,21 +474,19 @@ TEST(MutatorVerifierContract, BehavioralMutantsAreAlwaysWellFormed) {
   }
 }
 
-// --- superinstruction fusion properties (src/runtime/predecode.h) ----------
-// Two properties the direct-threaded tier's fusion pass must satisfy on
-// quantified inputs, not just the pinned samples in dispatch_tier_test:
-// fusing is semantics-preserving on randomized verifier-clean methods, and
-// every fused pair round-trips through patch_code_unit back to plain slots
-// without any behavioral residue.
+// --- dispatch-mode property (src/runtime/predecode.h) ----------------------
+// The cached interpreter must trace randomized verifier-clean apps exactly
+// like the decode-every-step kBaseline oracle, not just the pinned DroidBench
+// samples in interp_cache_test (ARCHITECTURE invariant 11).
 
 // Randomized verifier-clean activity: onCreate runs a short loop whose body
-// is a seeded random mix of blocks drawn from every fusion family (cmp+
-// branch, const+move, iget+invoke) plus non-fusable arithmetic filler, all
-// folding into an accumulator that is logged at the end — so a single wrong
-// register anywhere lands in the sink trace. The generator only emits
-// in-bounds registers and bound labels, so every draw is verifier-clean by
-// construction (asserted below anyway).
-dex::Apk random_fusion_app(uint64_t seed) {
+// is a seeded random mix of blocks — cmp + conditional branch, const + move,
+// iget + invoke — plus arithmetic filler, all folding into an accumulator
+// that is logged at the end, so a single wrong register anywhere lands in
+// the sink trace. The generator only emits in-bounds registers and bound
+// labels, so every draw is verifier-clean by construction (asserted below
+// anyway).
+dex::Apk random_loop_app(uint64_t seed) {
   dex::DexBuilder b;
   const std::string cls = "Lprop/Fuse" + std::to_string(seed) + ";";
   uint32_t log_i =
@@ -506,7 +504,7 @@ dex::Apk random_fusion_app(uint64_t seed) {
   }
   as.iput(0, 7, static_cast<uint16_t>(fld));
   as.const16(5, 0);  // loop counter
-  as.const16(6, 3);  // iterations: fused slots are re-served, not just built
+  as.const16(6, 3);  // iterations: cached slots are re-served, not just built
   auto loop = as.make_label();
   auto done = as.make_label();
   as.bind(loop);
@@ -516,13 +514,13 @@ dex::Apk random_fusion_app(uint64_t seed) {
   const bc::Op kFiller[] = {bc::Op::kAdd, bc::Op::kSub, bc::Op::kMul,
                             bc::Op::kXor, bc::Op::kAnd, bc::Op::kOr};
   for (int block = 0; block < 24; ++block) {
-    // The first three draws are one block per fusion family, so every seed
-    // exercises all of them; the rest are random.
+    // The first three draws are one block of each paired kind, so every
+    // seed exercises all of them; the rest are random.
     uint64_t kind = block < 3 ? static_cast<uint64_t>(block) : rng.below(4);
     uint8_t a = static_cast<uint8_t>(rng.below(4));      // v0..v3
     uint8_t c = static_cast<uint8_t>(rng.below(4));
     switch (kind) {
-      case 0: {  // cmp + conditional branch (FuseKind::kCmpBranch)
+      case 0: {  // cmp + conditional branch
         auto skip = as.make_label();
         as.binop(bc::Op::kCmp, 3, a, c);
         as.if_testz(kIfz[rng.below(6)], 3, skip);
@@ -531,17 +529,17 @@ dex::Apk random_fusion_app(uint64_t seed) {
         as.bind(skip);
         break;
       }
-      case 1:  // const + move (FuseKind::kConstMove)
+      case 1:  // const + move
         as.const16(a, static_cast<int16_t>(rng.range(-999, 999)));
         as.move(c, a);
         break;
-      case 2:  // iget + invoke (FuseKind::kIgetInvoke)
+      case 2:  // iget + invoke
         as.iget(0, 7, static_cast<uint16_t>(fld));
         as.invoke(bc::Op::kInvokeStatic, static_cast<uint16_t>(tostr), {0});
         as.move_result(0);
         as.iput(a, 7, static_cast<uint16_t>(fld));
         break;
-      default:  // non-fusable filler
+      default:  // arithmetic filler
         as.binop(kFiller[rng.below(6)], a, c,
                  static_cast<uint8_t>(rng.below(4)));
         break;
@@ -578,27 +576,24 @@ struct AppTrace {
   std::vector<std::string> phases;  // "event: exit state"
   std::vector<std::string> sinks;   // "sink|taint|detail"
   uint64_t steps = 0;               // executed instructions, all phases
-  uint64_t fusions = 0;             // fused pairs formed across all methods
+  size_t predecoded_methods = 0;    // methods that built a predecoded cache
 };
 
-// Fused-pair totals across every method the runtime has predecoded.
-uint64_t total_fusions(rt::Runtime& runtime) {
-  uint64_t fusions = 0;
+// Methods the runtime served from a predecoded cache (kCached only).
+size_t predecoded_methods(rt::Runtime& runtime) {
+  size_t count = 0;
   for (rt::RtClass* cls : runtime.linker().loaded_classes()) {
     for (const std::unique_ptr<rt::RtMethod>& m : cls->methods) {
-      if (m->predecoded) fusions += m->predecoded->stats().fusions;
+      if (m->predecoded) ++count;
     }
   }
-  return fusions;
+  return count;
 }
 
 // The triage oracle's event script (launch, every clickable, teardown) run
 // under one dispatch configuration, reduced to its observable state.
-AppTrace trace_app(const dex::Apk& apk,
-                   const std::function<void(rt::Runtime&)>& configure,
-                   rt::RuntimeConfig cfg) {
+AppTrace trace_app(const dex::Apk& apk, rt::RuntimeConfig cfg) {
   rt::Runtime runtime(cfg);
-  if (configure) configure(runtime);
   runtime.install(apk);
   AppTrace trace;
   trace.phases.push_back("launch: " + render_outcome(runtime.launch()));
@@ -616,117 +611,39 @@ AppTrace trace_app(const dex::Apk& apk,
                           ev.detail);
   }
   trace.steps = runtime.interp().steps();
-  trace.fusions = total_fusions(runtime);
+  trace.predecoded_methods = predecoded_methods(runtime);
   return trace;
 }
 
-void expect_same_trace(const AppTrace& a, const AppTrace& b,
-                       const std::string& label) {
-  EXPECT_EQ(a.phases, b.phases) << label;
-  EXPECT_EQ(a.sinks, b.sinks) << label;
-  EXPECT_EQ(a.steps, b.steps) << label;
-}
+class CachedDispatchProperty : public ::testing::TestWithParam<uint64_t> {};
 
-class FusionSemanticsProperty : public ::testing::TestWithParam<uint64_t> {};
-
-// Fusion is semantics-preserving: a randomized verifier-clean app traces
-// identically under the fused threaded tier, the unfused threaded tier, and
-// the decode-every-step baseline.
-TEST_P(FusionSemanticsProperty, FusedTracesMatchUnfusedAndBaseline) {
+// The predecoded cache is semantics-preserving: a randomized verifier-clean
+// app traces identically — phases, sinks and step count — under kCached and
+// under the decode-every-step kBaseline oracle.
+TEST_P(CachedDispatchProperty, CachedTracesMatchBaseline) {
   const uint64_t seed = GetParam();
-  dex::Apk apk = random_fusion_app(seed);
+  dex::Apk apk = random_loop_app(seed);
   ASSERT_TRUE(bc::verify_dex(dex::read_dex(apk.classes())).ok());
 
-  rt::RuntimeConfig fused;
-  fused.dispatch = rt::DispatchMode::kThreaded;
-  rt::RuntimeConfig unfused = fused;
-  unfused.fuse_superinstructions = false;
+  rt::RuntimeConfig cached;
+  cached.dispatch = rt::DispatchMode::kCached;
   rt::RuntimeConfig baseline;
   baseline.dispatch = rt::DispatchMode::kBaseline;
 
-  AppTrace fused_trace = trace_app(apk, nullptr, fused);
-  AppTrace unfused_trace = trace_app(apk, nullptr, unfused);
-  AppTrace baseline_trace = trace_app(apk, nullptr, baseline);
+  AppTrace cached_trace = trace_app(apk, cached);
+  AppTrace baseline_trace = trace_app(apk, baseline);
 
-  // Non-vacuous: the fused run actually formed superinstructions, and the
-  // unfused control actually suppressed them.
-  EXPECT_GT(fused_trace.fusions, 0u) << "seed " << seed;
-  EXPECT_EQ(unfused_trace.fusions, 0u) << "seed " << seed;
-  expect_same_trace(fused_trace, unfused_trace, "fused vs unfused");
-  expect_same_trace(fused_trace, baseline_trace, "fused vs baseline");
+  // Non-vacuous: the cached run really served from predecoded caches, and
+  // the baseline control really built none.
+  EXPECT_GT(cached_trace.predecoded_methods, 0u) << "seed " << seed;
+  EXPECT_EQ(baseline_trace.predecoded_methods, 0u) << "seed " << seed;
+  EXPECT_EQ(cached_trace.phases, baseline_trace.phases) << "seed " << seed;
+  EXPECT_EQ(cached_trace.sinks, baseline_trace.sinks) << "seed " << seed;
+  EXPECT_EQ(cached_trace.steps, baseline_trace.steps) << "seed " << seed;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FusionSemanticsProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, CachedDispatchProperty,
                          ::testing::Range<uint64_t>(1, 9));
-
-// Every fused pair round-trips through patch_code_unit back to unfused
-// slots: an identity patch (writing back the unit's current value) is a
-// behavioral no-op, but must split the fused head exactly like a real
-// self-modification. The subject runtime takes identity patches on every
-// fused head after launch; a never-patched control runtime advances through
-// the same event script in lockstep, and the two must stay observationally
-// identical for the rest of the app's life.
-TEST(FusionPatchRoundTrip, IdentityPatchSplitsEveryFusedPair) {
-  dex::Apk apk = random_fusion_app(31);
-  rt::RuntimeConfig cfg;
-  cfg.dispatch = rt::DispatchMode::kThreaded;
-
-  rt::Runtime control(cfg);
-  rt::Runtime subject(cfg);
-  control.install(apk);
-  subject.install(apk);
-  EXPECT_EQ(render_outcome(control.launch()), render_outcome(subject.launch()));
-
-  // Split every fused pair in the subject with identity writes.
-  size_t split = 0;
-  for (rt::RtClass* cls : subject.linker().loaded_classes()) {
-    for (const std::unique_ptr<rt::RtMethod>& m : cls->methods) {
-      if (!m->predecoded || !m->code) continue;
-      uint64_t splits_before = m->predecoded->stats().fusion_splits;
-      std::vector<rt::PredecodedCode::FusedSpan> spans =
-          m->predecoded->fused_spans();
-      for (const rt::PredecodedCode::FusedSpan& span : spans) {
-        ASSERT_TRUE(m->predecoded->is_fused(span.pc)) << m->full_name();
-        m->patch_code_unit(span.pc, m->code->insns[span.pc]);
-        EXPECT_FALSE(m->predecoded->is_fused(span.pc))
-            << m->full_name() << " @" << span.pc;
-      }
-      if (!spans.empty()) {
-        // patch_unit records one split per fused head it cleared.
-        EXPECT_GE(m->predecoded->stats().fusion_splits - splits_before,
-                  spans.size())
-            << m->full_name();
-        split += spans.size();
-      }
-    }
-  }
-  EXPECT_GT(split, 0u);  // the property actually exercised fused pairs
-
-  // Re-run the entry method in lockstep: the split subject must shadow the
-  // still-fused control exactly (identity patches change no semantics, and
-  // split slots re-arm as plain threaded slots, never stale fused ones).
-  for (int round = 0; round < 2; ++round) {
-    EXPECT_EQ(render_outcome(control.call_activity_method("onCreate")),
-              render_outcome(subject.call_activity_method("onCreate")))
-        << "round " << round;
-  }
-  // Splits are durable: re-fusion only happens at a full rebuild, which an
-  // announced identity patch never forces.
-  for (rt::RtClass* cls : subject.linker().loaded_classes()) {
-    for (const std::unique_ptr<rt::RtMethod>& m : cls->methods) {
-      if (m->predecoded) EXPECT_TRUE(m->predecoded->fused_spans().empty());
-    }
-  }
-  ASSERT_EQ(control.sink_events().size(), subject.sink_events().size());
-  for (size_t i = 0; i < control.sink_events().size(); ++i) {
-    const rt::Runtime::SinkEvent& a = control.sink_events()[i];
-    const rt::Runtime::SinkEvent& b = subject.sink_events()[i];
-    EXPECT_EQ(a.sink, b.sink) << i;
-    EXPECT_EQ(a.taint, b.taint) << i;
-    EXPECT_EQ(a.detail, b.detail) << i;
-  }
-  EXPECT_EQ(control.interp().steps(), subject.interp().steps());
-}
 
 }  // namespace
 }  // namespace dexlego::support
