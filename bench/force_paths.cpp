@@ -1,8 +1,11 @@
 // Force-execution throughput: runs the guarded generated population (the
 // Table VII force workload) through pipeline::run_batch with ForceEngine
-// exploration at 1, 2, 4 and 8 threads and reports forced paths/sec — the
-// fleet-level metric for the worklist engine — plus the branch coverage it
-// buys over the natural batch and over the legacy single-plan replay.
+// exploration, asking for 1, 2, 4 and 8 threads, and reports forced
+// paths/sec — the fleet-level metric for the worklist engine — plus the
+// branch coverage it buys over the natural batch and over the legacy
+// single-plan replay. Each worker explores whole apps, so run_batch caps the
+// pool at the app count; every row reports the workers that actually ran
+// (FleetStats::threads).
 //
 // Each line prefixed BENCH_JSON is machine-readable (one JSON object per
 // thread count) so paths/sec trajectories can be tracked across commits.
@@ -93,7 +96,7 @@ int main(int argc, char** argv) {
     std::snprintf(branch_s, sizeof(branch_s), "%.1f%%",
                   fleet.mean_branch_coverage * 100.0);
     std::snprintf(speed_s, sizeof(speed_s), "%.2fx", speedup);
-    bench::print_row({std::to_string(threads), wall_s, paths_s, rate_s,
+    bench::print_row({std::to_string(fleet.threads), wall_s, paths_s, rate_s,
                       branch_s, speed_s},
                      {10, 12, 8, 12, 10, 10});
 
@@ -102,9 +105,9 @@ int main(int argc, char** argv) {
         "\"wall_ms\":%.2f,\"forced_paths\":%zu,\"paths_per_sec\":%.2f,"
         "\"mean_branch_coverage\":%.4f,\"natural_branch_coverage\":%.4f,"
         "\"single_plan_branch_coverage\":%.4f,\"speedup_vs_1t\":%.3f}\n",
-        threads, fleet.jobs, fleet.wall_ms, fleet.forced_paths, paths_per_sec,
-        fleet.mean_branch_coverage, natural.fleet.mean_branch_coverage,
-        legacy_branch, speedup);
+        fleet.threads, fleet.jobs, fleet.wall_ms, fleet.forced_paths,
+        paths_per_sec, fleet.mean_branch_coverage,
+        natural.fleet.mean_branch_coverage, legacy_branch, speedup);
   }
   std::printf(
       "\n(paths/sec tracks the cores the container actually grants; on a "

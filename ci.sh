@@ -56,6 +56,19 @@ if ! tsort <<<"$cycle_edges" > /dev/null; then
 fi
 echo "include-cycle lint passed"
 
+# --- perfbench self-tests --------------------------------------------------
+# Unit tests of the benchmark's own metric math (nearest-rank percentiles,
+# output digest, worker_util, metric sets vs BENCHMARK.json, the output
+# gate). They need no build and run in milliseconds. Probe-gated: hosts
+# without python3 skip them instead of failing.
+if command -v python3 > /dev/null 2>&1; then
+  PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench \
+    -p 'test_*.py'
+  echo "perfbench self-tests passed"
+else
+  echo "python3 unavailable; skipping perfbench self-tests"
+fi
+
 # --- build + tests ---------------------------------------------------------
 cmake -B "$BUILD_DIR" -S . -DDEXLEGO_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -76,7 +89,7 @@ fi
 
 # --- pipeline smoke --------------------------------------------------------
 # A tiny batch on 2 workers, byte-compared against the sequential path, then
-# the same with ForceEngine exploration (plan units sharded across workers).
+# the same with ForceEngine exploration (each worker explores whole apps).
 "$BUILD_DIR"/examples/dexlego_batch --scenario generated --count 4 \
   --threads 2 --compare-sequential --quiet
 "$BUILD_DIR"/examples/dexlego_batch --scenario guarded --count 2 --force \
@@ -274,16 +287,17 @@ echo "service bench passed ($service_lines phases)"
 "$BUILD_DIR"/examples/dexlego_fuzz --seed 1 --iters 250 --quiet
 
 # --- ThreadSanitizer pass --------------------------------------------------
-# Rebuilds the concurrency-bearing suites (pipeline_test: work-queue
-# scheduler + DedupStore races; force_engine_test: the frontier logic the
-# scheduler drives; fuzz_test: the campaign worker pool sharing resolved
+# Rebuilds the concurrency-bearing suites (pipeline_test: the job-cursor
+# scheduler + DedupStore races; force_engine_test: the frontier logic each
+# force job drives; fuzz_test: the campaign worker pool sharing resolved
 # seeds; interp_cache_test's threaded cases: per-runtime predecode caches
 # under the campaign pool; service_test: the persistent store's log appends
-# under concurrent intern plus the extraction service's worker pool, quotas
-# and cancellation) under TSan and runs them. interp_cache_test is filtered
-# to its thread-bearing cases — the full parity sweeps are single-threaded
-# and already run in the normal pass. Skipped where TSan can't compile,
-# link or execute (older toolchains, restricted sandboxes).
+# under concurrent intern plus the extraction service's worker pool, quotas,
+# cancellation and store-directory lock) under TSan and runs them.
+# interp_cache_test is filtered to its thread-bearing cases — the full parity
+# sweeps are single-threaded and already run in the normal pass. Skipped
+# where TSan can't compile, link or execute (older toolchains, restricted
+# sandboxes).
 TSAN_DIR="${TSAN_DIR:-${BUILD_DIR}-tsan}"
 tsan_probe="$(mktemp -d)"
 cat > "$tsan_probe/probe.cpp" <<'EOF'

@@ -16,8 +16,8 @@
 //                      are byte-identical at any value)
 //   --repeat           replicate the job list R times (workload scaling)
 //   --force            explore every app with the worklist ForceEngine:
-//                      each app expands into (app, plan) units sharded
-//                      across the worker pool (docs/FORCE_EXECUTION.md)
+//                      each worker runs an app's baseline and every plan
+//                      it issues (docs/FORCE_EXECUTION.md)
 //   --force-depth      forced-prefix generations per plan (default 8)
 //   --force-iters      total plan budget per app (default 512)
 //   --ir-roundtrip     lift every reassembled body to SSA IR and lower it

@@ -14,8 +14,8 @@
 // compute_path) and the app-level drivers. Exploration itself is the
 // worklist-driven ForceEngine in src/coverage/force_engine.h: every UCB gets
 // its own independently-runnable plan (a branch-decision prefix + the path
-// to the UCB), so plans shard across pipeline workers. force_execute() runs
-// the engine's waves serially in-process; single_plan_force_execute() keeps
+// to the UCB). force_execute() runs the engine's waves serially in-process,
+// as pipeline::run_job does for force jobs; single_plan_force_execute() keeps
 // the pre-engine algorithm (one combined plan re-run per iteration) as the
 // comparison baseline for bench/force_paths and the coverage tests.
 #pragma once

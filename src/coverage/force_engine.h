@@ -9,11 +9,12 @@
 // depth / plan / wave budgets bound the exploration.
 //
 // The engine itself never executes anything: callers run each wave's plan
-// units (serially in force_execute, sharded across worker threads by
-// pipeline::run_batch), feed the observed per-run coverage back through
-// observe(), and ask for the next wave. Because accumulated coverage is a
-// set union and observations are replayed in plan order, the frontier — and
-// therefore everything collected — is identical whatever the thread count.
+// units (force_execute, and pipeline::run_job for every force job a batch
+// or service worker claims), feed the observed per-run coverage back
+// through observe(), and ask for the next wave. Because accumulated
+// coverage is a set union and observations arrive in plan order, the
+// frontier — and therefore everything collected — is identical whatever
+// the thread count.
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,13 @@
 #include "src/pipeline/batch.h"
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
+#include <algorithm>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "src/core/files.h"
 #include "src/coverage/force_engine.h"
 #include "src/coverage/tracker.h"
-#include "src/dex/io.h"
 #include "src/dex/real/real_dex.h"
 #include "src/support/hash.h"
 #include "src/support/timer.h"
@@ -18,96 +16,23 @@ namespace dexlego::pipeline {
 
 namespace {
 
-// --- the classic single-unit path (natural execution, whole reveal) -------
-
-JobResult run_one(const BatchJob& job, DedupStore& store, bool keep_dex) {
-  JobResult result;
-  result.name = job.name;
-  result.scenario = job.scenario;
-  result.expect_leak = job.expect_leak;
-
-  support::Stopwatch wall;
-  double cpu_start = support::thread_cpu_ms();
-  try {
-    coverage::CoverageTracker tracker;
-    size_t leaks = 0;
-
-    core::DexLegoOptions options = job.reveal;
-    auto base_configure = options.configure_runtime;
-    options.configure_runtime = [&, base_configure](rt::Runtime& runtime) {
-      if (base_configure) base_configure(runtime);
-      if (job.configure_runtime) job.configure_runtime(runtime);
-      runtime.add_hooks(&tracker);
-    };
-    auto base_driver = options.driver;
-    options.driver = [&](rt::Runtime& runtime, int run_index) {
-      if (base_driver) {
-        base_driver(runtime, run_index);
-      } else {
-        core::default_driver(runtime, run_index);
-      }
-      leaks += runtime.leaks().size();
-    };
-
-    core::DexLego dexlego(options);
-    core::RevealResult reveal = dexlego.reveal(job.apk);
-
-    InternedCollection interned = intern_collection(reveal.collection, store);
-    result.dedup_interns = interned.interns;
-    result.unique_trees = interned.unique_trees;
-    result.dedup_hits = interned.hits;
-    result.dedup_misses = interned.misses;
-
-    result.verified = reveal.verified;
-    result.leaks_observed = leaks;
-    result.reassemble = reveal.stats;
-    result.collection_bytes = reveal.files.total_size();
-
-    const std::vector<uint8_t>& dex_bytes = reveal.revealed_apk.classes();
-    result.dex_fingerprint = support::fnv1a(dex_bytes);
-    if (keep_dex) result.dex = dex_bytes;
-
-    // Coverage of the *original* image. Meaningless for packed inputs whose
-    // classes.ldex is the shell stub, so a parse failure just leaves 0.
-    try {
-      dex::DexFile original = dex::load_classes(job.apk);
-      coverage::CoverageTracker::Report report = tracker.report(original);
-      result.instruction_coverage = report.instruction_pct();
-      result.branch_coverage = report.branch_pct();
-    } catch (const std::exception&) {
-    }
-
-    result.ok = true;
-  } catch (const std::exception& e) {
-    result.error = e.what();
-  } catch (...) {
-    result.error = "unknown exception";
-  }
-  result.wall_ms = wall.elapsed_ms();
-  result.cpu_ms = support::thread_cpu_ms() - cpu_start;
-  return result;
-}
-
-// --- the (app, plan) unit path (force-execution jobs) ---------------------
-
-// Everything one executed plan unit hands back to its app's coordinator.
+// What one collection run hands back: a classic job's whole collect phase,
+// or one plan unit (baseline or forced) of a force job.
 struct UnitOutput {
   core::CollectionOutput collection;
   coverage::CoverageTracker coverage;
   size_t leaks = 0;
   size_t forced = 0;
-  double cpu_ms = 0.0;
   bool ok = false;
   std::string error;
 };
 
-// Executes one (app, plan) unit through the same DexLego collect phase the
-// classic path uses, with a per-unit coverage tracker and — for non-empty
-// plans — the plan's ForceHooks riding along. The baseline unit honors the
-// job's run count; forced units replay the driver once.
+// Executes one plan unit through the DexLego collect phase, with a per-unit
+// coverage tracker and — for non-empty plans — the plan's ForceHooks riding
+// along. The baseline unit (empty plan) honors the job's run count; forced
+// units replay the driver once. Never throws: a failure lands in `error`.
 UnitOutput run_unit(const BatchJob& job, const coverage::PlanUnit& unit) {
   UnitOutput out;
-  double cpu_start = support::thread_cpu_ms();
   try {
     coverage::ForceHooks force_hooks(unit.plan);
 
@@ -138,181 +63,146 @@ UnitOutput run_unit(const BatchJob& job, const coverage::PlanUnit& unit) {
   } catch (...) {
     out.error = "unknown exception";
   }
-  out.cpu_ms = support::thread_cpu_ms() - cpu_start;
   return out;
 }
 
-// Per-app coordination state. Workers only touch an app's state while the
-// scheduler lock is held or while they own its wave (outstanding hit zero).
-struct AppState {
-  const BatchJob* job = nullptr;
-  JobResult result;
-  bool classic = true;  // no force: single unit through run_one
+// The offline half every job ends with: encode the collection, reassemble
+// and verify it, intern the decoded trees and fingerprint the revealed DEX.
+void finish(const BatchJob& job, const core::CollectionOutput& collection,
+            DedupStore& store, bool keep_dex, JobResult& result) {
+  core::RevealResult reveal = core::DexLego::reassemble_files(
+      core::encode_collection(collection), job.apk, job.reveal.reassemble);
 
-  std::unique_ptr<coverage::ForceEngine> engine;
-  std::vector<coverage::PlanUnit> wave_units;
-  std::vector<UnitOutput> wave_outputs;
-  size_t outstanding = 0;  // units of the current wave still executing
+  InternedCollection interned = intern_collection(reveal.collection, store);
+  result.dedup_interns = interned.interns;
+  result.unique_trees = interned.unique_trees;
+  result.dedup_hits = interned.hits;
+  result.dedup_misses = interned.misses;
 
-  core::CollectionOutput merged;  // plan-order merge of unit collections
-  size_t leaks = 0;
-  size_t forced_branches = 0;
-  size_t force_paths = 0;
-  int waves_folded = 0;  // waves merged so far (0 = baseline pending)
-  double start_ms = -1.0;
-  double cpu_ms = 0.0;
-  bool failed = false;
-};
+  result.verified = reveal.verified;
+  result.reassemble = reveal.stats;
+  result.collection_bytes = reveal.files.total_size();
 
-// Reassembles and verifies a finished force app from its merged collection.
-void finalize_force_app(AppState& app, DedupStore& store, bool keep_dex) {
-  JobResult& result = app.result;
-  try {
-    core::CollectionFiles files = core::encode_collection(app.merged);
-    core::RevealResult reveal = core::DexLego::reassemble_files(
-        files, app.job->apk, app.job->reveal.reassemble);
-
-    InternedCollection interned = intern_collection(reveal.collection, store);
-    result.dedup_interns = interned.interns;
-    result.unique_trees = interned.unique_trees;
-    result.dedup_hits = interned.hits;
-    result.dedup_misses = interned.misses;
-
-    result.verified = reveal.verified;
-    result.leaks_observed = app.leaks;
-    result.reassemble = reveal.stats;
-    result.collection_bytes = reveal.files.total_size();
-
-    const std::vector<uint8_t>& dex_bytes = reveal.revealed_apk.classes();
-    result.dex_fingerprint = support::fnv1a(dex_bytes);
-    if (keep_dex) result.dex = dex_bytes;
-
-    try {
-      dex::DexFile original = dex::load_classes(app.job->apk);
-      coverage::CoverageTracker::Report report =
-          app.engine->coverage().report(original);
-      result.instruction_coverage = report.instruction_pct();
-      result.branch_coverage = report.branch_pct();
-    } catch (const std::exception&) {
-    }
-
-    result.forced_branches = app.forced_branches;
-    result.force_paths = app.force_paths;
-    result.force_waves = app.engine->stats().waves;
-    result.ok = true;
-  } catch (const std::exception& e) {
-    result.error = e.what();
-  } catch (...) {
-    result.error = "unknown exception";
-  }
+  const std::vector<uint8_t>& dex_bytes = reveal.revealed_apk.classes();
+  result.dex_fingerprint = support::fnv1a(dex_bytes);
+  if (keep_dex) result.dex = dex_bytes;
 }
 
-// Wave end: folds the finished wave in plan order, asks the engine for the
-// next frontier, and either fills wave_units for re-dispatch or finalizes.
-// Called with exclusive ownership of the app (outstanding == 0).
-void advance_force_app(AppState& app, DedupStore& store, bool keep_dex) {
-  double cpu_start = support::thread_cpu_ms();
-  bool baseline_wave = app.waves_folded == 0;
-  if (baseline_wave && app.engine == nullptr) {
-    try {
-      app.engine = std::make_unique<coverage::ForceEngine>(
-          dex::load_classes(app.job->apk), app.job->force_options);
-    } catch (const std::exception& e) {
-      app.failed = true;
-      app.result.error = std::string("force engine: ") + e.what();
-    } catch (...) {
-      app.failed = true;
-      app.result.error = "force engine: non-std exception";
-    }
-  }
+void report_coverage(const coverage::CoverageTracker& coverage,
+                     const dex::DexFile& original, JobResult& result) {
+  coverage::CoverageTracker::Report report = coverage.report(original);
+  result.instruction_coverage = report.instruction_pct();
+  result.branch_coverage = report.branch_pct();
+}
 
+// A classic job: one natural-execution unit, then the offline half.
+void run_classic(const BatchJob& job, DedupStore& store, bool keep_dex,
+                 JobResult& result) {
+  UnitOutput out = run_unit(job, coverage::PlanUnit{});
+  if (!out.ok) {
+    result.error = std::move(out.error);
+    return;
+  }
+  finish(job, out.collection, store, keep_dex, result);
+  result.leaks_observed = out.leaks;
+
+  // Coverage of the *original* image. Meaningless for packed inputs whose
+  // classes.ldex is the shell stub, so a parse failure just leaves 0.
   try {
-    for (size_t s = 0; !app.failed && s < app.wave_units.size(); ++s) {
-      UnitOutput& out = app.wave_outputs[s];
-      app.cpu_ms += out.cpu_ms;
-      if (!out.ok) {
-        if (baseline_wave) {
-          // No baseline collection: the job fails like a classic job would.
-          app.failed = true;
-          app.result.error = out.error;
-          break;
-        }
-        // A failed forced path loses only that path. Observing whatever
-        // coverage it recorded before dying keeps the observation sequence —
-        // and thus the frontier — identical on every schedule, since the
-        // failure itself is deterministic for a given plan.
-        app.engine->observe(app.wave_units[s], out.coverage);
-        continue;
-      }
-      app.leaks += out.leaks;
-      app.forced_branches += out.forced;
-      core::merge_collection(app.merged, std::move(out.collection),
-                             app.job->reveal.collector.max_variants);
-      app.engine->observe(app.wave_units[s], out.coverage);
-    }
-    if (!baseline_wave) app.force_paths += app.wave_units.size();
-    ++app.waves_folded;
-
-    app.wave_units.clear();
-    app.wave_outputs.clear();
-    if (!app.failed) {
-      app.wave_units = app.engine->next_wave();
-    }
-  } catch (const std::exception& e) {
-    app.failed = true;
-    app.result.error = e.what();
-    app.wave_units.clear();
-    app.wave_outputs.clear();
-  } catch (...) {
-    // Fail closed: a non-std throw (hostile native code can raise anything)
-    // must cost this job, not the worker thread — an escape here would
-    // std::terminate the whole fleet.
-    app.failed = true;
-    app.result.error = "unknown exception (non-std type)";
-    app.wave_units.clear();
-    app.wave_outputs.clear();
+    report_coverage(out.coverage, dex::load_classes(job.apk), result);
+  } catch (const std::exception&) {
   }
-  if (!app.wave_units.empty()) {
-    app.wave_outputs = std::vector<UnitOutput>(app.wave_units.size());
-    app.outstanding = app.wave_units.size();
-    app.cpu_ms += support::thread_cpu_ms() - cpu_start;
+  result.ok = true;
+}
+
+// A force job (docs/FORCE_EXECUTION.md): the baseline unit, then every plan
+// the ForceEngine issues, wave by wave. Each unit is folded — merged into
+// the app's collection and observed by the engine — as soon as it finishes,
+// in plan order, so no unit's output outlives its own fold.
+void run_force(const BatchJob& job, DedupStore& store, bool keep_dex,
+               JobResult& result) {
+  UnitOutput baseline = run_unit(job, coverage::PlanUnit{});
+
+  // One parse of the original image serves the engine and the coverage
+  // report. The engine is built before the baseline's outcome is looked at,
+  // so an image that does not parse fails as "force engine: ...".
+  dex::DexFile original;
+  std::optional<coverage::ForceEngine> engine;
+  try {
+    original = dex::load_classes(job.apk);
+    engine.emplace(original, job.force_options);
+  } catch (const std::exception& e) {
+    result.error = std::string("force engine: ") + e.what();
+    return;
+  }
+  if (!baseline.ok) {
+    // No baseline collection: the job fails like a classic job would.
+    result.error = std::move(baseline.error);
     return;
   }
 
-  // Converged (or failed): finish the job.
-  if (!app.failed) finalize_force_app(app, store, keep_dex);
-  app.cpu_ms += support::thread_cpu_ms() - cpu_start;
-  app.result.cpu_ms = app.cpu_ms;
+  core::CollectionOutput merged;
+  size_t leaks = 0;
+  size_t forced_branches = 0;
+  size_t force_paths = 0;
+  // A failed forced path loses only that path. Observing whatever coverage
+  // it recorded before dying keeps the observation sequence — and thus the
+  // frontier — a function of the plans alone, since the failure itself is
+  // deterministic for a given plan.
+  auto fold = [&](const coverage::PlanUnit& unit, UnitOutput& out) {
+    if (out.ok) {
+      leaks += out.leaks;
+      forced_branches += out.forced;
+      core::merge_collection(merged, std::move(out.collection),
+                             job.reveal.collector.max_variants);
+    }
+    engine->observe(unit, out.coverage);
+  };
+  fold(coverage::PlanUnit{}, baseline);
+  for (std::vector<coverage::PlanUnit> wave = engine->next_wave();
+       !wave.empty(); wave = engine->next_wave()) {
+    for (const coverage::PlanUnit& unit : wave) {
+      UnitOutput out = run_unit(job, unit);
+      fold(unit, out);
+    }
+    force_paths += wave.size();
+  }
+
+  finish(job, merged, store, keep_dex, result);
+  report_coverage(engine->coverage(), original, result);
+  result.leaks_observed = leaks;
+  result.forced_branches = forced_branches;
+  result.force_paths = force_paths;
+  result.force_waves = engine->stats().waves;
+  result.ok = true;
 }
 
 }  // namespace
 
 JobResult run_job(const BatchJob& job, DedupStore& store, bool keep_dex) {
-  if (!job.force) return run_one(job, store, keep_dex);
+  JobResult result;
+  result.name = job.name;
+  result.scenario = job.scenario;
+  result.expect_leak = job.expect_leak;
 
-  // Force job, inline: the same baseline + wave machinery run_batch shards
-  // across workers, executed serially on the calling thread. advance_force_app
-  // owns the fold/frontier/finalize logic in both cases, so the output is
-  // byte-identical to the sharded path (tests/service_test.cpp anchors this).
   support::Stopwatch wall;
-  AppState app;
-  app.job = &job;
-  app.classic = false;
-  app.result.name = job.name;
-  app.result.scenario = job.scenario;
-  app.result.expect_leak = job.expect_leak;
-  app.wave_units.push_back(coverage::PlanUnit{});  // baseline run
-  app.wave_outputs = std::vector<UnitOutput>(1);
-  app.outstanding = 1;
-  while (!app.wave_units.empty()) {
-    for (size_t s = 0; s < app.wave_units.size(); ++s) {
-      app.wave_outputs[s] = run_unit(job, app.wave_units[s]);
+  double cpu_start = support::thread_cpu_ms();
+  try {
+    if (job.force) {
+      run_force(job, store, keep_dex, result);
+    } else {
+      run_classic(job, store, keep_dex, result);
     }
-    advance_force_app(app, store, keep_dex);
+  } catch (const std::exception& e) {
+    result.error = e.what();
+  } catch (...) {
+    // Fail closed: whatever a job throws must cost that job, not the worker
+    // thread — an escape would std::terminate the whole fleet.
+    result.error = "unknown exception";
   }
-  app.result.ok = app.result.ok && !app.failed;
-  app.result.wall_ms = wall.elapsed_ms();
-  return std::move(app.result);
+  result.wall_ms = wall.elapsed_ms();
+  result.cpu_ms = support::thread_cpu_ms() - cpu_start;
+  return result;
 }
 
 BatchReport run_batch(const std::vector<BatchJob>& jobs,
@@ -321,13 +211,8 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // Plain jobs can use at most one worker each; force jobs fan out into plan
-  // units, so extra workers stay useful even for a single app.
-  bool any_force = false;
-  for (const BatchJob& job : jobs) any_force |= job.force;
-  if (!any_force && threads > jobs.size() && !jobs.empty()) {
-    threads = jobs.size();
-  }
+  // A job runs start to finish on one worker, so extra workers would idle.
+  if (threads > jobs.size() && !jobs.empty()) threads = jobs.size();
 
   DedupStore local_store{DedupStore::Options{
       options.store_shards == 0 ? DedupStore::kDefaultShards
@@ -339,58 +224,15 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
   report.jobs.resize(jobs.size());
   support::Stopwatch wall;
 
-  // Scheduler state: a dynamic queue of (app, wave-slot) tasks. Plain jobs
-  // contribute one task; force jobs re-enqueue a task per plan unit at every
-  // wave end, so one app's exploration spreads across all workers. Workers
-  // claim *chunks* of tasks per lock acquisition (adaptive to queue depth),
-  // so with thousands of small apps the queue mutex leaves the hot path.
-  struct Task {
-    size_t app = 0;
-    size_t slot = 0;
-  };
-  std::mutex mu;  // guards queue and force-wave handoff only
-  std::condition_variable cv;
-  std::deque<Task> queue;
-  std::vector<AppState> states(jobs.size());
-  // Completion count is an atomic, not mu-guarded state: classic jobs finish
-  // without ever re-taking the queue lock.
-  std::atomic<size_t> apps_remaining{jobs.size()};
-
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    AppState& app = states[i];
-    app.job = &jobs[i];
-    app.classic = !jobs[i].force;
-    app.result.name = jobs[i].name;
-    app.result.scenario = jobs[i].scenario;
-    app.result.expect_leak = jobs[i].expect_leak;
-    if (!app.classic) {
-      app.wave_units.push_back(coverage::PlanUnit{});  // baseline run
-      app.wave_outputs = std::vector<UnitOutput>(1);
-      app.outstanding = 1;
-    }
-    queue.push_back(Task{i, 0});
-  }
-
-  // How many tasks one lock acquisition may claim: share the visible
-  // backlog across workers (keeping ~2 refills per worker in reserve so a
-  // heavyweight chunk cannot starve siblings), floor 1, cap 32.
+  // Workers claim *chunks* of job indices from one cursor over the input
+  // list, so with thousands of small apps the lock leaves the hot path. A
+  // claim shares the remaining backlog across workers (keeping ~2 refills
+  // per worker in reserve so a heavyweight chunk cannot starve siblings),
+  // floor 1, cap 32. Every job is known up front: a worker that finds the
+  // cursor at the end is done.
   constexpr size_t kMaxChunk = 32;
-  auto chunk_for = [threads](size_t depth) {
-    size_t share = depth / (threads * 2);
-    return share < 1 ? size_t{1} : (share > kMaxChunk ? kMaxChunk : share);
-  };
-
-  // Decrements the fleet's remaining-app count (batched per chunk for
-  // classic jobs). The worker that takes the count to zero locks and
-  // releases mu before notifying: the empty lock pairs with the mutex a
-  // sleeper holds while evaluating its wait predicate, so the final wakeup
-  // cannot be lost — and the notify itself happens with no lock held.
-  auto finish_apps = [&](size_t n) {
-    if (apps_remaining.fetch_sub(n, std::memory_order_acq_rel) == n) {
-      { std::lock_guard<std::mutex> barrier(mu); }
-      cv.notify_all();
-    }
-  };
+  std::mutex mu;
+  size_t next_job = 0;  // guarded by mu
 
   // Per-worker scheduler tallies, merged into FleetStats after the join —
   // workers never touch shared stats mid-batch.
@@ -403,76 +245,23 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
 
   auto worker = [&](size_t worker_index) {
     WorkerLocal& local = locals[worker_index];
-    std::vector<Task> chunk;
-    chunk.reserve(kMaxChunk);
-    std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      cv.wait(lock, [&]() {
-        return !queue.empty() ||
-               apps_remaining.load(std::memory_order_acquire) == 0;
-      });
-      if (queue.empty()) return;  // apps_remaining == 0
-      size_t take = chunk_for(queue.size());
-      chunk.clear();
-      while (chunk.size() < take && !queue.empty()) {
-        chunk.push_back(queue.front());
-        queue.pop_front();
+      size_t begin = 0;
+      size_t end = 0;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (next_job == jobs.size()) return;
+        begin = next_job;
+        size_t share = (jobs.size() - begin) / (threads * 2);
+        end = begin + std::clamp<size_t>(share, 1, kMaxChunk);
+        next_job = end;
       }
-      lock.unlock();
       ++local.pops;
-      local.tasks += chunk.size();
-      if (chunk.size() > local.max_chunk) local.max_chunk = chunk.size();
-
-      size_t classic_done = 0;
-      for (const Task& task : chunk) {
-        AppState& app = states[task.app];
-        // Only the task that starts an app can observe an unset start time:
-        // classic jobs have one task, and a force job's first wave is the
-        // single baseline unit whose completion hands the app off under mu.
-        if (app.start_ms < 0.0) app.start_ms = wall.elapsed_ms();
-
-        if (app.classic) {
-          // The app's state is exclusively ours (one task per classic job),
-          // so the result lands without any lock.
-          app.result = run_one(*app.job, store, options.keep_dex);
-          ++classic_done;
-          continue;
-        }
-
-        UnitOutput out = run_unit(*app.job, app.wave_units[task.slot]);
-        lock.lock();
-        app.wave_outputs[task.slot] = std::move(out);
-        bool wave_done = --app.outstanding == 0;
-        lock.unlock();
-        if (!wave_done) continue;  // wave still in flight elsewhere
-
-        // Last unit of the wave: this worker owns the app until it either
-        // enqueues the next wave or finishes the job.
-        advance_force_app(app, store, options.keep_dex);
-        if (!app.wave_units.empty()) {
-          size_t enqueued = app.wave_units.size();
-          lock.lock();
-          for (size_t s = 0; s < enqueued; ++s) {
-            queue.push_back(Task{task.app, s});
-          }
-          lock.unlock();
-          // Wake only as many workers as there are new units (everyone, at
-          // chunk granularity, once a wave outgrows the pool) — and do it
-          // with the lock released so the woken thread never immediately
-          // blocks on mu.
-          if (enqueued == 1) {
-            cv.notify_one();
-          } else {
-            cv.notify_all();
-          }
-        } else {
-          app.result.ok = app.result.ok && !app.failed;
-          app.result.wall_ms = wall.elapsed_ms() - app.start_ms;
-          finish_apps(1);
-        }
+      local.tasks += end - begin;
+      local.max_chunk = std::max(local.max_chunk, end - begin);
+      for (size_t i = begin; i < end; ++i) {
+        report.jobs[i] = run_job(jobs[i], store, options.keep_dex);
       }
-      if (classic_done > 0) finish_apps(classic_done);
-      lock.lock();
     }
   };
 
@@ -485,10 +274,6 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
       pool.emplace_back(worker, t);
     }
     for (std::thread& thread : pool) thread.join();
-  }
-
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    report.jobs[i] = std::move(states[i].result);
   }
 
   FleetStats& fleet = report.fleet;

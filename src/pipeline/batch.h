@@ -1,4 +1,4 @@
-// Batch extraction pipeline — shards work across a worker thread pool and
+// Batch extraction pipeline — shards apps across a worker thread pool and
 // runs the full DexLego loop (paper Fig. 1) per app:
 //
 //   collect (instrumented execution, Section IV-A)
@@ -6,20 +6,19 @@
 //   -> reassemble (offline, Section IV-B)
 //   -> verify (structural + instruction-level DEX verification)
 //
-// The unit of work is an *(app, plan)* pair. A plain job is one unit (its
-// trivial plan: natural execution). A job with force execution enabled
-// expands into waves of units — a baseline collection run, then one unit
-// per ForceEngine plan — so a single app's path exploration shards across
-// the same workers that shard apps. Units are independent: each builds its
-// own Runtime/Collector, per-unit collections merge in plan order
-// (core::merge_collection), and the frontier is derived from order-
-// independent coverage unions, so the per-app output is byte-identical
-// whether the batch runs on 1 thread or 16 (asserted by
-// tests/pipeline_test.cpp). The only shared state is the content-addressed
-// DedupStore and the work queue. Per-app and fleet-wide stats (coverage,
-// leak counts, forced paths, dedup hit rate, wall/CPU time) ride along in
-// the report; bench/pipeline_throughput.cpp and bench/force_paths.cpp turn
-// them into throughput trajectories.
+// The unit of work is the job: a worker claims it and runs it start to
+// finish through run_job. A plain job is one natural-execution collection.
+// A job with force execution enabled runs a baseline collection and then
+// every plan its ForceEngine issues, wave by wave, on that same worker,
+// folding each unit's collection (core::merge_collection) and coverage
+// (ForceEngine::observe) in plan order as soon as it finishes. Nothing a
+// job computes depends on which worker runs it or what runs beside it, so
+// the per-app output is byte-identical whether the batch runs on 1 thread
+// or 16 (asserted by tests/pipeline_test.cpp). The only shared state is the
+// content-addressed DedupStore and the job cursor. Per-app and fleet-wide
+// stats (coverage, leak counts, forced paths, dedup hit rate, wall/CPU
+// time) ride along in the report; bench/pipeline_throughput.cpp and
+// bench/force_paths.cpp turn them into throughput trajectories.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +44,9 @@ struct BatchJob {
   core::DexLegoOptions reveal;
   bool expect_leak = false;  // ground truth when the scenario knows it
   // Force-execution exploration (docs/FORCE_EXECUTION.md): when true the job
-  // expands into (app, plan) units explored wave by wave under these
-  // budgets, instead of the single natural-execution unit.
+  // runs a baseline collection plus one forced collection per ForceEngine
+  // plan, explored wave by wave under these budgets, instead of the single
+  // natural-execution collection.
   bool force = false;
   coverage::ForceEngineOptions force_options;
 };
@@ -117,12 +117,13 @@ struct FleetStats {
   double apps_per_sec = 0.0;
 
   // Scheduler observability (merged from per-worker tallies after the pool
-  // joins): locked queue acquisitions vs tasks claimed. queue_pops <<
-  // queue_tasks means the chunked pop is amortizing the queue lock; see
-  // docs/PIPELINE.md "Batch pops".
+  // joins): locked cursor claims vs jobs claimed. Every job is claimed
+  // exactly once, so queue_tasks == jobs; queue_pops << queue_tasks means
+  // chunked claims are amortizing the lock; see docs/PIPELINE.md "Batch
+  // pops".
   uint64_t queue_pops = 0;
   uint64_t queue_tasks = 0;
-  size_t max_chunk = 0;  // largest chunk one pop claimed
+  size_t max_chunk = 0;  // largest chunk one claim took
 };
 
 struct BatchReport {
@@ -132,7 +133,8 @@ struct BatchReport {
 
 struct BatchOptions {
   // 0 = one worker per hardware thread. 1 = run inline on the caller thread
-  // (the sequential baseline the tests compare against).
+  // (the sequential baseline the tests compare against). Either way the
+  // pool never exceeds the job count (FleetStats::threads reports it).
   size_t threads = 0;
   // Shared store to intern into; batches sharing one store dedup across
   // batches too. nullptr = a private store per run_batch call.
@@ -153,13 +155,12 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
                       const BatchOptions& options = {});
 
 // Runs ONE job start-to-finish on the calling thread, interning into
-// `store`: the exact per-job path run_batch's workers execute (classic jobs
-// through the single-unit reveal; force jobs through baseline + waves,
-// folded in plan order — the waves just run serially here instead of
-// sharding across a pool). The extraction service's workers use this to
-// multiplex many tenants' jobs onto one queue while reusing the batch
-// semantics bit for bit. Fail-closed like run_batch: never throws for job
-// failures.
+// `store`: the path each of run_batch's workers runs for every job it
+// claims (classic jobs through one natural-execution collection; force
+// jobs through the baseline and then every plan, each folded in plan order
+// as it finishes). The extraction service's workers use this to multiplex
+// many tenants' jobs onto one queue while reusing the batch semantics bit
+// for bit. Fail-closed like run_batch: never throws for job failures.
 JobResult run_job(const BatchJob& job, DedupStore& store, bool keep_dex = true);
 
 }  // namespace dexlego::pipeline

@@ -5,7 +5,7 @@
 // inputs (src/packer presets, Table I/III) and snapshot dumps from the
 // unpacker baselines (src/unpackers, Section VI-B). Each builder returns
 // ready-to-run BatchJobs: apk + natives + ground truth; enable_force()
-// switches a list to (app, plan)-sharded ForceEngine exploration.
+// switches a list to ForceEngine exploration.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +93,8 @@ std::vector<BatchJob> all_jobs();
 std::vector<BatchJob> replicate_jobs(const std::vector<BatchJob>& jobs,
                                      int repeat);
 
-// Turns every job into an (app, plan)-sharded force-execution job with the
-// given exploration budgets (dexlego_batch --force; docs/FORCE_EXECUTION.md).
+// Turns every job into a force-execution job with the given exploration
+// budgets (dexlego_batch --force; docs/FORCE_EXECUTION.md).
 // Returns `jobs` for chaining.
 std::vector<BatchJob>& enable_force(std::vector<BatchJob>& jobs,
                                     const coverage::ForceEngineOptions& options);

@@ -1,7 +1,10 @@
 #include "src/service/persistent_store.h"
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
@@ -51,6 +54,25 @@ PersistentDedupStore::PersistentDedupStore(std::string dir, Options options)
                              dir_ + ": " + ec.message());
   }
 
+  // One open store per directory: a second would interleave its segment
+  // appends and torn-tail truncation with ours. Taken before replay, so a
+  // refused open reads and writes nothing.
+  const std::string lock_path = dir_ + "/LOCK";
+  lock_.fd = ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (lock_.fd < 0) {
+    const std::error_code err(errno, std::generic_category());
+    throw std::runtime_error("persistent store: cannot open " + lock_path +
+                             ": " + err.message());
+  }
+  if (::flock(lock_.fd, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    throw std::runtime_error(
+        "persistent store: cannot lock " + dir_ + ": " +
+        (err == EWOULDBLOCK ? std::string("held by another open store")
+                            : std::error_code(err, std::generic_category())
+                                  .message()));
+  }
+
   // Replay every segment present, whatever shard count wrote it: ids are
   // content hashes, so each replayed payload re-interns into whichever
   // memory shard the CURRENT layout maps it to.
@@ -94,6 +116,8 @@ PersistentDedupStore::PersistentDedupStore(std::string dir, Options options)
   replaying_ = false;
 }
 
+// The LOCK is released after this body, when lock_ is destroyed: only once
+// the final flush is on disk may another store open the directory.
 PersistentDedupStore::~PersistentDedupStore() {
   if (flush_on_close_) {
     try {
@@ -105,6 +129,10 @@ PersistentDedupStore::~PersistentDedupStore() {
   for (std::FILE* f : segments_) {
     if (f) std::fclose(f);
   }
+}
+
+PersistentDedupStore::LockFile::~LockFile() {
+  if (fd >= 0) ::close(fd);
 }
 
 std::string PersistentDedupStore::segment_path(size_t shard) const {

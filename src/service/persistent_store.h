@@ -8,6 +8,9 @@
 // apps cheap.
 //
 // On-disk layout (<dir>/):
+//   LOCK           empty file whose exclusive flock(2) the open store holds
+//                  from before replay until after the final flush, so two
+//                  stores (in one process or two) never share a directory.
 //   shard-<i>.log  append-only segments: an 8-byte header, then records of
 //                  [magic u32][payload_len u32][fnv1a(payload) u64][payload].
 //                  Records are only ever appended; a torn tail (crash mid-
@@ -88,9 +91,10 @@ class PersistentDedupStore : public pipeline::DedupStore {
     uint64_t truncated_bytes = 0;
   };
 
-  // Opens (creating if needed) the store at `dir` and replays its logs.
-  // Throws std::runtime_error when the directory cannot be created or a
-  // segment cannot be opened for append.
+  // Opens (creating if needed) the store at `dir`, locks it and replays its
+  // logs. Throws std::runtime_error when the directory cannot be created,
+  // another open store holds its LOCK, or a segment cannot be opened for
+  // append.
   explicit PersistentDedupStore(std::string dir)
       : PersistentDedupStore(std::move(dir), Options{}) {}
   PersistentDedupStore(std::string dir, Options options);
@@ -119,7 +123,18 @@ class PersistentDedupStore : public pipeline::DedupStore {
   void load_index(std::array<uint64_t, 256>& trusted_sizes);
   void write_index();
 
+  // Owns the LOCK file descriptor; closing it releases the flock. A member,
+  // so a constructor that throws after locking still unlocks.
+  struct LockFile {
+    int fd = -1;
+    LockFile() = default;
+    LockFile(const LockFile&) = delete;
+    LockFile& operator=(const LockFile&) = delete;
+    ~LockFile();
+  };
+
   std::string dir_;
+  LockFile lock_;
   bool fsync_ = false;
   bool flush_on_close_ = true;
   bool replaying_ = true;  // suppress persist() during constructor replay

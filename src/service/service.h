@@ -98,7 +98,8 @@ class ExtractionService {
  public:
   // Opens (creating/replaying as needed) the persistent store and the app
   // manifest under `store_dir`, then starts the worker pool. Throws
-  // std::runtime_error when the directory is unusable.
+  // std::runtime_error when the directory is unusable or another open store
+  // holds its LOCK.
   explicit ExtractionService(std::string store_dir, ServiceOptions options = {});
   // Drains the queue (finishing every accepted job), joins the workers and
   // flushes the store + manifest.

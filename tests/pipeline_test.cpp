@@ -664,13 +664,14 @@ TEST(BatchPipeline, FuzzJobsRevealAndVerifyOnTheWorkerPool) {
   expect_identical_reports(seq, par);
 }
 
-// --- force execution on the pipeline: (app, plan) units -------------------
+// --- force execution on the pipeline: one app, one worker -----------------
 
 TEST(ForcePipeline, ByteIdenticalAcrossThreadCountsOnDroidBench) {
   // The acceptance bar for the worklist engine: with force exploration on,
-  // one app's plan units shard across workers, yet the reassembled DEX and
-  // every deterministic stat match the sequential run at any thread count.
-  // Guarded apps ride along: their multi-wave frontiers are the stress case.
+  // each worker explores whole apps while other apps run beside it on the
+  // same store, yet the reassembled DEX and every deterministic stat match
+  // the sequential run at any thread count. Guarded apps ride along: their
+  // multi-wave frontiers are the stress case.
   std::vector<pipeline::BatchJob> jobs = pipeline::droidbench_jobs();
   for (pipeline::BatchJob& job : pipeline::guarded_jobs(2)) {
     jobs.push_back(std::move(job));
@@ -691,6 +692,34 @@ TEST(ForcePipeline, ByteIdenticalAcrossThreadCountsOnDroidBench) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_identical_reports(reference, report);
   }
+}
+
+TEST(ForcePipeline, SchedulesOneTaskPerJob) {
+  // run_batch schedules jobs, not plan units: a force job's whole
+  // exploration runs on the worker that claimed it, so a force batch claims
+  // exactly one task per job and never starts more workers than jobs.
+  std::vector<pipeline::BatchJob> jobs =
+      pipeline::guarded_jobs(4, 301, /*units=*/1200);
+  pipeline::enable_force(jobs, {});
+  for (size_t threads : {1u, 2u, 4u}) {
+    pipeline::BatchOptions options;
+    options.threads = threads;
+    options.keep_dex = false;
+    pipeline::BatchReport report = pipeline::run_batch(jobs, options);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ASSERT_EQ(report.fleet.ok, jobs.size());
+    ASSERT_GT(report.fleet.forced_paths, jobs.size());  // not vacuous
+    EXPECT_EQ(report.fleet.queue_tasks, jobs.size());
+    EXPECT_EQ(report.fleet.threads, threads);
+  }
+
+  std::vector<pipeline::BatchJob> two(jobs.begin(), jobs.begin() + 2);
+  pipeline::BatchOptions wide;
+  wide.threads = 8;
+  pipeline::BatchReport report = pipeline::run_batch(two, wide);
+  ASSERT_EQ(report.fleet.ok, two.size());
+  EXPECT_EQ(report.fleet.threads, 2u);
+  EXPECT_EQ(report.fleet.queue_tasks, 2u);
 }
 
 // Runs both force algorithms on one job under the batch driver and adds

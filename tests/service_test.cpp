@@ -209,6 +209,39 @@ TEST(PersistentStore, CorruptTailIsDiscarded) {
             PersistentDedupStore::kRecordHeaderBytes + 20);
 }
 
+TEST(PersistentStore, DirectoryLockRefusesSecondOpen) {
+  // Two stores on one directory would interleave segment appends and
+  // torn-tail truncation, so the second open must fail closed — as a store
+  // and as a service — without touching the first store's data.
+  const std::string dir = fresh_dir("lock");
+  {
+    PersistentDedupStore store(dir);
+    EXPECT_TRUE(store.intern(payload(41, 12)).inserted);
+    EXPECT_TRUE(fs::exists(dir + "/LOCK"));
+    try {
+      PersistentDedupStore second(dir);
+      ADD_FAILURE() << "a second store opened a held directory";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(dir), std::string::npos)
+          << e.what();
+    }
+    service::ServiceOptions options;
+    options.threads = 1;
+    EXPECT_THROW(ExtractionService(dir, options), std::runtime_error);
+    EXPECT_TRUE(store.intern(payload(42, 12)).inserted);
+  }  // closing the store releases the lock
+
+  {
+    PersistentDedupStore reopened(dir);
+    EXPECT_EQ(reopened.stats().entries, 2u);
+    EXPECT_EQ(reopened.open_stats().truncated_bytes, 0u);
+  }
+  service::ServiceOptions options;
+  options.threads = 1;
+  ExtractionService svc(dir, options);
+  EXPECT_EQ(svc.store().stats().entries, 2u);
+}
+
 // --- concurrency (also under TSan via ci.sh) --------------------------------
 
 TEST(ServiceThreads, ConcurrentInternAndReopen) {
@@ -340,6 +373,43 @@ TEST(Service, IncrementalRestartSkipsUnchangedAndMatchesCold) {
   EXPECT_EQ(svc.store().stats().entries - entries_at_open,
             methods_new + cold_jobs);
   EXPECT_EQ(svc.stats().incremental_hits, kApps - cold_jobs);
+}
+
+TEST(Service, ForceJobsMatchBatchAndAreNeverCached) {
+  // Force jobs run through pipeline::run_job on the service's workers and
+  // must reveal exactly what run_batch reveals. Their exploration is never
+  // cached (docs/SERVICE.md): a resubmission runs cold again and leaves the
+  // manifest untouched.
+  std::vector<pipeline::BatchJob> jobs = pipeline::guarded_jobs(2);
+  pipeline::enable_force(jobs, {});
+  pipeline::BatchReport batch = pipeline::run_batch(jobs, {});
+  ASSERT_EQ(batch.fleet.ok, jobs.size());
+  ASSERT_GT(batch.fleet.forced_paths, 0u);
+
+  const std::string dir = fresh_dir("force");
+  service::ServiceOptions options;
+  options.threads = 2;
+  ExtractionService svc(dir, options);
+  const std::string manifest = dir + "/apps.log";
+  const uintmax_t manifest_bytes = fs::file_size(manifest);
+  for (const char* round : {"first", "resubmitted"}) {
+    SCOPED_TRACE(round);
+    std::vector<service::JobId> ids = svc.submit_batch(jobs);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      service::JobStatus status = svc.wait(ids[i]);
+      ASSERT_EQ(status.state, JobState::kDone) << status.error;
+      EXPECT_FALSE(status.incremental) << "app " << i;
+      EXPECT_EQ(status.result.dex_fingerprint, batch.jobs[i].dex_fingerprint)
+          << "app " << i;
+      EXPECT_EQ(status.result.dex, batch.jobs[i].dex) << "app " << i;
+      EXPECT_EQ(status.result.force_paths, batch.jobs[i].force_paths)
+          << "app " << i;
+    }
+    EXPECT_EQ(fs::file_size(manifest), manifest_bytes);
+  }
+  EXPECT_EQ(svc.manifest_entries(), 0u);
+  EXPECT_EQ(svc.stats().incremental_hits, 0u);
+  EXPECT_EQ(svc.stats().completed, 2 * jobs.size());
 }
 
 TEST(Service, QuotaBreachFailsOnlyOwnJobs) {
