@@ -108,15 +108,23 @@ fi
 # extraction of the market corpus head, then a RESTART of the service on the
 # same store directory with 10% of the apps mutated. The second run must
 # serve every unchanged app warm from the incremental manifest with zero new
-# method trees (--expect-incremental) and match a cold in-memory run of the
-# same corpus fingerprint-for-fingerprint (--compare-cold, ARCHITECTURE
-# invariant 14).
+# method trees, and its open must cut no torn bytes, since the first run
+# exited cleanly (--expect-incremental). It must also match a cold
+# in-memory run of the same corpus fingerprint-for-fingerprint
+# (--compare-cold, ARCHITECTURE invariant 14). The logs are the whole
+# store: the directory then holds only LOCK, apps.log and shard-*.log.
 service_store="$(mktemp -d)"
 "$BUILD_DIR"/examples/dexlego_service --store "$service_store/store" \
   --corpus large --count 24 --threads 2 --quiet
 "$BUILD_DIR"/examples/dexlego_service --store "$service_store/store" \
   --corpus large --count 24 --threads 2 --mutate-pct 10 \
   --expect-incremental --compare-cold --quiet
+stray_files="$(ls -A "$service_store/store" |
+  grep -vxE 'LOCK|apps\.log|shard-[0-9]+\.log' || true)"
+if [ -n "$stray_files" ]; then
+  echo "service smoke: unexpected files in the store: $stray_files" >&2
+  exit 1
+fi
 rm -rf "$service_store"
 echo "service smoke passed"
 

@@ -25,8 +25,10 @@
 //                      fingerprint matches the service output (exit 1 on
 //                      mismatch) — ARCHITECTURE invariant 14
 //   --expect-incremental  assert every unchanged app was served warm with
-//                         zero new method trees (exit 1 otherwise); use on
-//                         a second run over the same --store
+//                         zero new method trees, and that reopening the
+//                         store cut no torn bytes from its logs (exit 1
+//                         otherwise); use on a second run over the same
+//                         --store after a clean first run
 //
 // Exit status: 0 when every job reached kDone (and the asserted properties
 // held); 1 otherwise.
@@ -146,10 +148,11 @@ int main(int argc, char** argv) {
   const size_t entries_at_open = svc.store().stats().entries;
   if (!quiet) {
     std::printf(
-        "store %s: generation %llu (%s index), %zu segment(s), restored "
-        "%zu bodies / %llu bytes, %zu manifest app(s)\n",
-        store_dir.c_str(), static_cast<unsigned long long>(open.generation),
-        open.index_valid ? "valid" : "no", open.segments,
+        "store %s: %zu segment(s), %zu record(s) validated, %llu torn "
+        "byte(s) truncated, restored %zu bodies / %llu bytes, %zu manifest "
+        "app(s)\n",
+        store_dir.c_str(), open.segments, open.validated_records,
+        static_cast<unsigned long long>(open.truncated_bytes),
         open.restored_entries,
         static_cast<unsigned long long>(open.restored_bytes),
         svc.manifest_entries());
@@ -198,6 +201,14 @@ int main(int argc, char** argv) {
   const size_t entries_now = svc.store().stats().entries;
 
   if (expect_incremental) {
+    // The previous run exited cleanly, so its logs must validate end to end.
+    if (open.truncated_bytes != 0) {
+      std::fprintf(stderr,
+                   "EXPECT-INCREMENTAL: reopening the store truncated %llu "
+                   "torn byte(s)\n",
+                   static_cast<unsigned long long>(open.truncated_bytes));
+      ++failures;
+    }
     // Every app NOT mutated this run must come back warm with nothing
     // re-extracted; mutated apps must run cold.
     for (size_t i = 0; i < statuses.size(); ++i) {
@@ -261,13 +272,12 @@ int main(int argc, char** argv) {
         "{\"corpus\":\"%s\",\"jobs\":%zu,\"ok\":%zu,\"incremental\":%zu,"
         "\"methods_new\":%llu,\"methods_reused\":%llu,\"wall_ms\":%.2f,"
         "\"store_entries\":%zu,\"restored_entries\":%zu,"
-        "\"generation\":%llu,\"index_valid\":%s}\n",
+        "\"validated_records\":%zu,\"truncated_bytes\":%llu}\n",
         corpus.c_str(), statuses.size(), ok, warm,
         static_cast<unsigned long long>(methods_new),
         static_cast<unsigned long long>(methods_reused), wall_ms, entries_now,
-        open.restored_entries,
-        static_cast<unsigned long long>(svc.store().generation()),
-        open.index_valid ? "true" : "false");
+        open.restored_entries, open.validated_records,
+        static_cast<unsigned long long>(open.truncated_bytes));
   } else if (!quiet || ok != statuses.size() || failures) {
     std::printf(
         "\nservice: %zu/%zu ok | %zu warm | %llu new / %llu reused method "

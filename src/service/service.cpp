@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
@@ -13,18 +12,13 @@
 
 namespace dexlego::service {
 
-namespace fs = std::filesystem;
-
 namespace {
 
-// apps.log: an 8-byte header then fixed 88-byte records, append-only with
-// last-wins semantics per app key (a re-extracted app simply appends a
-// fresher record). Torn tails truncate on load, like the store segments.
-constexpr uint32_t kManifestMagic = 0x48504144;        // "DAPH"
-constexpr uint32_t kManifestRecordMagic = 0x52504144;  // "DAPR"
-constexpr uint32_t kManifestVersion = 1;
-constexpr size_t kManifestHeaderBytes = 8;
-constexpr size_t kManifestRecordBytes = 88;
+// apps.log: a record log (record_log.h) of 72-byte payloads, so 88-byte
+// records, with last-wins semantics per app key (a re-extracted app simply
+// appends a fresher record).
+constexpr uint32_t kManifestMagic = 0x48504144;  // "DAPH"
+constexpr uint32_t kManifestVersion = 2;
 
 uint64_t bits_of(double v) {
   uint64_t out;
@@ -64,6 +58,7 @@ ExtractionService::ExtractionService(std::string store_dir,
   store_options.shards = options_.store_shards;
   store_options.fsync = options_.fsync;
   store_ = std::make_unique<PersistentDedupStore>(dir_, store_options);
+  open_stats_ = store_->open_stats();
   load_manifest();
 
   size_t threads = options_.threads;
@@ -84,15 +79,8 @@ ExtractionService::~ExtractionService() {
     cv_work_.notify_all();
   }
   for (std::thread& t : workers_) t.join();
-  {
-    std::lock_guard<std::mutex> lock(manifest_mu_);
-    if (manifest_file_) {
-      std::fflush(manifest_file_);
-      std::fclose(manifest_file_);
-      manifest_file_ = nullptr;
-    }
-  }
-  store_.reset();  // flushes the generation-stamped index (flush_on_close)
+  // Every append was flushed as it happened, so there is nothing left to
+  // write: the members close apps.log, then the store's segments and LOCK.
 }
 
 uint64_t ExtractionService::job_bytes(const pipeline::BatchJob& job) {
@@ -237,8 +225,7 @@ void ExtractionService::wait_idle() {
 
 void ExtractionService::checkpoint() {
   store_->flush();
-  std::lock_guard<std::mutex> lock(manifest_mu_);
-  if (manifest_file_) std::fflush(manifest_file_);
+  manifest_log_->flush();
 }
 
 ServiceStats ExtractionService::stats() const {
@@ -296,10 +283,9 @@ void ExtractionService::execute(Record& record) {
   pipeline::JobResult result;
   bool warm = false;
   try {
-    uint64_t key = 0;
     const bool cacheable = !job.force;  // force exploration is never cached
-    if (cacheable) key = cache_key(job);
-    if (cacheable && options_.incremental) warm = try_warm(job, key, result);
+    const uint64_t key = cacheable ? cache_key(job) : 0;
+    warm = cacheable && try_warm(job, key, result);
     if (!warm) {
       // keep_dex forced on: the revealed dex must be persisted for future
       // warm hits even when the caller does not want the bytes back.
@@ -389,87 +375,42 @@ bool ExtractionService::try_warm(const pipeline::BatchJob& job, uint64_t key,
 
 void ExtractionService::load_manifest() {
   const std::string path = dir_ + "/apps.log";
-  size_t valid = 0;
   size_t dropped_unresolved = 0;
-  if (fs::exists(path)) {
-    std::vector<uint8_t> data = support::read_file(path);
-    if (data.size() >= kManifestHeaderBytes) {
-      support::ByteReader header(
-          std::span<const uint8_t>(data.data(), kManifestHeaderBytes));
-      if (header.u32() == kManifestMagic && header.u32() == kManifestVersion) {
-        valid = kManifestHeaderBytes;
-        while (valid + kManifestRecordBytes <= data.size()) {
-          const uint8_t* rec = data.data() + valid;
-          const size_t body = kManifestRecordBytes - sizeof(uint64_t);
-          uint64_t stored_checksum;
-          std::memcpy(&stored_checksum, rec + body, sizeof stored_checksum);
-          support::ByteReader r(std::span<const uint8_t>(rec, body));
-          if (r.u32() != kManifestRecordMagic ||
-              r.u32() != 0 ||  // reserved
-              support::fnv1a(std::span<const uint8_t>(rec, body)) !=
-                  stored_checksum) {
-            break;  // torn/corrupt tail
-          }
-          const uint64_t key = r.u64();
-          ManifestEntry entry;
-          entry.dex_id = r.u64();
-          entry.dex_fingerprint = r.u64();
-          entry.tree_count = r.u64();
-          entry.leaks = r.u64();
-          entry.verified = r.u64() != 0;
-          entry.instruction_coverage = double_of(r.u64());
-          entry.branch_coverage = double_of(r.u64());
-          entry.collection_bytes = r.u64();
-          valid += kManifestRecordBytes;
-          if (store_->lookup(entry.dex_id) == nullptr) {
-            // The record survived but its dex payload did not (e.g. the
-            // store log's tail was torn further back than the manifest's).
-            // Serving it warm would fabricate bytes; drop it and let the
-            // app re-extract cold.
-            ++dropped_unresolved;
-            continue;
-          }
-          manifest_[key] = entry;  // last record for a key wins
+  open_stats_.add(RecordLog::replay(
+      path, kManifestMagic, kManifestVersion,
+      [&](std::span<const uint8_t> payload) {
+        support::ByteReader r(payload);  // throws if a record is short
+        const uint64_t key = r.u64();
+        ManifestEntry entry;
+        entry.dex_id = r.u64();
+        entry.dex_fingerprint = r.u64();
+        entry.tree_count = r.u64();
+        entry.leaks = r.u64();
+        entry.verified = r.u64() != 0;
+        entry.instruction_coverage = double_of(r.u64());
+        entry.branch_coverage = double_of(r.u64());
+        entry.collection_bytes = r.u64();
+        if (store_->lookup(entry.dex_id) == nullptr) {
+          // The record survived but its dex payload did not (e.g. the store
+          // log's tail was torn further back than the manifest's). Serving
+          // it warm would fabricate bytes; drop it and let the app
+          // re-extract cold.
+          ++dropped_unresolved;
+          return;
         }
-      }
-    }
-    if (valid < data.size()) {
-      DL_WARN << "service manifest: dropped " << (data.size() - valid)
-              << " torn tail bytes from " << path;
-      std::error_code ec;
-      fs::resize_file(path, valid, ec);
-      if (ec) {
-        throw std::runtime_error("service manifest: cannot truncate " + path +
-                                 ": " + ec.message());
-      }
-    }
-  }
+        manifest_[key] = entry;  // last record for a key wins
+      }));
   if (dropped_unresolved > 0) {
     DL_WARN << "service manifest: dropped " << dropped_unresolved
             << " records whose dex payload is not in the store";
   }
-  manifest_file_ = std::fopen(path.c_str(), "ab");
-  if (!manifest_file_) {
-    throw std::runtime_error("service manifest: cannot open " + path);
-  }
-  if (valid == 0) {
-    support::ByteWriter header;
-    header.u32(kManifestMagic);
-    header.u32(kManifestVersion);
-    if (std::fwrite(header.data().data(), 1, header.size(), manifest_file_) !=
-            header.size() ||
-        std::fflush(manifest_file_) != 0) {
-      throw std::runtime_error("service manifest: cannot write header of " +
-                               path);
-    }
-  }
+  manifest_log_ = std::make_unique<RecordLog>(path, kManifestMagic,
+                                               kManifestVersion, options_.fsync);
 }
 
 void ExtractionService::append_manifest(uint64_t key,
                                         const ManifestEntry& entry) {
   support::ByteWriter w;
-  w.u32(kManifestRecordMagic);
-  w.u32(0);  // reserved
   w.u64(key);
   w.u64(entry.dex_id);
   w.u64(entry.dex_fingerprint);
@@ -479,13 +420,9 @@ void ExtractionService::append_manifest(uint64_t key,
   w.u64(bits_of(entry.instruction_coverage));
   w.u64(bits_of(entry.branch_coverage));
   w.u64(entry.collection_bytes);
-  w.u64(support::fnv1a(std::span<const uint8_t>(w.data())));
 
   std::lock_guard<std::mutex> lock(manifest_mu_);
-  if (std::fwrite(w.data().data(), 1, w.size(), manifest_file_) != w.size() ||
-      std::fflush(manifest_file_) != 0) {
-    throw std::runtime_error("service manifest: append failed");
-  }
+  manifest_log_->append(w.data());
   manifest_[key] = entry;
 }
 

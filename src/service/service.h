@@ -23,7 +23,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -77,9 +76,8 @@ struct ServiceOptions {
   size_t threads = 0;       // 0 = one worker per hardware thread
   size_t store_shards = 16; // PersistentDedupStore segment/shard count
   bool keep_dex = true;     // keep revealed dex bytes in JobStatus::result
-  bool incremental = true;  // serve manifest hits warm; false = always cold
   TenantQuota default_quota;  // applies to tenants without a set_quota entry
-  bool fsync = false;         // fsync store appends (PersistentDedupStore)
+  bool fsync = false;  // fsync store and manifest appends (RecordLog)
 };
 
 // Fleet counters since construction (not persisted).
@@ -98,11 +96,11 @@ class ExtractionService {
  public:
   // Opens (creating/replaying as needed) the persistent store and the app
   // manifest under `store_dir`, then starts the worker pool. Throws
-  // std::runtime_error when the directory is unusable or another open store
-  // holds its LOCK.
+  // std::runtime_error when the directory is unusable, another open store
+  // holds its LOCK, or a log has a foreign header (the log is untouched).
   explicit ExtractionService(std::string store_dir, ServiceOptions options = {});
   // Drains the queue (finishing every accepted job), joins the workers and
-  // flushes the store + manifest.
+  // closes the manifest, then the store.
   ~ExtractionService();
 
   ExtractionService(const ExtractionService&) = delete;
@@ -136,16 +134,18 @@ class ExtractionService {
   // Blocks until no job is queued or running.
   void wait_idle();
 
-  // Durability barrier: flushes the store (generation-stamped index) and
-  // the manifest, so everything completed so far survives a crash without
-  // tail re-validation on the next open.
+  // Durability barrier: flushes the store's segments and the manifest
+  // (fflush, plus fsync when ServiceOptions::fsync is set); throws
+  // std::runtime_error when that fails.
   void checkpoint();
 
   ServiceStats stats() const;
   size_t manifest_entries() const;
   PersistentDedupStore& store() { return *store_; }
+  // What the open found: the store's OpenStats with apps.log's replay
+  // added in (its records count as validated, its torn tail as truncated).
   const PersistentDedupStore::OpenStats& open_stats() const {
-    return store_->open_stats();
+    return open_stats_;
   }
 
  private:
@@ -196,6 +196,7 @@ class ExtractionService {
   std::string dir_;
   ServiceOptions options_;
   std::unique_ptr<PersistentDedupStore> store_;
+  PersistentDedupStore::OpenStats open_stats_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_work_;
@@ -209,9 +210,10 @@ class ExtractionService {
   bool paused_ = false;
   bool stopping_ = false;
 
+  // Keeps manifest_ in apps.log's order. The log closes before store_.
   mutable std::mutex manifest_mu_;
   std::unordered_map<uint64_t, ManifestEntry> manifest_;
-  std::FILE* manifest_file_ = nullptr;
+  std::unique_ptr<RecordLog> manifest_log_;
 
   std::vector<std::thread> workers_;
 };

@@ -1,12 +1,15 @@
-// Crash-recovery and service-layer battery for src/service: the
-// PersistentDedupStore's write-ahead log + generation-stamped index
-// (truncation at EVERY byte boundary must recover to the last complete
-// record), and the ExtractionService's job lifecycle, tenant quotas,
-// failure isolation and incremental re-extraction (docs/SERVICE.md;
-// ARCHITECTURE invariant 14). The ServiceThreads cases also run under TSan
-// in ci.sh.
+// Crash-recovery and service-layer battery for src/service: the record
+// logs behind the PersistentDedupStore and the apps.log manifest (every open
+// validates every record; truncation at EVERY byte boundary must recover to
+// the last complete record; a foreign header is refused, never wiped; a
+// failed fsync fails the write), and the ExtractionService's job lifecycle,
+// tenant quotas, failure isolation and incremental re-extraction
+// (docs/SERVICE.md; ARCHITECTURE invariant 14). The whole suite also runs
+// under TSan in ci.sh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -15,6 +18,7 @@
 #include "src/pipeline/batch.h"
 #include "src/pipeline/scenarios.h"
 #include "src/service/persistent_store.h"
+#include "src/service/record_log.h"
 #include "src/service/service.h"
 #include "src/support/bytes.h"
 
@@ -26,6 +30,7 @@ namespace fs = std::filesystem;
 using service::ExtractionService;
 using service::JobState;
 using service::PersistentDedupStore;
+using service::RecordLog;
 
 // Fresh per-test directory under the gtest temp root.
 std::string fresh_dir(const std::string& name) {
@@ -45,7 +50,6 @@ std::vector<uint8_t> payload(uint8_t tag, size_t len) {
 PersistentDedupStore::Options crashy_options() {
   PersistentDedupStore::Options options;
   options.shards = 1;  // everything in shard-0.log: boundaries are computable
-  options.flush_on_close = false;  // simulate a crash: no index, no clean close
   return options;
 }
 
@@ -63,7 +67,7 @@ TEST(PersistentStore, RoundTripAcrossReopen) {
     EXPECT_EQ(store.intern(contents[0]).id, ids[0]);
     EXPECT_FALSE(store.intern(contents[0]).inserted);
     EXPECT_EQ(store.stats().entries, 4u);
-  }  // clean close: flush + index
+  }  // clean close
 
   PersistentDedupStore reopened(dir);
   EXPECT_EQ(reopened.stats().entries, 4u);
@@ -85,36 +89,57 @@ TEST(PersistentStore, RoundTripAcrossReopen) {
   }
 }
 
-TEST(PersistentStore, IndexFastPathAndStaleTailValidation) {
-  const std::string dir = fresh_dir("index_fastpath");
+TEST(PersistentStore, CleanAndCrashCloseRecoverTheSameStore) {
+  // Every append is flushed as it happens, so a clean close writes nothing
+  // more: the files a live store leaves behind (a crash) and the files after
+  // its close are the same store, and each open validates every record.
+  const std::string dir = fresh_dir("clean_close");
+  const std::string crash_dir = fresh_dir("crash_close");
   {
     PersistentDedupStore store(dir);
     for (int i = 0; i < 6; ++i) store.intern(payload(10 + i, 40 + i));
-  }  // clean close writes the generation-stamped index
+  }  // clean close
   {
-    // A valid index lets every indexed record skip checksum validation.
     PersistentDedupStore store(dir);
-    EXPECT_TRUE(store.open_stats().index_valid);
-    EXPECT_GE(store.open_stats().generation, 1u);
-    EXPECT_EQ(store.open_stats().trusted_records, 6u);
-    EXPECT_EQ(store.open_stats().validated_records, 0u);
     EXPECT_EQ(store.stats().entries, 6u);
-  }
-  {
-    // "Crash" after two more interns: records reach the log (write-ahead)
-    // but the index stays at the previous generation.
-    PersistentDedupStore::Options options;
-    options.flush_on_close = false;
-    PersistentDedupStore store(dir, options);
+    EXPECT_EQ(store.open_stats().validated_records, 6u);
     store.intern(payload(100, 64));
     store.intern(payload(101, 64));
+    // Crash close: the store directory as it stands while the store is open.
+    fs::copy(dir, crash_dir, fs::copy_options::recursive);
+  }  // clean close
+  for (const fs::directory_entry& file : fs::directory_iterator(dir)) {
+    const fs::path crashed = fs::path(crash_dir) / file.path().filename();
+    EXPECT_EQ(support::read_file(file.path().string()),
+              support::read_file(crashed.string()))
+        << file.path();
   }
-  PersistentDedupStore store(dir);
-  EXPECT_TRUE(store.open_stats().index_valid);
-  EXPECT_EQ(store.open_stats().trusted_records, 6u);   // indexed prefix
-  EXPECT_EQ(store.open_stats().validated_records, 2u); // post-crash tail
-  EXPECT_EQ(store.open_stats().truncated_records, 0u);
-  EXPECT_EQ(store.stats().entries, 8u);
+  for (const std::string& d : {dir, crash_dir}) {
+    SCOPED_TRACE(d);
+    PersistentDedupStore store(d);
+    EXPECT_EQ(store.stats().entries, 8u);
+    EXPECT_EQ(store.open_stats().validated_records, 8u);
+    EXPECT_EQ(store.open_stats().truncated_records, 0u);
+    EXPECT_EQ(store.open_stats().truncated_bytes, 0u);
+    EXPECT_FALSE(store.intern(payload(101, 64)).inserted);
+  }
+
+  // The logs alone decide what a reopen recovers, even after a clean close:
+  // one flipped payload byte in the first record ends the valid prefix there.
+  const std::string flip_dir = fresh_dir("clean_close_flip");
+  {
+    PersistentDedupStore store(flip_dir, crashy_options());
+    for (uint8_t tag = 31; tag < 34; ++tag) store.intern(payload(tag, 20));
+  }  // clean close
+  const std::string log_path = flip_dir + "/shard-0.log";
+  std::vector<uint8_t> bytes = support::read_file(log_path);
+  bytes[PersistentDedupStore::kSegmentHeaderBytes +
+        PersistentDedupStore::kRecordHeaderBytes + 3] ^= 0xFF;
+  support::write_file(log_path, bytes);
+  PersistentDedupStore store(flip_dir, crashy_options());
+  EXPECT_EQ(store.stats().entries, 0u);
+  EXPECT_EQ(store.open_stats().truncated_bytes,
+            3 * (PersistentDedupStore::kRecordHeaderBytes + 20));
 }
 
 TEST(PersistentStore, TruncationAtEveryByteBoundaryRecoversCompletePrefix) {
@@ -242,6 +267,49 @@ TEST(PersistentStore, DirectoryLockRefusesSecondOpen) {
   EXPECT_EQ(svc.store().stats().entries, 2u);
 }
 
+TEST(PersistentStore, ForeignHeaderIsRefusedNotWiped) {
+  // A complete header this code does not write (another magic or version)
+  // is not a torn tail: the open throws, naming the file, and leaves it
+  // byte for byte as it was.
+  const std::string dir = fresh_dir("foreign_header");
+  {
+    PersistentDedupStore store(dir, crashy_options());
+    store.intern(payload(51, 30));
+  }
+  const std::string log_path = dir + "/shard-0.log";
+  std::vector<uint8_t> bytes = support::read_file(log_path);
+  ASSERT_EQ(bytes.size(), PersistentDedupStore::kSegmentHeaderBytes +
+                              PersistentDedupStore::kRecordHeaderBytes + 30);
+  bytes[4] = 2;  // version field: 1 -> 2
+  support::write_file(log_path, bytes);
+  try {
+    PersistentDedupStore store(dir, crashy_options());
+    ADD_FAILURE() << "opened a log with a foreign header";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(log_path), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(support::read_file(log_path), bytes);
+}
+
+TEST(PersistentStore, FailedFsyncFailsTheIntern) {
+  // fsync(2) on /dev/null fails with EINVAL. The header write needs no
+  // sync, so the open succeeds; every intern must then fail before its
+  // entry becomes visible, and flush() must report the failure too.
+  const std::string dir = fresh_dir("fsync_fails");
+  fs::create_directories(dir);
+  fs::create_symlink("/dev/null", dir + "/shard-0.log");
+  PersistentDedupStore::Options options = crashy_options();
+  options.fsync = true;
+  PersistentDedupStore store(dir, options);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_THROW(store.intern(payload(61, 24)), std::runtime_error);
+  }
+  EXPECT_EQ(store.stats().entries, 0u);
+  EXPECT_EQ(store.stats().misses, 0u);
+  EXPECT_THROW(store.flush(), std::runtime_error);
+}
+
 // --- concurrency (also under TSan via ci.sh) --------------------------------
 
 TEST(ServiceThreads, ConcurrentInternAndReopen) {
@@ -329,7 +397,7 @@ TEST(Service, IncrementalRestartSkipsUnchangedAndMatchesCold) {
       EXPECT_EQ(status.state, JobState::kDone) << status.error;
       EXPECT_FALSE(status.incremental);
     }
-  }  // service restart: destructor flushes store + manifest
+  }  // service restart: the destructor drains, then closes the logs
 
   // Cold reference for the updated corpus on a fresh in-memory store.
   std::vector<pipeline::BatchJob> reference =
@@ -517,6 +585,169 @@ TEST(Service, CancelDequeuesOnlyQueuedJobs) {
   EXPECT_EQ(svc.wait(drop).state, JobState::kCancelled);
   EXPECT_FALSE(svc.cancel(keep));  // terminal jobs cannot be cancelled
   EXPECT_EQ(svc.stats().cancelled, 1u);
+}
+
+// --- ExtractionService: the apps.log manifest on disk -----------------------
+
+constexpr size_t kManifestRecordBytes = RecordLog::kRecordHeaderBytes + 72;
+
+service::ServiceOptions one_worker() {
+  service::ServiceOptions options;
+  options.threads = 1;  // jobs finish, and append to apps.log, in order
+  options.store_shards = 1;
+  return options;
+}
+
+TEST(Service, ManifestTruncationAtEveryByteRecoversCompleteRecords) {
+  // Seed a store with a few apps, then simulate a crash at EVERY byte
+  // offset of apps.log (the store logs stay intact): each reopen must
+  // recover exactly the complete records, serve those apps warm and the
+  // rest cold with run_batch's fingerprints, and keep the records the cold
+  // runs append through one more reopen.
+  constexpr size_t kApps = 3;
+  const std::vector<pipeline::BatchJob> jobs = pipeline::generated_jobs(kApps);
+  const pipeline::BatchReport cold = pipeline::run_batch(jobs, {});
+  ASSERT_EQ(cold.fleet.ok, kApps);
+  const std::string seed_dir = fresh_dir("manifest_seed");
+  {
+    ExtractionService svc(seed_dir, one_worker());
+    for (service::JobId id : svc.submit_batch(jobs)) {
+      ASSERT_EQ(svc.wait(id).state, JobState::kDone);
+    }
+  }
+  const std::vector<uint8_t> full = support::read_file(seed_dir + "/apps.log");
+  ASSERT_EQ(full.size(), RecordLog::kHeaderBytes + kApps * kManifestRecordBytes);
+
+  for (size_t cut = 0; cut <= full.size(); ++cut) {
+    SCOPED_TRACE("cut=" + std::to_string(cut));
+    const std::string dir = fresh_dir("manifest_cut");
+    fs::copy(seed_dir, dir, fs::copy_options::recursive);
+    support::write_file(dir + "/apps.log",
+                        std::span<const uint8_t>(full.data(), cut));
+    const size_t complete =
+        cut < RecordLog::kHeaderBytes
+            ? 0
+            : (cut - RecordLog::kHeaderBytes) / kManifestRecordBytes;
+    const size_t kept_prefix =
+        cut < RecordLog::kHeaderBytes
+            ? 0
+            : RecordLog::kHeaderBytes + complete * kManifestRecordBytes;
+    {
+      ExtractionService svc(dir, one_worker());
+      EXPECT_EQ(svc.manifest_entries(), complete);
+      EXPECT_EQ(svc.open_stats().truncated_bytes, cut - kept_prefix);
+      std::vector<service::JobId> ids = svc.submit_batch(jobs);
+      for (size_t i = 0; i < ids.size(); ++i) {
+        service::JobStatus status = svc.wait(ids[i]);
+        ASSERT_EQ(status.state, JobState::kDone) << status.error;
+        EXPECT_EQ(status.incremental, i < complete) << "app " << i;
+        EXPECT_EQ(status.result.dex_fingerprint, cold.jobs[i].dex_fingerprint)
+            << "app " << i;
+      }
+    }
+    ExtractionService reopened(dir, one_worker());
+    EXPECT_EQ(reopened.manifest_entries(), kApps);
+    EXPECT_EQ(reopened.open_stats().truncated_bytes, 0u);
+  }
+}
+
+TEST(Service, ManifestRecordWithoutItsDexRunsCold) {
+  // Cut the store log just before the last app's revealed-DEX blob and
+  // keep apps.log whole: that app's manifest record no longer resolves, so
+  // it is dropped at load and the app runs cold, with the cold fingerprint.
+  constexpr size_t kApps = 3;
+  const std::vector<pipeline::BatchJob> jobs = pipeline::generated_jobs(kApps);
+  const pipeline::BatchReport cold = pipeline::run_batch(jobs, {});
+  ASSERT_EQ(cold.fleet.ok, kApps);
+  const std::string dir = fresh_dir("manifest_unresolved");
+  std::vector<uint8_t> last_dex;
+  {
+    ExtractionService svc(dir, one_worker());
+    for (service::JobId id : svc.submit_batch(jobs)) {
+      service::JobStatus status = svc.wait(id);
+      ASSERT_EQ(status.state, JobState::kDone);
+      last_dex = status.result.dex;
+    }
+  }
+  const std::string log_path = dir + "/shard-0.log";
+  const std::vector<uint8_t> log = support::read_file(log_path);
+  size_t blob = 0;
+  for (size_t offset = PersistentDedupStore::kSegmentHeaderBytes;
+       offset < log.size();) {
+    uint32_t len;
+    std::memcpy(&len, log.data() + offset + 4, sizeof len);
+    const auto body =
+        log.begin() + static_cast<std::ptrdiff_t>(
+                          offset + PersistentDedupStore::kRecordHeaderBytes);
+    if (len == last_dex.size() &&
+        std::equal(last_dex.begin(), last_dex.end(), body)) {
+      blob = offset;
+    }
+    offset += PersistentDedupStore::kRecordHeaderBytes + len;
+  }
+  ASSERT_NE(blob, 0u);
+  support::write_file(log_path, std::span<const uint8_t>(log.data(), blob));
+
+  ExtractionService svc(dir, one_worker());
+  EXPECT_EQ(svc.manifest_entries(), kApps - 1);
+  std::vector<service::JobId> ids = svc.submit_batch(jobs);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    service::JobStatus status = svc.wait(ids[i]);
+    ASSERT_EQ(status.state, JobState::kDone) << status.error;
+    EXPECT_EQ(status.incremental, i + 1 < kApps) << "app " << i;
+    EXPECT_EQ(status.result.dex_fingerprint, cold.jobs[i].dex_fingerprint)
+        << "app " << i;
+  }
+}
+
+TEST(Service, ForeignManifestHeaderIsRefusedNotWiped) {
+  // An apps.log whose complete header is another version (here 1, the
+  // format before record-log framing) refuses the open and stays intact.
+  // Deleting it is the upgrade path: the method trees stay in the store and
+  // each app re-extracts cold once, with nothing new to intern.
+  const std::string dir = fresh_dir("foreign_manifest");
+  const pipeline::BatchJob job = pipeline::generated_jobs(1)[0];
+  {
+    ExtractionService svc(dir, one_worker());
+    ASSERT_EQ(svc.wait(svc.submit(job)).state, JobState::kDone);
+  }
+  const std::string manifest = dir + "/apps.log";
+  std::vector<uint8_t> bytes = support::read_file(manifest);
+  bytes[4] = 1;  // version field: 2 -> 1
+  support::write_file(manifest, bytes);
+  try {
+    ExtractionService svc(dir, one_worker());
+    ADD_FAILURE() << "opened a manifest with a foreign header";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(manifest), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(support::read_file(manifest), bytes);
+
+  fs::remove(manifest);
+  ExtractionService svc(dir, one_worker());
+  EXPECT_EQ(svc.manifest_entries(), 0u);
+  service::JobStatus status = svc.wait(svc.submit(job));
+  ASSERT_EQ(status.state, JobState::kDone) << status.error;
+  EXPECT_FALSE(status.incremental);
+  EXPECT_EQ(status.methods_new, 0u);
+}
+
+TEST(Service, FailedManifestFsyncFailsTheJob) {
+  // Manifest appends honour ServiceOptions::fsync like store appends: with
+  // apps.log on /dev/null, where fsync(2) fails, the job fails and no
+  // manifest entry appears.
+  const std::string dir = fresh_dir("manifest_fsync");
+  fs::create_directories(dir);
+  fs::create_symlink("/dev/null", dir + "/apps.log");
+  service::ServiceOptions options = one_worker();
+  options.fsync = true;
+  ExtractionService svc(dir, options);
+  service::JobStatus status = svc.wait(svc.submit(pipeline::generated_jobs(1)[0]));
+  EXPECT_EQ(status.state, JobState::kFailed);
+  EXPECT_NE(status.error.find("fsync"), std::string::npos) << status.error;
+  EXPECT_EQ(svc.manifest_entries(), 0u);
+  EXPECT_THROW(svc.checkpoint(), std::runtime_error);
 }
 
 }  // namespace
