@@ -77,11 +77,11 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 
 # --- clang-tidy gate -------------------------------------------------------
 # bugprone-*/performance-*/concurrency-* (config in .clang-tidy, warnings
-# are errors) over the IR and taint subsystems, using the compile commands
-# the build above exported. Probe-gated: toolchains without clang-tidy skip
-# the gate instead of failing it.
+# are errors) over the taint subsystem, using the compile commands the
+# build above exported. Probe-gated: toolchains without clang-tidy skip the
+# gate instead of failing it.
 if command -v clang-tidy > /dev/null 2>&1; then
-  clang-tidy -p "$BUILD_DIR" --quiet src/ir/*.cpp src/analysis/*.cpp
+  clang-tidy -p "$BUILD_DIR" --quiet src/analysis/*.cpp
   echo "clang-tidy gate passed"
 else
   echo "clang-tidy unavailable; skipping tidy gate"
@@ -156,45 +156,6 @@ if [ "$mode_lines" -ne 4 ]; then  # 2 workloads x 2 dispatch modes
   exit 1
 fi
 echo "bench smoke passed ($(wc -l < BENCH_interp.json) BENCH_JSON lines)"
-
-# --- IR analysis bench -----------------------------------------------------
-# SSA lift throughput over DroidBench, taint wall bytecode-engine vs
-# SSA-engine, and DCE yield. The bench itself exits non-zero when the SSA
-# engine reports *more* flows than the bytecode engine (precision
-# regression) or when lift throughput drops more than 50% below the
-# recorded baseline in bench/ir_baseline.json (generous: the corpus is
-# small, so per-run noise is higher than the pipeline bench's).
-ir_baseline_file="bench/ir_baseline.json"
-ir_args=(--repeat 20)
-if [ -f "$ir_baseline_file" ]; then
-  ir_baseline_rate="$(sed -n 's/.*"methods_per_sec_lifted":\([0-9.]*\).*/\1/p' \
-                      "$ir_baseline_file")"
-  if [ -n "$ir_baseline_rate" ]; then
-    ir_args+=(--baseline-methods-per-sec "$ir_baseline_rate" \
-              --max-regression 0.50)
-  fi
-fi
-ir_out="$(mktemp)"
-"$BUILD_DIR"/bench/ir_analysis "${ir_args[@]}" | tee "$ir_out"
-ir_lines=0
-while IFS= read -r line; do
-  ir_lines=$((ir_lines + 1))
-  for key in bench samples methods lifts lift_wall_ms methods_per_sec_lifted \
-             taint_bytecode_ms taint_ssa_ms taint_bytecode_flows \
-             taint_ssa_flows dce_methods_changed dce_bytes_removed; do
-    if ! grep -q "\"$key\":" <<<"$line"; then
-      echo "ir bench: BENCH_JSON line missing key '$key': $line" >&2
-      exit 1
-    fi
-  done
-done < <(grep '^BENCH_JSON ' "$ir_out")
-if [ "$ir_lines" -ne 1 ]; then
-  echo "ir bench: expected 1 BENCH_JSON line, got $ir_lines" >&2
-  exit 1
-fi
-grep '^BENCH_JSON ' "$ir_out" | sed 's/^BENCH_JSON //' >> BENCH_interp.json
-rm -f "$ir_out"
-echo "ir bench passed"
 
 # --- pipeline scaling bench ------------------------------------------------
 # The 10k-app large_corpus scaling matrix (threads x dedup-store shards).
@@ -320,15 +281,12 @@ if c++ -fsanitize=thread -o "$tsan_probe/probe" "$tsan_probe/probe.cpp" \
     -DDEXLEGO_BUILD_BENCHES=OFF -DDEXLEGO_BUILD_EXAMPLES=OFF
   cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target pipeline_test force_engine_test fuzz_test interp_cache_test \
-             real_dex_test service_test ir_test
+             real_dex_test service_test
   "$TSAN_DIR"/tests/pipeline_test
   "$TSAN_DIR"/tests/force_engine_test
   "$TSAN_DIR"/tests/fuzz_test
   "$TSAN_DIR"/tests/service_test
   "$TSAN_DIR"/tests/interp_cache_test --gtest_filter='InterpCacheThreads.*'
-  # Concurrent lift/lower over shared immutable DexFiles (the SSA IR's
-  # thread-safety contract: lifting never mutates the source file).
-  "$TSAN_DIR"/tests/ir_test --gtest_filter='IrThreads.*'
   # Container-equivalence runs the reveal pipeline end to end; under TSan it
   # guards the real-DEX load path against racy lazy state.
   "$TSAN_DIR"/tests/real_dex_test --gtest_filter='RealDexContainerEquivalence.*'

@@ -7,7 +7,7 @@
 //   dexlego_batch [--scenario droidbench|generated|guarded|packed|unpacked|realdex|fuzz|large|all]
 //                 [--threads N | --jobs N] [--count N] [--repeat R]
 //                 [--shards S] [--force] [--force-depth D] [--force-iters I]
-//                 [--ir-roundtrip] [--compare-sequential] [--json] [--quiet]
+//                 [--compare-sequential] [--json] [--quiet]
 //
 //   --threads 0 (default) = one worker per hardware thread
 //   --jobs             alias for --threads (make-style worker count)
@@ -20,9 +20,6 @@
 //                      it issues (docs/FORCE_EXECUTION.md)
 //   --force-depth      forced-prefix generations per plan (default 8)
 //   --force-iters      total plan budget per app (default 512)
-//   --ir-roundtrip     lift every reassembled body to SSA IR and lower it
-//                      back, asserting byte identity (invariant 15); counts
-//                      appear in the fleet summary / JSON
 //   --compare-sequential  also run on 1 thread and assert byte-identical
 //                         reassembled DEX output (exit 1 on mismatch)
 //   --json             emit the fleet summary as one JSON line
@@ -75,11 +72,6 @@ void print_fleet(const pipeline::FleetStats& fleet) {
     std::printf("       force execution: %zu forced paths across the fleet\n",
                 fleet.forced_paths);
   }
-  if (fleet.ir_methods > 0) {
-    std::printf(
-        "       ir roundtrip: %zu methods, %zu byte-identical, %zu failed\n",
-        fleet.ir_methods, fleet.ir_byte_identical, fleet.ir_failed);
-  }
   std::printf(
       "       dedup: %.1f%% hit rate (%llu hits / %llu misses) | store %zu "
       "bodies, %llu bytes stored, %llu bytes deduped\n",
@@ -96,13 +88,11 @@ void print_json(const pipeline::FleetStats& fleet, const std::string& scenario) 
       "\"verified\":%zu,\"wall_ms\":%.2f,\"apps_per_sec\":%.2f,"
       "\"dedup_hit_rate\":%.4f,\"store_entries\":%zu,"
       "\"mean_instruction_coverage\":%.4f,\"mean_branch_coverage\":%.4f,"
-      "\"forced_paths\":%zu,\"ir_methods\":%zu,\"ir_byte_identical\":%zu,"
-      "\"ir_failed\":%zu}\n",
+      "\"forced_paths\":%zu}\n",
       scenario.c_str(), fleet.threads, fleet.jobs, fleet.ok, fleet.verified,
       fleet.wall_ms, fleet.apps_per_sec, fleet.dedup_hit_rate,
       fleet.store.entries, fleet.mean_instruction_coverage,
-      fleet.mean_branch_coverage, fleet.forced_paths, fleet.ir_methods,
-      fleet.ir_byte_identical, fleet.ir_failed);
+      fleet.mean_branch_coverage, fleet.forced_paths);
 }
 
 }  // namespace
@@ -115,7 +105,6 @@ int main(int argc, char** argv) {
   int repeat = 1;
   bool force = false;
   coverage::ForceEngineOptions force_options;
-  bool ir_roundtrip = false;
   bool compare_sequential = false;
   bool json = false;
   bool quiet = false;
@@ -158,8 +147,6 @@ int main(int argc, char** argv) {
       count = static_cast<size_t>(next_number(1, 100000));
     } else if (arg == "--repeat") {
       repeat = static_cast<int>(next_number(1, 10000));
-    } else if (arg == "--ir-roundtrip") {
-      ir_roundtrip = true;
     } else if (arg == "--compare-sequential") {
       compare_sequential = true;
     } else if (arg == "--json") {
@@ -175,7 +162,6 @@ int main(int argc, char** argv) {
   std::vector<pipeline::BatchJob> jobs = build_scenario(scenario, count);
   if (repeat > 1) jobs = pipeline::replicate_jobs(jobs, repeat);
   if (force) pipeline::enable_force(jobs, force_options);
-  if (ir_roundtrip) pipeline::enable_ir_roundtrip(jobs);
 
   pipeline::BatchOptions options;
   options.threads = threads;

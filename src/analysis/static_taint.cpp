@@ -3,7 +3,6 @@
 #include <deque>
 #include <optional>
 
-#include "src/analysis/ssa_taint.h"
 #include "src/analysis/taint_core.h"
 #include "src/bytecode/insn.h"
 #include "src/dex/io.h"
@@ -17,8 +16,8 @@ using bc::Op;
 
 namespace {
 
-// Per-pc abstract state of the original engine: one AbsValue per frame
-// register plus the pending invoke result and the field-override map.
+// Per-pc abstract state: one AbsValue per frame register plus the pending
+// invoke result and the field-override map.
 struct State {
   std::vector<AbsValue> regs;
   AbsValue result;                  // move-result source
@@ -48,7 +47,7 @@ struct State {
   }
 };
 
-// The original per-pc worklist engine over raw LDEX bytecode.
+// The per-pc worklist engine over raw LDEX bytecode.
 class BytecodeEngine final : public TaintCore {
  public:
   BytecodeEngine(const ToolConfig& cfg, const dex::DexFile& file)
@@ -342,7 +341,6 @@ void BytecodeEngine::analyze_method(AMethod& method) {
 }  // namespace
 
 AnalysisResult StaticAnalyzer::analyze(const dex::DexFile& file) {
-  if (cfg_.engine == TaintEngine::kSsa) return analyze_ssa(cfg_, file);
   BytecodeEngine engine(cfg_, file);
   return engine.run();
 }

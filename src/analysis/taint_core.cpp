@@ -74,7 +74,7 @@ void TaintCore::compute_liveness() {
             const std::string& s = file_.string_at(insn.idx);
             if (!s.empty() && s.front() == 'L' && s.back() == ';') named.insert(s);
           }
-          pc += insn.width;
+          pc += bc::consumed_units(insn);
         }
       }
     }

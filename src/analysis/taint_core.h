@@ -1,17 +1,9 @@
-// Shared machinery behind the two static taint engines. The interprocedural
-// skeleton — method table, liveness roots, CHA dispatch, summaries, framework
-// models, field cells, implicit-flow regions — is engine-independent; only
-// the intra-method dataflow differs:
-//
-//   BytecodeEngine (static_taint.cpp) — per-pc worklist over raw LDEX, the
-//     original engine and the default (`ToolConfig::engine = kBytecode`).
-//   SsaEngine (ssa_taint.cpp)         — per-value facts over the SSA IR
-//     (src/ir/) with sparse phi joins and always-on constant-branch pruning.
-//
-// Both engines must agree on every DroidBench detection; the SSA engine is
-// additionally allowed to *drop* false positives that only exist because the
-// bytecode engine walks provably dead branches (tests/ir_test.cpp pins the
-// exact contract as a per-sample precision table).
+// Interprocedural machinery behind the static taint engine: method table,
+// liveness roots, CHA dispatch, summaries, framework models, field cells and
+// implicit-flow regions. The intra-method dataflow lives in its one subclass,
+// BytecodeEngine (static_taint.cpp): a per-pc worklist over raw LDEX. Like
+// the tools its presets model, it walks constant-false branches unless the
+// preset is value-sensitive (StaticTaint.DeadCodeFalsePositives pins this).
 #pragma once
 
 #include <cstdint>
@@ -126,7 +118,7 @@ class TaintCore {
   // Engine hook: intra-method dataflow for one method with code.
   virtual void analyze_method(AMethod& method) = 0;
 
-  // --- Interprocedural skeleton (shared verbatim by both engines) ---
+  // --- Interprocedural skeleton ---
   void build_method_table();
   void compute_liveness();
   AMethod* find_method(const std::string& cls, const std::string& name,

@@ -23,25 +23,12 @@
 //                           propagation (DroidSafe's scalability cut).
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 namespace dexlego::analysis {
 
-// Intra-method dataflow backend. Both engines share the interprocedural
-// core (src/analysis/taint_core.h); kSsa analyzes the typed SSA IR
-// (src/ir/) with sparse per-value facts and always-on constant-branch
-// pruning, so it never walks provably dead branches — strictly fewer false
-// positives than kBytecode on the DeadBranch samples, identical recall
-// everywhere (pinned by tests/ir_test.cpp's precision table).
-enum class TaintEngine : uint8_t {
-  kBytecode,  // original per-pc worklist over raw LDEX (default)
-  kSsa,       // flow-sensitive engine over the SSA IR
-};
-
 struct ToolConfig {
   std::string name;
-  TaintEngine engine = TaintEngine::kBytecode;
   bool icc = false;
   bool implicit_flows = false;
   bool value_sensitive = false;

@@ -172,7 +172,7 @@ std::string disassemble_code(const dex::DexFile& file, const dex::CodeItem& code
   while (pc < insns.size()) {
     Insn insn = decode_at(insns, pc);
     os << "    " << pc << ": " << disassemble_insn(&file, insn, pc) << "\n";
-    pc += insn.width;
+    pc += consumed_units(insn);
   }
   for (const dex::TryItem& t : code.tries) {
     os << "    .catchall {" << t.start_pc << " .. " << t.end_pc << "} -> "

@@ -64,7 +64,7 @@ dex::CodeItem remap_code(const dex::DexFile& src, const dex::CodeItem& code,
       }
       out.insns.at(pc + idx_unit) = static_cast<uint16_t>(idx);
     }
-    pc += insn.width;
+    pc += consumed_units(insn);
   }
   return out;
 }

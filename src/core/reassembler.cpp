@@ -8,8 +8,6 @@
 #include "src/bytecode/assembler.h"
 #include "src/bytecode/insn.h"
 #include "src/dex/builder.h"
-#include "src/ir/roundtrip.h"
-#include "src/support/log.h"
 
 namespace dexlego::core {
 
@@ -746,24 +744,6 @@ ReassembleResult reassemble(const CollectionOutput& input,
   }
 
   result.file = std::move(builder).build();
-
-  // Optional IR validation pass: every reassembled body must survive
-  // lift→lower byte-identically (ARCHITECTURE invariant 15). Runs on the
-  // finished file and never mutates it; failures are counted, not fatal —
-  // the caller (pipeline stats, fuzz oracle) decides what a non-zero
-  // ir_failed means.
-  if (options.ir_roundtrip) {
-    std::vector<std::string> errors;
-    ir::RoundtripStats rt = ir::roundtrip_file(
-        result.file, ir::RoundtripOptions{.apply_dce = false, .check_ssa = true},
-        &errors);
-    stats.ir_methods = rt.methods;
-    stats.ir_byte_identical = rt.byte_identical;
-    stats.ir_failed = rt.failed + rt.mismatched;
-    for (const std::string& e : errors) {
-      DL_LOG(support::LogLevel::kWarn) << "ir_roundtrip: " << e;
-    }
-  }
   return result;
 }
 

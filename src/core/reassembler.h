@@ -29,10 +29,6 @@ struct ReassembleOptions {
   bool replace_reflection = true;
   // Lines/tries are remapped onto the new layout when true.
   bool keep_debug_info = true;
-  // Lift every reassembled body to SSA IR and lower it back, asserting the
-  // result is byte-identical (invariant 15). Pure validation: the output
-  // file is never modified. Counts land in the ir_* stats fields.
-  bool ir_roundtrip = false;
 };
 
 struct ReassembleStats {
@@ -43,10 +39,6 @@ struct ReassembleStats {
   size_t reflection_replaced = 0;
   size_t pad_edges = 0;           // never-executed edges routed to the pad
   size_t output_code_units = 0;
-  // Populated only when ReassembleOptions::ir_roundtrip is set.
-  size_t ir_methods = 0;         // code-bearing methods round-tripped
-  size_t ir_byte_identical = 0;  // lower(lift(code)) == code
-  size_t ir_failed = 0;          // lift/lower failure or byte mismatch
 };
 
 struct ReassembleResult {

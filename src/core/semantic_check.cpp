@@ -48,7 +48,7 @@ std::map<std::string, size_t> tokens_of(const dex::DexFile& file,
     if (insn.op != bc::Op::kPayload && insn.op != bc::Op::kNop) {
       ++tokens[token_of(file, insn)];
     }
-    pc += insn.width;
+    pc += bc::consumed_units(insn);
   }
   return tokens;
 }

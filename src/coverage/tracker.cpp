@@ -114,7 +114,7 @@ CoverageTracker::Report CoverageTracker::report(const dex::DexFile& app) const {
               }
             }
           }
-          pc += insn.width;
+          pc += bc::consumed_units(insn);
         }
         report.lines_total += lines_all.size();
         report.lines_covered += lines_hit.size();

@@ -9,9 +9,7 @@
 
 #include "src/bytecode/verify_code.h"
 #include "src/core/dexlego.h"
-#include "src/dex/io.h"
 #include "src/dex/real/real_dex.h"
-#include "src/ir/roundtrip.h"
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
 #include "src/support/timer.h"
@@ -201,28 +199,6 @@ OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
                                            first_line(reveal.verify_errors));
   }
 
-  // Stage 3b — IR byte identity: every method of the revealed image must
-  // lift to SSA and lower back to the exact same bytes (ARCHITECTURE
-  // invariant 15). Applies to self-modifying mutants too — the check reads
-  // the reassembled output, it never replays it.
-  if (options.check_ir_roundtrip) {
-    try {
-      dex::DexFile revealed_file = dex::load_classes(reveal.revealed_apk);
-      std::vector<std::string> errors;
-      ir::RoundtripStats rt = ir::roundtrip_file(
-          revealed_file,
-          ir::RoundtripOptions{.apply_dce = false, .check_ssa = true}, &errors);
-      if (!rt.clean()) {
-        return finish(Outcome::kDivergent,
-                      "ir roundtrip: " +
-                          first_line(errors.empty() ? std::string("byte mismatch")
-                                                    : errors.front()));
-      }
-    } catch (const std::exception& e) {
-      return finish(Outcome::kCrash, "ir roundtrip: " + render_exception(e));
-    }
-  }
-
   if (!mutant.replay_safe) {
     // Self-modifying mutants cannot replay the revealed APK (the same
     // exclusion the differential suite applies); instead demand that the
@@ -243,29 +219,6 @@ OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
   }
   std::string diff = compare_traces(original, revealed);
   if (!diff.empty()) return finish(Outcome::kDivergent, "trace: " + diff);
-
-  // Stage 4b — lift→lower→trace: apply the DCE pass through the IR and
-  // demand the optimized image still traces identically to the direct
-  // revealed trace. This is the differential oracle that keeps the IR's
-  // optimization passes honest — removing an instruction the runtime could
-  // observe shows up as a phase/sink/leak diff here.
-  if (options.check_ir_roundtrip) {
-    try {
-      dex::DexFile revealed_file = dex::load_classes(reveal.revealed_apk);
-      ir::roundtrip_file(revealed_file,
-                         ir::RoundtripOptions{.apply_dce = true, .check_ssa = true});
-      dex::Apk optimized = reveal.revealed_apk;
-      optimized.set_classes(dex::write_dex(revealed_file));
-      Trace dce_trace =
-          trace_app(optimized, mutant.configure_runtime, options);
-      diff = compare_traces(revealed, dce_trace);
-      if (!diff.empty()) {
-        return finish(Outcome::kDivergent, "ir dce trace: " + diff);
-      }
-    } catch (const std::exception& e) {
-      return finish(Outcome::kCrash, "ir dce trace: " + render_exception(e));
-    }
-  }
 
   // Stage 5 — reveal idempotence (decompile/recompile fixed point).
   if (options.check_idempotence) {

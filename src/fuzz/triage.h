@@ -45,11 +45,6 @@ struct OracleOptions {
   uint64_t step_limit = 400'000;
   // Also reveal the revealed APK and demand the same behaviour again.
   bool check_idempotence = true;
-  // IR differential stage: the revealed image must lift to SSA and lower
-  // back byte-identically (ARCHITECTURE invariant 15), and — for
-  // replay-safe mutants — the DCE-optimized lowering must trace identically
-  // to the direct revealed trace (lift→lower→trace == trace).
-  bool check_ir_roundtrip = true;
   // Dispatch mode for every runtime the oracle builds (traces and reveals).
   // tests/interp_cache_test.cpp runs whole campaigns in both modes and
   // demands identical reports.

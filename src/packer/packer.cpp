@@ -221,7 +221,7 @@ void register_packer_natives(rt::Runtime& rt) {
               noise->patch_code_unit(pc + 1, noise->code->insns[pc + 1] ^ 1);
               break;
             }
-            pc += insn.width;
+            pc += bc::consumed_units(insn);
           }
           return rt::Value::Null();
         });

@@ -211,8 +211,9 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // A job runs start to finish on one worker, so extra workers would idle.
-  if (threads > jobs.size() && !jobs.empty()) threads = jobs.size();
+  // A job runs start to finish on one worker, so extra workers would idle;
+  // an empty batch starts none.
+  threads = std::min(threads, jobs.size());
 
   DedupStore local_store{DedupStore::Options{
       options.store_shards == 0 ? DedupStore::kDefaultShards
@@ -265,7 +266,7 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
     }
   };
 
-  if (threads <= 1) {
+  if (threads == 1) {
     worker(0);
   } else {
     std::vector<std::thread> pool;
@@ -297,9 +298,6 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
     fleet.unique_trees += job.unique_trees;
     fleet.dedup_hits += job.dedup_hits;
     fleet.dedup_misses += job.dedup_misses;
-    fleet.ir_methods += job.reassemble.ir_methods;
-    fleet.ir_byte_identical += job.reassemble.ir_byte_identical;
-    fleet.ir_failed += job.reassemble.ir_failed;
     fleet.cpu_ms += job.cpu_ms;
   }
   if (fleet.jobs > 0) {

@@ -99,12 +99,6 @@ struct FleetStats {
   double mean_branch_coverage = 0.0;
   size_t forced_paths = 0;  // forced plan units across the fleet
 
-  // IR round-trip stage (enable_ir_roundtrip / dexlego_batch --ir-roundtrip):
-  // summed per-job ReassembleStats ir_* counters. Zero unless enabled.
-  size_t ir_methods = 0;
-  size_t ir_byte_identical = 0;
-  size_t ir_failed = 0;
-
   DedupStore::Stats store;     // snapshot after the batch
   uint64_t dedup_interns = 0;  // deterministic: sum of per-job dedup_interns
   uint64_t unique_trees = 0;   // deterministic: sum of per-job unique_trees
@@ -134,7 +128,8 @@ struct BatchReport {
 struct BatchOptions {
   // 0 = one worker per hardware thread. 1 = run inline on the caller thread
   // (the sequential baseline the tests compare against). Either way the
-  // pool never exceeds the job count (FleetStats::threads reports it).
+  // pool never exceeds the job count, so an empty batch starts no worker
+  // (FleetStats::threads reports it).
   size_t threads = 0;
   // Shared store to intern into; batches sharing one store dedup across
   // batches too. nullptr = a private store per run_batch call.

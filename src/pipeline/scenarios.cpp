@@ -313,13 +313,6 @@ std::vector<BatchJob>& enable_force(std::vector<BatchJob>& jobs,
   return jobs;
 }
 
-std::vector<BatchJob>& enable_ir_roundtrip(std::vector<BatchJob>& jobs) {
-  for (BatchJob& job : jobs) {
-    job.reveal.reassemble.ir_roundtrip = true;
-  }
-  return jobs;
-}
-
 std::vector<BatchJob> all_jobs() {
   std::vector<BatchJob> jobs = droidbench_jobs();
   std::vector<BatchJob> more = generated_jobs(8);

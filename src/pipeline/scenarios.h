@@ -99,10 +99,4 @@ std::vector<BatchJob> replicate_jobs(const std::vector<BatchJob>& jobs,
 std::vector<BatchJob>& enable_force(std::vector<BatchJob>& jobs,
                                     const coverage::ForceEngineOptions& options);
 
-// Turns on the optional IR round-trip stage for every job: each reassembled
-// body is lifted to SSA and lowered back, and the byte-identity counts ride
-// along in JobResult::reassemble (ir_methods / ir_byte_identical /
-// ir_failed). dexlego_batch --ir-roundtrip. Returns `jobs` for chaining.
-std::vector<BatchJob>& enable_ir_roundtrip(std::vector<BatchJob>& jobs);
-
 }  // namespace dexlego::pipeline

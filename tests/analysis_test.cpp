@@ -95,10 +95,12 @@ TEST(StaticTaint, DeadCodeFalsePositives) {
   EXPECT_TRUE(detects(droidsafe_config(), dead));
   EXPECT_TRUE(detects(horndroid_config(), dead));
   // Constant-false branch: only value-sensitive HornDroid prunes it.
-  const Sample& branch = sample("DeadBranch1");
-  EXPECT_TRUE(detects(flowdroid_config(), branch));
-  EXPECT_TRUE(detects(droidsafe_config(), branch));
-  EXPECT_FALSE(detects(horndroid_config(), branch));
+  for (const char* name : {"DeadBranch1", "DeadBranch2"}) {
+    const Sample& branch = sample(name);
+    EXPECT_TRUE(detects(flowdroid_config(), branch)) << name;
+    EXPECT_TRUE(detects(droidsafe_config(), branch)) << name;
+    EXPECT_FALSE(detects(horndroid_config(), branch)) << name;
+  }
 }
 
 TEST(StaticTaint, OrphanCallbackOnlyFlowDroid) {

@@ -12,9 +12,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/analysis/static_taint.h"
 #include "src/benchsuite/droidbench.h"
 #include "src/bytecode/assembler.h"
+#include "src/bytecode/verify_code.h"
 #include "src/core/dexlego.h"
+#include "src/core/semantic_check.h"
 #include "src/coverage/force.h"
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
@@ -549,6 +552,52 @@ TEST(BatchPipeline, WorkerFailureIsIsolated) {
   }
 }
 
+// A verifier-clean onCreate: const/16, a packed-switch with `targets`
+// targets (all of them the return) and return-void. From 252 targets on,
+// the payload's 4 + count extent no longer fits the 8-bit Insn::width.
+dex::Apk large_switch_apk(size_t targets) {
+  dex::DexBuilder b;
+  b.start_class("Lhostile/Switch;", "Landroid/app/Activity;");
+  bc::MethodAssembler as(2, 1);
+  bc::MethodAssembler::Label done = as.make_label();
+  as.const16(0, 0);
+  as.packed_switch(0, 0, std::vector<bc::MethodAssembler::Label>(targets, done));
+  as.bind(done);
+  as.return_void();
+  b.add_virtual_method("onCreate", "V", {}, as.finish());
+  dex::Manifest manifest;
+  manifest.package = "hostile.sw";
+  manifest.entry_class = "Lhostile/Switch;";
+  dex::Apk apk;
+  apk.set_manifest(manifest);
+  apk.set_classes(dex::write_dex(std::move(b).build()));
+  return apk;
+}
+
+TEST(BatchPipeline, LargeSwitchPayloadDoesNotStallSweeps) {
+  // Every linear sweep must step over a payload by its true extent: at 253
+  // targets the width wraps to 1 and a sweep decodes the payload's count
+  // word as an opcode; at 252 it wraps to 0 and a sweep never advances.
+  for (size_t targets : {253u, 252u}) {
+    SCOPED_TRACE("targets=" + std::to_string(targets));
+    dex::Apk apk = large_switch_apk(targets);
+    dex::DexFile file = dex::read_dex(apk.classes());
+    ASSERT_TRUE(bc::verify_dex(file).ok());
+
+    std::vector<pipeline::BatchJob> jobs(1);
+    jobs[0].name = "large-switch";
+    jobs[0].apk = apk;
+    pipeline::BatchReport report = pipeline::run_batch(jobs, {});
+    ASSERT_TRUE(report.jobs[0].ok) << report.jobs[0].error;
+    EXPECT_TRUE(report.jobs[0].verified);
+    EXPECT_EQ(report.jobs[0].instruction_coverage, 1.0);
+
+    EXPECT_NO_THROW(
+        analysis::StaticAnalyzer(analysis::flowdroid_config()).analyze(file));
+    EXPECT_TRUE(core::check_containment(file, file).ok);
+  }
+}
+
 TEST(BatchPipeline, NonStdExceptionFailsClosed) {
   // Workers must fail closed for ANY throw, not just std::exception — a
   // hostile native-method shim can throw an arbitrary type. Both the
@@ -720,6 +769,16 @@ TEST(ForcePipeline, SchedulesOneTaskPerJob) {
   ASSERT_EQ(report.fleet.ok, two.size());
   EXPECT_EQ(report.fleet.threads, 2u);
   EXPECT_EQ(report.fleet.queue_tasks, 2u);
+
+  // An empty batch starts no worker, on the inline path too.
+  for (size_t threads : {0u, 1u, 8u}) {
+    pipeline::BatchOptions options;
+    options.threads = threads;
+    pipeline::BatchReport empty = pipeline::run_batch({}, options);
+    SCOPED_TRACE("empty, threads=" + std::to_string(threads));
+    EXPECT_EQ(empty.fleet.threads, 0u);
+    EXPECT_EQ(empty.fleet.queue_pops, 0u);
+  }
 }
 
 // Runs both force algorithms on one job under the batch driver and adds
