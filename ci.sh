@@ -128,6 +128,25 @@ fi
 rm -rf "$service_store"
 echo "service smoke passed"
 
+# --- Tables VI/VII gate ----------------------------------------------------
+# The coverage reproduction (Sapienz-style fuzzing, then force execution
+# over the five F-Droid-shaped apps) is single-threaded and deterministic,
+# so its stdout is pinned byte for byte. The perfbench digest pins only the
+# revealed DEX bytes; this gate is the one that sees collection dump sizes
+# and class/method/line/branch/instruction coverage, so a change to the
+# collector, the coverage tracker or the force engine that moves any of
+# them fails here. ~20 s on one core. After a deliberate change, refresh
+# the golden with
+#   "$BUILD_DIR"/bench/table6_7_coverage > bench/table6_7_coverage.golden
+table67_out="$(mktemp)"
+"$BUILD_DIR"/bench/table6_7_coverage > "$table67_out"
+if ! diff -u bench/table6_7_coverage.golden "$table67_out"; then
+  echo "Tables VI/VII: output differs from bench/table6_7_coverage.golden" >&2
+  exit 1
+fi
+rm -f "$table67_out"
+echo "Tables VI/VII gate passed"
+
 # --- interpreter dispatch bench smoke --------------------------------------
 # Runs the two-mode dispatch bench (fallback vs cached), collecting its
 # BENCH_JSON lines into BENCH_interp.json (one JSON object per line — the

@@ -90,6 +90,11 @@ struct MethodRecord {
   std::vector<std::string> param_types;  // descriptors
   bool is_native = false;
   std::vector<std::unique_ptr<TreeNode>> trees;  // unique per fingerprint
+  // trees[i]->fingerprint(), stored by the Collector when it keeps a tree
+  // and carried through merge_collection, so no fold re-hashes a kept tree.
+  // Empty on a record decode_collection built (it does not hash); the next
+  // merge_collection into or from the record fills it.
+  std::vector<uint64_t> tree_fingerprints;
   std::vector<dex::TryItem> tries;   // original-pc ranges
   std::vector<dex::LineEntry> lines; // original-pc line table
   // dex_pc of a reflective Method.invoke call -> resolved direct target.
@@ -139,6 +144,8 @@ struct CollectionOutput {
 // classes union by descriptor (first arrival wins, order preserved), method
 // records accumulate unique trees by fingerprint under the `max_variants`
 // cap, reflection targets keep the first recorded target per call site.
+// Fingerprints come from MethodRecord::tree_fingerprints, so a fold hashes
+// only trees that arrive without one.
 // Deterministic — merging the same outputs in the same order always yields
 // the same result, which is how the batch pipeline makes per-plan-unit
 // collection sharding byte-identical to a sequential run.

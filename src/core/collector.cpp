@@ -1,5 +1,9 @@
 #include "src/core/collector.h"
 
+#include <algorithm>
+#include <set>
+#include <stdexcept>
+
 #include "src/bytecode/insn.h"
 #include "src/runtime/object.h"
 #include "src/support/bytes.h"
@@ -25,9 +29,19 @@ uint64_t TreeNode::fingerprint() const {
   return h.digest();
 }
 
+MethodKey Collector::key_of(const rt::RtMethod& method) {
+  return MethodKey{
+      method.declaring != nullptr ? method.declaring->descriptor : "?",
+      method.name, method.shorty};
+}
+
+namespace {
+
+// The symbolic form of a decoded instruction's pool operand, resolved
+// against the method's defining image; nullopt when it has none. A pure
+// function of the image and the instruction's units.
 std::optional<SymRef> symbolic_ref(const rt::RtMethod& method,
-                                   std::span<const uint16_t> code, size_t pc) {
-  bc::Insn insn = bc::decode_at(code, pc);
+                                   const bc::Insn& insn) {
   bc::RefKind kind = bc::op_info(insn.op).ref;
   if (kind == bc::RefKind::kNone) return std::nullopt;
   const dex::DexFile& file = method.image->file;
@@ -62,14 +76,6 @@ std::optional<SymRef> symbolic_ref(const rt::RtMethod& method,
   return ref;
 }
 
-MethodKey Collector::key_of(const rt::RtMethod& method) {
-  return MethodKey{
-      method.declaring != nullptr ? method.declaring->descriptor : "?",
-      method.name, method.shorty};
-}
-
-namespace {
-
 std::vector<CollectedField> snapshot_statics(const rt::RtClass& cls) {
   std::vector<CollectedField> fields;
   for (const rt::RtField& f : cls.static_fields) {
@@ -93,6 +99,11 @@ std::vector<CollectedField> snapshot_statics(const rt::RtClass& cls) {
 }
 
 }  // namespace
+
+void Collector::on_dex_loaded(const rt::DexImage& image) {
+  if (image.id != 0) return;  // not the first image of a new runtime
+  for (Activation& act : stack_) act.method = nullptr;
+}
 
 void Collector::on_class_loaded(rt::RtClass& cls) {
   if (cls.is_framework) return;
@@ -158,6 +169,7 @@ MethodRecord& Collector::record_for(rt::RtMethod& method) {
 void Collector::on_method_entry(rt::RtMethod& method) {
   Activation act;
   act.key = key_of(method);
+  act.method = &method;
   act.bytecode = method.code != nullptr;
   MethodRecord& rec = record_for(method);
   ++rec.executions;
@@ -173,17 +185,40 @@ void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
   ++output_.total_instructions_observed;
   if (stack_.empty() || !stack_.back().bytecode) return;
   Activation& act = stack_.back();
-  if (act.key.name != method.name) return;  // defensive: mismatched frame
+  if (&method != act.method) {
+    if (act.key.name != method.name) return;  // defensive: mismatched frame
+    act.method = nullptr;  // the tree now mixes methods: no early return
+  }
+
+  // The one decode of this instruction. It also bounds the units to `code`:
+  // a truncated trailing instruction is undecodable (the runtime raises
+  // VerifyError) and leaves nothing to collect.
+  bc::Insn insn;
+  try {
+    insn = bc::decode_at(code, dex_pc);
+  } catch (const support::ParseError&) {
+    return;
+  }
+  std::span<const uint16_t> units =
+      code.subspan(dex_pc, bc::consumed_units(insn));
+  const uint16_t pc = static_cast<uint16_t>(dex_pc);
+
+  TreeNode* current = act.current;
+  auto it = current->iim.find(pc);
+  // Already recorded: the same units at the same pc, from the same method.
+  // Its SymRef is a function of the image and the units, so building the
+  // entry would only find it equal (Algorithm 1's "same instruction").
+  if (it != current->iim.end() && act.method != nullptr &&
+      std::ranges::equal(current->il[it->second].units, units)) {
+    return;
+  }
 
   // Snapshot the instruction's units *now* — the array may change later.
   ILEntry entry;
-  entry.pc = static_cast<uint16_t>(dex_pc);
-  size_t width;
+  entry.pc = pc;
+  entry.units.assign(units.begin(), units.end());
   try {
-    width = bc::width_at(code, dex_pc);
-    entry.units.assign(code.begin() + dex_pc, code.begin() + dex_pc + width);
-    entry.ref = symbolic_ref(method, code, dex_pc);
-    bc::Insn insn = bc::decode_at(code, dex_pc);
+    entry.ref = symbolic_ref(method, insn);
     if (insn.op == bc::Op::kPackedSwitch) {
       // Payload units are data the interpreter never "executes"; snapshot
       // them as metadata so the reassembler can rebuild the switch.
@@ -197,13 +232,11 @@ void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
       entry.switch_payload = std::move(snap);
     }
   } catch (const support::ParseError&) {
-    return;  // undecodable (runtime raises VerifyError); nothing to collect
+    return;  // undecodable payload; nothing to collect
   } catch (const std::out_of_range&) {
     return;
   }
 
-  TreeNode* current = act.current;
-  auto it = current->iim.find(entry.pc);
   if (it != current->iim.end()) {
     const ILEntry& old = current->il[it->second];
     if (old.same_instruction(entry)) {
@@ -241,15 +274,17 @@ void Collector::finish_activation(Activation& act) {
   if (it == output_.methods.end()) return;
   MethodRecord& rec = it->second;
   uint64_t fp = act.root->fingerprint();
-  std::set<uint64_t>& seen = tree_fingerprints_[act.key];
-  if (seen.contains(fp)) return;  // keep unique trees only
+  if (std::ranges::find(rec.tree_fingerprints, fp) !=
+      rec.tree_fingerprints.end()) {
+    return;  // keep unique trees only
+  }
   if (rec.trees.size() >= options_.max_variants) {
     ++rec.dropped_trees;
     DL_DEBUG << "variant cap reached for " << rec.key.pretty();
     return;
   }
-  seen.insert(fp);
   rec.trees.push_back(std::move(act.root));
+  rec.tree_fingerprints.push_back(fp);
 }
 
 void Collector::on_method_exit(rt::RtMethod& method) {
@@ -283,6 +318,22 @@ void Collector::on_reflective_invoke(rt::RtMethod& caller, uint32_t dex_pc,
   }
 }
 
+namespace {
+
+// `rec.tree_fingerprints`, hashing the trees first if the record did not
+// come from a Collector (decode_collection does not hash).
+const std::vector<uint64_t>& tree_fingerprints(MethodRecord& rec) {
+  if (rec.tree_fingerprints.size() != rec.trees.size()) {
+    rec.tree_fingerprints.clear();
+    for (const auto& tree : rec.trees) {
+      rec.tree_fingerprints.push_back(tree->fingerprint());
+    }
+  }
+  return rec.tree_fingerprints;
+}
+
+}  // namespace
+
 void merge_collection(CollectionOutput& into, CollectionOutput&& from,
                       size_t max_variants) {
   std::set<std::string> have_classes;
@@ -302,15 +353,20 @@ void merge_collection(CollectionOutput& into, CollectionOutput&& from,
     MethodRecord& mine = it->second;
     mine.executions += rec.executions;
     mine.dropped_trees += rec.dropped_trees;
-    std::set<uint64_t> seen;
-    for (const auto& tree : mine.trees) seen.insert(tree->fingerprint());
-    for (auto& tree : rec.trees) {
-      if (!seen.insert(tree->fingerprint()).second) continue;
+    // Kept trees plus the trees seen in this call: a capped-out tree is not
+    // kept, so a later fold that brings it again counts it again.
+    std::vector<uint64_t> seen = tree_fingerprints(mine);
+    const std::vector<uint64_t>& incoming = tree_fingerprints(rec);
+    for (size_t t = 0; t < rec.trees.size(); ++t) {
+      uint64_t fp = incoming[t];
+      if (std::ranges::find(seen, fp) != seen.end()) continue;
+      seen.push_back(fp);
       if (mine.trees.size() >= max_variants) {
         ++mine.dropped_trees;
         continue;
       }
-      mine.trees.push_back(std::move(tree));
+      mine.trees.push_back(std::move(rec.trees[t]));
+      mine.tree_fingerprints.push_back(fp);
     }
     for (auto& [pc, ref] : rec.reflection_targets) {
       mine.reflection_targets.emplace(pc, std::move(ref));  // first one wins
@@ -332,9 +388,6 @@ CollectionOutput Collector::take_output() {
     finish_activation(stack_.back());
     stack_.pop_back();
   }
-  // The fingerprint cache mirrors output_.methods[...].trees, which the move
-  // empties — drop it so a reused Collector dedups against reality.
-  tree_fingerprints_.clear();
   return std::move(output_);
 }
 

@@ -6,14 +6,14 @@
 //
 // A Collector outlives individual Runtime instances: force execution and
 // fuzzing run the app many times, and trees accumulate per MethodKey across
-// runs (unique trees only, capped by `max_variants`). Uniqueness is decided
-// against a cached per-method fingerprint set, the in-collector half of the
-// dedup that pipeline::DedupStore extends across apps and worker threads.
+// runs (unique trees only, capped by `max_variants`). Each finished tree is
+// hashed once and checked against the fingerprints its MethodRecord keeps
+// beside its trees, the in-collector half of the dedup that
+// pipeline::DedupStore extends across apps and worker threads.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "src/core/collection.h"
@@ -33,7 +33,8 @@ class Collector : public rt::RuntimeHooks {
 
   // --- RuntimeHooks ---
   uint32_t subscribed_events() const override {
-    return rt::hook_mask(rt::HookEvent::kClassLoaded) |
+    return rt::hook_mask(rt::HookEvent::kDexLoaded) |
+           rt::hook_mask(rt::HookEvent::kClassLoaded) |
            rt::hook_mask(rt::HookEvent::kClassInitialized) |
            rt::hook_mask(rt::HookEvent::kMethodEntry) |
            rt::hook_mask(rt::HookEvent::kMethodExit) |
@@ -47,6 +48,7 @@ class Collector : public rt::RuntimeHooks {
   // a mutant that died between forName and the first call produced a
   // revealed app missing the loaded class (replay file
   // tests/data/fuzz/structural-loaded-class-fixed.lfz).
+  void on_dex_loaded(const rt::DexImage& image) override;
   void on_class_loaded(rt::RtClass& cls) override;
   void on_class_initialized(rt::RtClass& cls) override;
   void on_method_entry(rt::RtMethod& method) override;
@@ -63,6 +65,12 @@ class Collector : public rt::RuntimeHooks {
  private:
   struct Activation {
     MethodKey key;
+    // The method entered, which on_instruction's early return requires.
+    // Null once an instruction of another method with the same name was
+    // recorded into this tree (a mismatched frame), or once a new runtime
+    // started while the activation was still on the stack: that runtime
+    // may reuse the address.
+    const rt::RtMethod* method = nullptr;
     std::unique_ptr<TreeNode> root;
     TreeNode* current = nullptr;
     bool bytecode = false;  // native/abstract activations collect nothing
@@ -77,16 +85,6 @@ class Collector : public rt::RuntimeHooks {
   std::vector<Activation> stack_;
   // descriptor -> index into output_.classes, for the init-time re-snapshot.
   std::map<std::string, size_t> class_index_;
-  // Fingerprints of the trees already stored per method — mirrors
-  // output_.methods[key].trees so finish_activation dedups in O(log n)
-  // instead of re-hashing every stored tree.
-  std::map<MethodKey, std::set<uint64_t>> tree_fingerprints_;
 };
-
-// Builds the symbolic form of the pool operand of the instruction at `pc`
-// in `code`, resolved against the method's defining image. Returns nullopt
-// for instructions without pool operands. Exposed for tests.
-std::optional<SymRef> symbolic_ref(const rt::RtMethod& method,
-                                   std::span<const uint16_t> code, size_t pc);
 
 }  // namespace dexlego::core

@@ -13,23 +13,38 @@
 namespace dexlego::coverage {
 
 void ForcePlan::set(const std::string& method_key, uint32_t pc, bool outcome) {
-  outcomes_[{method_key, pc}] = outcome;
+  outcomes_[method_key][pc] = outcome;
 }
 
 const bool* ForcePlan::find(const std::string& method_key, uint32_t pc) const {
-  auto it = outcomes_.find({method_key, pc});
+  const Outcomes* outcomes = find(method_key);
+  if (outcomes == nullptr) return nullptr;
+  auto it = outcomes->find(pc);
+  return it == outcomes->end() ? nullptr : &it->second;
+}
+
+const ForcePlan::Outcomes* ForcePlan::find(const std::string& method_key) const {
+  auto it = outcomes_.find(method_key);
   return it == outcomes_.end() ? nullptr : &it->second;
+}
+
+size_t ForcePlan::size() const {
+  size_t n = 0;
+  for (const auto& [key, outcomes] : outcomes_) n += outcomes.size();
+  return n;
 }
 
 uint64_t ForcePlan::fingerprint() const { return support::fnv1a(serialize()); }
 
 std::vector<uint8_t> ForcePlan::serialize() const {
   support::ByteWriter w;
-  w.u32(static_cast<uint32_t>(outcomes_.size()));
-  for (const auto& [key, outcome] : outcomes_) {
-    w.str(key.first);
-    w.u32(key.second);
-    w.u8(outcome ? 1 : 0);
+  w.u32(static_cast<uint32_t>(size()));
+  for (const auto& [key, outcomes] : outcomes_) {
+    for (const auto& [pc, outcome] : outcomes) {
+      w.str(key);
+      w.u32(pc);
+      w.u8(outcome ? 1 : 0);
+    }
   }
   return w.take();
 }
@@ -47,7 +62,7 @@ ForcePlan ForcePlan::deserialize(std::span<const uint8_t> data) {
   for (uint32_t i = 0; i < n; ++i) {
     std::string key = r.str();
     uint32_t pc = r.u32();
-    plan.outcomes_[{std::move(key), pc}] = r.u8() != 0;
+    plan.outcomes_[std::move(key)][pc] = r.u8() != 0;
   }
   if (!r.at_end()) {
     throw support::ParseError("trailing bytes after force plan");
@@ -64,11 +79,23 @@ std::optional<ForcePlan> ForcePlan::try_deserialize(
   }
 }
 
+const ForcePlan::Outcomes* ForceHooks::outcomes_of(const rt::RtMethod& method) {
+  MethodSlot* slot = frames_.top(method);
+  if (slot == nullptr) return plan_.find(CoverageTracker::method_key(method));
+  if (!slot->resolved) {
+    slot->outcomes = plan_.find(CoverageTracker::method_key(method));
+    slot->resolved = true;
+  }
+  return slot->outcomes;
+}
+
 bool ForceHooks::force_branch(rt::RtMethod& method, uint32_t dex_pc,
                               bool* outcome) {
-  const bool* planned = plan_.find(CoverageTracker::method_key(method), dex_pc);
-  if (planned == nullptr) return false;
-  *outcome = *planned;
+  const ForcePlan::Outcomes* outcomes = outcomes_of(method);
+  if (outcomes == nullptr) return false;
+  auto planned = outcomes->find(dex_pc);
+  if (planned == outcomes->end()) return false;
+  *outcome = planned->second;
   ++forced_;
   return true;
 }

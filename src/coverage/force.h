@@ -38,9 +38,15 @@ namespace dexlego::coverage {
 // (method, branch pc).
 class ForcePlan {
  public:
+  // One method's forced decisions: branch pc -> outcome.
+  using Outcomes = std::map<uint32_t, bool>;
+
   void set(const std::string& method_key, uint32_t pc, bool outcome);
   const bool* find(const std::string& method_key, uint32_t pc) const;
-  size_t size() const { return outcomes_.size(); }
+  // The decisions for one method; null when the plan forces none of its
+  // branches.
+  const Outcomes* find(const std::string& method_key) const;
+  size_t size() const;
   bool empty() const { return outcomes_.empty(); }
 
   // Content hash of the serialized form (support::fnv1a — the DedupStore
@@ -58,21 +64,35 @@ class ForcePlan {
   bool operator==(const ForcePlan&) const = default;
 
  private:
-  std::map<std::pair<std::string, uint32_t>, bool> outcomes_;
+  // method key -> its decisions; never holds an empty Outcomes.
+  std::map<std::string, Outcomes> outcomes_;
 };
 
 // Runtime hooks applying a ForcePlan: overrides the planned branches and
 // clears unhandled exceptions (bounded per run to avoid pathological loops).
+// Each activation looks its method's decisions up in the plan once, on its
+// first branch (ActivationSlots, src/coverage/tracker.h).
 class ForceHooks : public rt::RuntimeHooks {
  public:
   explicit ForceHooks(const ForcePlan& plan, size_t tolerate_cap = 4096)
       : plan_(plan), tolerate_cap_(tolerate_cap) {}
 
   uint32_t subscribed_events() const override {
-    return rt::hook_mask(rt::HookEvent::kForceBranch) |
+    return rt::hook_mask(rt::HookEvent::kDexLoaded) |
+           rt::hook_mask(rt::HookEvent::kMethodEntry) |
+           rt::hook_mask(rt::HookEvent::kMethodExit) |
+           rt::hook_mask(rt::HookEvent::kForceBranch) |
            rt::hook_mask(rt::HookEvent::kTolerateException);
   }
 
+  void on_dex_loaded(const rt::DexImage& image) override {
+    frames_.on_dex_loaded(image);
+  }
+  void on_method_entry(rt::RtMethod& method) override { frames_.enter(method); }
+  void on_method_exit(rt::RtMethod& method) override {
+    (void)method;
+    frames_.exit();
+  }
   bool force_branch(rt::RtMethod& method, uint32_t dex_pc, bool* outcome) override;
   bool tolerate_exception(rt::RtMethod& method, uint32_t dex_pc) override;
 
@@ -80,10 +100,17 @@ class ForceHooks : public rt::RuntimeHooks {
   size_t tolerated() const { return tolerated_; }
 
  private:
+  struct MethodSlot {
+    bool resolved = false;
+    const ForcePlan::Outcomes* outcomes = nullptr;
+  };
+  const ForcePlan::Outcomes* outcomes_of(const rt::RtMethod& method);
+
   const ForcePlan& plan_;
   size_t tolerate_cap_;
   size_t forced_ = 0;
   size_t tolerated_ = 0;
+  ActivationSlots<MethodSlot> frames_;
 };
 
 // Exploration budgets of the worklist engine (src/coverage/force_engine.h).

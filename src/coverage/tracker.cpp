@@ -1,5 +1,7 @@
 #include "src/coverage/tracker.h"
 
+#include <set>
+
 #include "src/bytecode/insn.h"
 #include "src/support/bytes.h"
 
@@ -17,15 +19,36 @@ std::string CoverageTracker::method_key(const dex::DexFile& file,
          file.proto_shorty(ref.proto);
 }
 
+PcBits& CoverageTracker::pcs_of(const rt::RtMethod& method) {
+  MethodSlot* slot = frames_.top(method);
+  if (slot == nullptr) return pcs_[method_key(method)];
+  if (slot->pcs == nullptr) {
+    if (slot->key.empty()) slot->key = method_key(method);
+    slot->pcs = &pcs_[slot->key];
+  }
+  return *slot->pcs;
+}
+
+std::map<uint32_t, CoverageTracker::BranchSeen>& CoverageTracker::branches_of(
+    const rt::RtMethod& method) {
+  MethodSlot* slot = frames_.top(method);
+  if (slot == nullptr) return branches_[method_key(method)];
+  if (slot->branches == nullptr) {
+    if (slot->key.empty()) slot->key = method_key(method);
+    slot->branches = &branches_[slot->key];
+  }
+  return *slot->branches;
+}
+
 void CoverageTracker::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
                                      std::span<const uint16_t> code) {
   (void)code;
-  pcs_[method_key(method)].insert(dex_pc);
+  pcs_of(method).set(dex_pc);
 }
 
 void CoverageTracker::on_branch(rt::RtMethod& method, uint32_t dex_pc,
                                 bool taken) {
-  BranchSeen& seen = branches_[method_key(method)][dex_pc];
+  BranchSeen& seen = branches_of(method)[dex_pc];
   if (taken) {
     seen.taken = true;
   } else {
@@ -33,8 +56,7 @@ void CoverageTracker::on_branch(rt::RtMethod& method, uint32_t dex_pc,
   }
 }
 
-const std::set<uint32_t>* CoverageTracker::executed_pcs(
-    const std::string& key) const {
+const PcBits* CoverageTracker::executed_pcs(const std::string& key) const {
   auto it = pcs_.find(key);
   return it == pcs_.end() ? nullptr : &it->second;
 }
@@ -46,7 +68,7 @@ const std::map<uint32_t, CoverageTracker::BranchSeen>* CoverageTracker::branches
 }
 
 void CoverageTracker::merge(const CoverageTracker& other) {
-  for (const auto& [key, pcs] : other.pcs_) pcs_[key].insert(pcs.begin(), pcs.end());
+  for (const auto& [key, pcs] : other.pcs_) pcs_[key].merge(pcs);
   for (const auto& [key, branch_map] : other.branches_) {
     for (const auto& [pc, seen] : branch_map) {
       BranchSeen& mine = branches_[key][pc];
@@ -67,7 +89,7 @@ CoverageTracker::Report CoverageTracker::report(const dex::DexFile& app) const {
         class_has_code = true;
         ++report.methods_total;
         std::string key = method_key(app, m.method_ref);
-        const std::set<uint32_t>* executed = executed_pcs(key);
+        const PcBits* executed = executed_pcs(key);
         if (executed != nullptr && !executed->empty()) {
           ++report.methods_covered;
           class_covered = true;
@@ -97,7 +119,7 @@ CoverageTracker::Report CoverageTracker::report(const dex::DexFile& app) const {
             uint32_t line = line_of(static_cast<uint16_t>(pc));
             if (line != 0) lines_all.insert(line);
             bool hit = executed != nullptr &&
-                       executed->contains(static_cast<uint32_t>(pc));
+                       executed->test(static_cast<uint32_t>(pc));
             if (hit) {
               ++report.instructions_covered;
               if (line != 0) lines_hit.insert(line);

@@ -1,13 +1,25 @@
 #include "src/support/hash.h"
 
+#include <algorithm>
+
 namespace dexlego::support {
 
 uint32_t adler32(std::span<const uint8_t> data) {
   constexpr uint32_t kMod = 65521;
+  // zlib's NMAX: the most bytes after which b still fits in 32 bits when
+  // every byte is 0xff and a, b start just below kMod, so both sums are
+  // reduced once per block instead of once per byte.
+  constexpr size_t kBlock = 5552;
   uint32_t a = 1, b = 0;
-  for (uint8_t byte : data) {
-    a = (a + byte) % kMod;
-    b = (b + a) % kMod;
+  while (!data.empty()) {
+    size_t n = std::min(data.size(), kBlock);
+    for (uint8_t byte : data.first(n)) {
+      a += byte;
+      b += a;
+    }
+    a %= kMod;
+    b %= kMod;
+    data = data.subspan(n);
   }
   return (b << 16) | a;
 }

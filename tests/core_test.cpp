@@ -135,6 +135,147 @@ TEST(Collector, TwoPathsGiveTwoUniqueTrees) {
   EXPECT_EQ(rec->executions, 3u);
 }
 
+// --- merge_collection: the fold a force job runs once per plan unit ---
+
+// One Collector output of Lt/A;->f(I)I invoked once per argument, each on
+// the same runtime. Zero returns early, a positive argument runs both
+// const/16s, a negative one takes the if-ltz: three distinct trees.
+CollectionOutput collect_f(std::initializer_list<int> args) {
+  dex::DexBuilder b;
+  b.start_class("Lt/A;");
+  MethodAssembler as(2, 1);
+  auto zero = as.make_label();
+  auto negative = as.make_label();
+  as.if_testz(Op::kIfEqz, 1, zero);
+  as.const16(0, 1);
+  as.if_testz(Op::kIfLtz, 1, negative);
+  as.const16(0, 2);
+  as.bind(negative);
+  as.return_value(0);
+  as.bind(zero);
+  as.const16(0, 0);
+  as.return_value(0);
+  b.add_direct_method("f", "I", {"I"}, as.finish());
+
+  Collector collector;
+  rt::Runtime runtime;
+  runtime.add_hooks(&collector);
+  runtime.linker().register_dex(std::move(b).build(), "t");
+  rt::RtMethod* f = runtime.linker().resolve("Lt/A;")->find_declared("f");
+  for (int x : args) runtime.interp().invoke(*f, {rt::Value::Int(x)});
+  return collector.take_output();
+}
+
+const MethodKey kF{"Lt/A;", "f", "(I)I"};
+
+std::vector<uint64_t> tree_fingerprints(const CollectionOutput& out) {
+  std::vector<uint64_t> fps;
+  for (const auto& tree : out.find_method(kF)->trees) {
+    fps.push_back(tree->fingerprint());
+  }
+  return fps;
+}
+
+CollectedField static_int(const std::string& name, int64_t value) {
+  CollectedField f;
+  f.name = name;
+  f.type_descriptor = "I";
+  f.access_flags = dex::kAccStatic;
+  f.static_value.kind = CollectedValue::Kind::kInt;
+  f.static_value.i = value;
+  return f;
+}
+
+SymRef target(const std::string& name) {
+  return SymRef{bc::RefKind::kMethod, {"Lt/T;", name, "V", "#static"}};
+}
+
+TEST(MergeCollection, FoldsInOrderUnderTheVariantCap) {
+  CollectionOutput first = collect_f({0});       // trees: zero
+  CollectionOutput second = collect_f({1, -1});  // trees: positive, negative
+  CollectionOutput third = collect_f({-1, 0});   // trees: negative, zero
+  std::vector<uint64_t> zero = tree_fingerprints(first);
+  std::vector<uint64_t> pos_neg = tree_fingerprints(second);
+  std::vector<uint64_t> neg_zero = tree_fingerprints(third);
+  ASSERT_EQ(zero.size(), 1u);
+  ASSERT_EQ(pos_neg.size(), 2u);
+  ASSERT_EQ(neg_zero, (std::vector<uint64_t>{pos_neg[1], zero[0]}));
+  ASSERT_NE(zero[0], pos_neg[0]);
+  ASSERT_NE(zero[0], pos_neg[1]);
+  ASSERT_NE(pos_neg[0], pos_neg[1]);
+
+  // Classes: Lt/A; arrives in every output, with a different static value
+  // each time; Lt/B; first arrives in the second.
+  ASSERT_EQ(first.classes.size(), 1u);
+  first.classes[0].static_fields.push_back(static_int("S", 1));
+  second.classes[0].static_fields.push_back(static_int("S", 2));
+  third.classes[0].static_fields.push_back(static_int("S", 3));
+  CollectedClass other;
+  other.descriptor = "Lt/B;";
+  other.super_descriptor = "Ljava/lang/Object;";
+  second.classes.push_back(other);
+
+  // Reflection: two outputs resolve the call site at pc 4 differently; the
+  // site counters say 1 + 2 but only two distinct sites exist.
+  first.methods.at(kF).reflection_targets[4] = target("one");
+  first.reflection_sites = 1;
+  second.methods.at(kF).reflection_targets[4] = target("two");
+  second.methods.at(kF).reflection_targets[6] = target("three");
+  second.reflection_sites = 2;
+
+  uint64_t observed = first.total_instructions_observed +
+                      second.total_instructions_observed +
+                      third.total_instructions_observed;
+
+  CollectionOutput merged;
+  merge_collection(merged, std::move(first), 2);
+  merge_collection(merged, std::move(second), 2);
+  merge_collection(merged, std::move(third), 2);
+
+  ASSERT_EQ(merged.classes.size(), 2u);
+  EXPECT_EQ(merged.classes[0].descriptor, "Lt/A;");
+  ASSERT_EQ(merged.classes[0].static_fields.size(), 1u);
+  EXPECT_EQ(merged.classes[0].static_fields[0].static_value.i, 1);
+  EXPECT_EQ(merged.classes[1].descriptor, "Lt/B;");
+
+  const MethodRecord* rec = merged.find_method(kF);
+  ASSERT_NE(rec, nullptr);
+  // Fold order, one tree per fingerprint, at most two: zero, then positive.
+  EXPECT_EQ(tree_fingerprints(merged),
+            (std::vector<uint64_t>{zero[0], pos_neg[0]}));
+  // The negative tree hit the cap in the second fold and, never kept, is
+  // counted again when the third fold brings it back.
+  EXPECT_EQ(rec->dropped_trees, 2u);
+  EXPECT_EQ(rec->executions, 5u);
+  EXPECT_EQ(merged.total_instructions_observed, observed);
+
+  ASSERT_EQ(rec->reflection_targets.size(), 2u);
+  EXPECT_EQ(rec->reflection_targets.at(4), target("one"));
+  EXPECT_EQ(rec->reflection_targets.at(6), target("three"));
+  EXPECT_EQ(merged.reflection_sites, 2u);
+}
+
+TEST(MergeCollection, DecodedOutputFoldsLikeCollected) {
+  // decode_collection output carries no tree hashes; folding it must keep
+  // and drop exactly the trees the collected original would.
+  auto fold = [](bool decoded) {
+    CollectionOutput merged = collect_f({0, 1});
+    CollectionOutput more = collect_f({-1, 1});
+    if (decoded) more = decode_collection(encode_collection(more));
+    merge_collection(merged, std::move(more), 2);
+    return merged;
+  };
+  CollectionOutput collected = fold(false);
+  CollectionOutput decoded = fold(true);
+  EXPECT_EQ(tree_fingerprints(decoded), tree_fingerprints(collected));
+  EXPECT_EQ(decoded.find_method(kF)->dropped_trees, 1u);
+  EXPECT_EQ(collected.find_method(kF)->dropped_trees, 1u);
+  CollectionFiles a = encode_collection(decoded);
+  CollectionFiles b = encode_collection(collected);
+  EXPECT_EQ(a.method_data, b.method_data);
+  EXPECT_EQ(a.bytecode, b.bytecode);
+}
+
 TEST(CollectionFiles, EncodeDecodeRoundTrip) {
   CollectionOutput out;
   CollectedClass cls;

@@ -61,25 +61,92 @@ dex::Apk guarded_app() {
   return apk;
 }
 
+// onCreate runs 70 nops (pcs 0-69), const/16 (70), an if-eqz that is always
+// taken (72) over 26 nops (74-99), then 40 nops (100-139) and return-void
+// (140). Its executed pcs straddle the 64-bit words of the tracker's pc
+// bitsets at 63/64/65 and 127/128.
+dex::Apk long_app() {
+  dex::DexBuilder b;
+  b.start_class("Lcov/Long;", "Landroid/app/Activity;");
+  MethodAssembler as(2, 1);
+  auto skip = as.make_label();
+  for (int i = 0; i < 70; ++i) as.nop();
+  as.const16(0, 0);
+  as.if_testz(Op::kIfEqz, 0, skip);
+  for (int i = 0; i < 26; ++i) as.nop();
+  as.bind(skip);
+  for (int i = 0; i < 40; ++i) as.nop();
+  as.return_void();
+  b.add_virtual_method("onCreate", "V", {}, as.finish());
+  dex::Apk apk;
+  dex::Manifest manifest;
+  manifest.package = "cov.long";
+  manifest.entry_class = "Lcov/Long;";
+  apk.set_manifest(manifest);
+  apk.set_classes(dex::write_dex(std::move(b).build()));
+  return apk;
+}
+
+void expect_report(const CoverageTracker::Report& got,
+                   const CoverageTracker::Report& want) {
+  EXPECT_EQ(got.classes_total, want.classes_total);
+  EXPECT_EQ(got.classes_covered, want.classes_covered);
+  EXPECT_EQ(got.methods_total, want.methods_total);
+  EXPECT_EQ(got.methods_covered, want.methods_covered);
+  EXPECT_EQ(got.lines_total, want.lines_total);
+  EXPECT_EQ(got.lines_covered, want.lines_covered);
+  EXPECT_EQ(got.branches_total, want.branches_total);
+  EXPECT_EQ(got.branches_covered, want.branches_covered);
+  EXPECT_EQ(got.instructions_total, want.instructions_total);
+  EXPECT_EQ(got.instructions_covered, want.instructions_covered);
+}
+
+void expect_same_branch_sites(const CoverageTracker& got,
+                              const CoverageTracker& want) {
+  ASSERT_EQ(got.branch_sites().size(), want.branch_sites().size());
+  for (const auto& [key, sites] : want.branch_sites()) {
+    const auto* mine = got.branches(key);
+    ASSERT_NE(mine, nullptr) << key;
+    ASSERT_EQ(mine->size(), sites.size()) << key;
+    for (const auto& [pc, seen] : sites) {
+      ASSERT_TRUE(mine->contains(pc)) << key << "@" << pc;
+      EXPECT_EQ(mine->at(pc).taken, seen.taken) << key << "@" << pc;
+      EXPECT_EQ(mine->at(pc).untaken, seen.untaken) << key << "@" << pc;
+    }
+  }
+}
+
 TEST(Tracker, ReportsAllGranularities) {
-  dex::Apk apk = guarded_app();
-  CoverageTracker tracker;
-  rt::Runtime runtime;
-  runtime.add_hooks(&tracker);
-  runtime.install(apk);
-  runtime.launch();
-  dex::DexFile file = dex::read_dex(apk.classes());
-  CoverageTracker::Report report = tracker.report(file);
-  EXPECT_EQ(report.classes_total, 1u);
-  EXPECT_EQ(report.classes_covered, 1u);
-  EXPECT_EQ(report.methods_total, 2u);
-  EXPECT_EQ(report.methods_covered, 1u);  // reach() behind the guard
-  EXPECT_GT(report.instructions_total, 0u);
-  EXPECT_LT(report.instruction_pct(), 1.0);
-  EXPECT_GT(report.instruction_pct(), 0.3);
-  // One conditional, only the untaken side observed.
-  EXPECT_EQ(report.branches_total, 2u);
-  EXPECT_EQ(report.branches_covered, 1u);
+  struct Case {
+    const char* name;
+    dex::Apk apk;
+    CoverageTracker::Report want;
+  };
+  CoverageTracker::Report guarded;
+  guarded.classes_total = guarded.classes_covered = 1;
+  guarded.methods_total = 2;
+  guarded.methods_covered = 1;  // reach() behind the guard
+  guarded.instructions_total = 15;
+  guarded.instructions_covered = 10;
+  guarded.branches_total = 2;  // one conditional, only its untaken side seen
+  guarded.branches_covered = 1;
+  CoverageTracker::Report straddling;
+  straddling.classes_total = straddling.classes_covered = 1;
+  straddling.methods_total = straddling.methods_covered = 1;
+  straddling.instructions_total = 139;
+  straddling.instructions_covered = 113;  // all but the 26 skipped nops
+  straddling.branches_total = 2;  // one conditional, only its taken side seen
+  straddling.branches_covered = 1;
+  for (const Case& c : {Case{"guarded", guarded_app(), guarded},
+                        Case{"straddling", long_app(), straddling}}) {
+    SCOPED_TRACE(c.name);
+    CoverageTracker tracker;
+    rt::Runtime runtime;
+    runtime.add_hooks(&tracker);
+    runtime.install(c.apk);
+    runtime.launch();
+    expect_report(tracker.report(dex::read_dex(c.apk.classes())), c.want);
+  }
 }
 
 TEST(Tracker, MergeAccumulates) {
@@ -103,6 +170,28 @@ TEST(Tracker, MergeAccumulates) {
   a.merge(b);
   EXPECT_DOUBLE_EQ(a.report(file).method_pct(), 1.0);
   EXPECT_DOUBLE_EQ(a.report(file).branch_pct(), 1.0);
+}
+
+TEST(Tracker, OneTrackerOverTwoRuntimesEqualsMergedTrackers) {
+  // The second runtime may reuse the first one's RtMethod addresses, so a
+  // tracker observing both must not carry per-method state across them.
+  dex::Apk apk = guarded_app();
+  dex::DexFile file = dex::read_dex(apk.classes());
+  auto run = [&](CoverageTracker& tracker, const char* input) {
+    rt::Runtime runtime;
+    runtime.add_hooks(&tracker);
+    if (input != nullptr) runtime.set_text_input(3, input);
+    runtime.install(apk);
+    runtime.launch();
+  };
+  CoverageTracker both, first, second;
+  run(both, nullptr);
+  run(both, "magicword");
+  run(first, nullptr);
+  run(second, "magicword");
+  first.merge(second);
+  expect_report(both.report(file), first.report(file));
+  expect_same_branch_sites(both, first);
 }
 
 TEST(Fuzzer, RandomInputsRarelyPassSemanticGuards) {

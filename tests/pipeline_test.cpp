@@ -598,6 +598,40 @@ TEST(BatchPipeline, LargeSwitchPayloadDoesNotStallSweeps) {
   }
 }
 
+TEST(BatchPipeline, TruncatedTrailingInstructionIsNotCollected) {
+  // onCreate is one const-wide opcode unit with its 4 literal units cut off.
+  // The runtime raises VerifyError on it; the collector must bound the
+  // units it snapshots by the code array (ASan saw a 10-byte heap over-read
+  // when it copied the opcode's nominal width) and record nothing.
+  dex::DexBuilder b;
+  b.start_class("Lhostile/Truncated;", "Landroid/app/Activity;");
+  dex::CodeItem code;
+  code.registers_size = 3;
+  code.ins_size = 1;
+  code.insns = {static_cast<uint16_t>(bc::Op::kConstWide)};
+  b.add_virtual_method("onCreate", "V", {}, std::move(code));
+  dex::Manifest manifest;
+  manifest.package = "hostile.truncated";
+  manifest.entry_class = "Lhostile/Truncated;";
+  dex::Apk apk;
+  apk.set_manifest(manifest);
+  apk.set_classes(dex::write_dex(std::move(b).build()));
+
+  std::vector<pipeline::BatchJob> jobs(1);
+  jobs[0].name = "truncated";
+  jobs[0].apk = apk;
+  pipeline::BatchReport report = pipeline::run_batch(jobs, {});
+  ASSERT_TRUE(report.jobs[0].ok) << report.jobs[0].error;
+  EXPECT_TRUE(report.jobs[0].verified);
+
+  core::CollectionOutput out = core::DexLego::collect(apk, {});
+  const core::MethodRecord* rec =
+      out.find_method({"Lhostile/Truncated;", "onCreate", "()V"});
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->executions, 1u);
+  EXPECT_TRUE(rec->trees.empty());  // no ILEntry for the truncated pc 0
+}
+
 TEST(BatchPipeline, NonStdExceptionFailsClosed) {
   // Workers must fail closed for ANY throw, not just std::exception — a
   // hostile native-method shim can throw an arbitrary type. Both the

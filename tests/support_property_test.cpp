@@ -276,6 +276,16 @@ TEST(HashStability, Adler32PinnedVectors) {
   // zlib.adler32).
   EXPECT_EQ(adler32(ramp), 0xbbba8772u);
   EXPECT_EQ(adler32(std::span(ramp).subspan(1)), 0xbbb98772u);
+  // All-0xff inputs are the worst case for deferring the modulo: they grow
+  // the sums fastest, so lengths around one and two 5552-byte blocks (and
+  // well past them) pin the reduction points (values from zlib.adler32).
+  const std::pair<size_t, uint32_t> ones[] = {
+      {5551, 0x56039a8du},  {5552, 0xf18f9b8cu},  {5553, 0x8e299c8bu},
+      {11104, 0xff6f3726u}, {65536, 0x77970ef2u}, {1048583, 0x344cf60au}};
+  for (const auto& [length, expected] : ones) {
+    std::vector<uint8_t> data(length, 0xff);
+    EXPECT_EQ(adler32(data), expected) << length << " bytes of 0xff";
+  }
 }
 
 TEST(HashStability, Sha1PinnedVectors) {
