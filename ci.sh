@@ -147,35 +147,6 @@ fi
 rm -f "$table67_out"
 echo "Tables VI/VII gate passed"
 
-# --- interpreter dispatch bench smoke --------------------------------------
-# Runs the two-mode dispatch bench (fallback vs cached), collecting its
-# BENCH_JSON lines into BENCH_interp.json (one JSON object per line — the
-# perf trajectory file). The cached mode must pay for itself
-# (docs/ARCHITECTURE.md invariant 11): interp_dispatch exits non-zero when
-# cached is slower than fallback on hot_loop or on self_mod.
-bench_out="$(mktemp)"
-"$BUILD_DIR"/bench/interp_dispatch --loops 100000 --min-speedup 1.0 \
-  | tee "$bench_out"
-grep '^BENCH_JSON ' "$bench_out" | sed 's/^BENCH_JSON //' > BENCH_interp.json
-rm -f "$bench_out"
-# Every per-mode workload line must carry the full key set — a missing field
-# would silently break the perf-trajectory consumers downstream.
-mode_lines=0
-while IFS= read -r line; do
-  mode_lines=$((mode_lines + 1))
-  for key in bench workload mode loops steps wall_ms insns_per_sec; do
-    if ! grep -q "\"$key\":" <<<"$line"; then
-      echo "bench smoke: BENCH_JSON line missing key '$key': $line" >&2
-      exit 1
-    fi
-  done
-done < <(grep '"mode":' BENCH_interp.json)
-if [ "$mode_lines" -ne 4 ]; then  # 2 workloads x 2 dispatch modes
-  echo "bench smoke: expected 4 per-mode BENCH_JSON lines, got $mode_lines" >&2
-  exit 1
-fi
-echo "bench smoke passed ($(wc -l < BENCH_interp.json) BENCH_JSON lines)"
-
 # --- pipeline scaling bench ------------------------------------------------
 # The 10k-app large_corpus scaling matrix (threads x dedup-store shards).
 # The bench fingerprint-compares every config's per-app outputs internally
@@ -230,8 +201,10 @@ if [ "$pipeline_lines" -lt 16 ]; then  # 4 + 8 scaling configs + 4 droidbench
   echo "pipeline scaling: expected >= 16 BENCH_JSON lines, got $pipeline_lines" >&2
   exit 1
 fi
+# BENCH_interp.json is the perf trajectory file, one JSON object per line:
+# this stanza starts it afresh and the service bench below appends to it.
 grep '^BENCH_JSON ' "$scaling_out" | sed 's/^BENCH_JSON //' \
-  >> BENCH_interp.json
+  > BENCH_interp.json
 if [ -n "${DEXLEGO_UPDATE_BASELINE:-}" ]; then
   grep '^BENCH_JSON ' "$scaling_out" | sed 's/^BENCH_JSON //' \
     | grep '"threads":1,"shards":64' | head -1 > "$baseline_file"
@@ -278,14 +251,11 @@ echo "service bench passed ($service_lines phases)"
 # Rebuilds the concurrency-bearing suites (pipeline_test: the job-cursor
 # scheduler + DedupStore races; force_engine_test: the frontier logic each
 # force job drives; fuzz_test: the campaign worker pool sharing resolved
-# seeds; interp_cache_test's threaded cases: per-runtime predecode caches
-# under the campaign pool; service_test: the persistent store's log appends
-# under concurrent intern plus the extraction service's worker pool, quotas,
-# cancellation and store-directory lock) under TSan and runs them.
-# interp_cache_test is filtered to its thread-bearing cases — the full parity
-# sweeps are single-threaded and already run in the normal pass. Skipped
-# where TSan can't compile, link or execute (older toolchains, restricted
-# sandboxes).
+# seeds; service_test: the persistent store's log appends under concurrent
+# intern plus the extraction service's worker pool, quotas, cancellation
+# and store-directory lock; real_dex_test's container-equivalence runs)
+# under TSan and runs them. Skipped where TSan can't compile, link or
+# execute (older toolchains, restricted sandboxes).
 TSAN_DIR="${TSAN_DIR:-${BUILD_DIR}-tsan}"
 tsan_probe="$(mktemp -d)"
 cat > "$tsan_probe/probe.cpp" <<'EOF'
@@ -299,13 +269,12 @@ if c++ -fsanitize=thread -o "$tsan_probe/probe" "$tsan_probe/probe.cpp" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
     -DDEXLEGO_BUILD_BENCHES=OFF -DDEXLEGO_BUILD_EXAMPLES=OFF
   cmake --build "$TSAN_DIR" -j "$JOBS" \
-    --target pipeline_test force_engine_test fuzz_test interp_cache_test \
-             real_dex_test service_test
+    --target pipeline_test force_engine_test fuzz_test real_dex_test \
+             service_test
   "$TSAN_DIR"/tests/pipeline_test
   "$TSAN_DIR"/tests/force_engine_test
   "$TSAN_DIR"/tests/fuzz_test
   "$TSAN_DIR"/tests/service_test
-  "$TSAN_DIR"/tests/interp_cache_test --gtest_filter='InterpCacheThreads.*'
   # Container-equivalence runs the reveal pipeline end to end; under TSan it
   # guards the real-DEX load path against racy lazy state.
   "$TSAN_DIR"/tests/real_dex_test --gtest_filter='RealDexContainerEquivalence.*'

@@ -519,7 +519,8 @@ GeneratedApp generate_app(const AppSpec& spec) {
                 cls, args.size() > 1 && args[1].test_value() == 0 ? "smCovert"
                                                                   : "smNormal");
             if (target == dex::kNoIndex) return rt::Value::Null();
-            // Announced patch (generation-bumping); see RtMethod::patch_code_unit.
+            // Swap the invoke's method index in place; the interpreter sees
+            // it at the next fetch.
             drive->patch_code_unit(call_pc + 1, static_cast<uint16_t>(target));
             return rt::Value::Null();
           });

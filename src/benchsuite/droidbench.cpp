@@ -725,8 +725,8 @@ Sample self_modifying(const std::string& name, Src s, Snk k, bool deep_chain) {
           uint32_t target = file.find_method_ref(
               cls, args[1].test_value() == 0 ? covert_name : "normal");
           if (target == dex::kNoIndex) return rt::Value::Null();
-          // Announced patch: bumps the code generation so the predecoded
-          // cache invalidates the swapped invoke without a full rebuild.
+          // Swap the invoke's method index in place; the interpreter sees
+          // it at the next fetch.
           leak->patch_code_unit(call_pc + 1, static_cast<uint16_t>(target));
           return rt::Value::Null();
         });

@@ -1,37 +1,10 @@
 #include "src/bytecode/disasm.h"
 
-#include <algorithm>
+#include <span>
 #include <sstream>
-
-#include "src/support/bytes.h"
+#include <vector>
 
 namespace dexlego::bc {
-
-void PredecodedUnit::memoize(std::span<const uint16_t> code, size_t pc,
-                             const Insn& decoded, size_t consumed) {
-  insn = decoded;
-  src_len = static_cast<uint8_t>(std::min(consumed, kMaxGuardUnits));
-  for (size_t i = 0; i < src_len; ++i) src[i] = code[pc + i];
-  mapped = true;
-}
-
-std::vector<PredecodedUnit> predecode_linear(std::span<const uint16_t> code) {
-  std::vector<PredecodedUnit> units(code.size());
-  size_t pc = 0;
-  while (pc < code.size()) {
-    Insn insn;
-    size_t consumed;
-    try {
-      insn = decode_at(code, pc);
-      consumed = consumed_units(insn);
-    } catch (const support::ParseError&) {
-      break;  // garbage tail: later pcs decode lazily if ever executed
-    }
-    units[pc].memoize(code, pc, insn, consumed);
-    pc += consumed;
-  }
-  return units;
-}
 
 namespace {
 std::string reg(uint8_t r) { return "v" + std::to_string(r); }

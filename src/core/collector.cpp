@@ -296,7 +296,6 @@ void Collector::on_method_exit(rt::RtMethod& method) {
 
 void Collector::on_reflective_invoke(rt::RtMethod& caller, uint32_t dex_pc,
                                      rt::RtMethod& target) {
-  if (!options_.collect_reflection) return;
   MethodRecord& rec = record_for(caller);
   SymRef ref;
   ref.kind = bc::RefKind::kMethod;

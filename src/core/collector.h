@@ -25,7 +25,6 @@ class Collector : public rt::RuntimeHooks {
  public:
   struct Options {
     size_t max_variants = 8;  // unique trees kept per method
-    bool collect_reflection = true;
   };
 
   Collector() : options_(Options{}) {}

@@ -65,7 +65,6 @@ Trace trace_app(const dex::Apk& apk,
                 const OracleOptions& options) {
   rt::RuntimeConfig cfg;
   cfg.step_limit = options.step_limit;
-  cfg.dispatch = options.dispatch;
   rt::Runtime runtime(cfg);
   if (configure) configure(runtime);
   runtime.install(apk);
@@ -188,7 +187,6 @@ OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
     core::DexLegoOptions reveal_options;
     reveal_options.configure_runtime = mutant.configure_runtime;
     reveal_options.runtime.step_limit = options.step_limit;
-    reveal_options.runtime.dispatch = options.dispatch;
     core::DexLego dexlego(reveal_options);
     reveal = dexlego.reveal(mutant.apk);
   } catch (const std::exception& e) {
@@ -227,7 +225,6 @@ OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
       core::DexLegoOptions reveal_options;
       reveal_options.configure_runtime = mutant.configure_runtime;
       reveal_options.runtime.step_limit = options.step_limit;
-      reveal_options.runtime.dispatch = options.dispatch;
       core::DexLego dexlego(reveal_options);
       again = dexlego.reveal(reveal.revealed_apk);
     } catch (const std::exception& e) {

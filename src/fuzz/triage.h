@@ -45,10 +45,6 @@ struct OracleOptions {
   uint64_t step_limit = 400'000;
   // Also reveal the revealed APK and demand the same behaviour again.
   bool check_idempotence = true;
-  // Dispatch mode for every runtime the oracle builds (traces and reveals).
-  // tests/interp_cache_test.cpp runs whole campaigns in both modes and
-  // demands identical reports.
-  rt::DispatchMode dispatch = rt::DispatchMode::kCached;
 };
 
 struct OracleReport {

@@ -13,33 +13,9 @@ const DexImage& ClassLinker::register_dex(dex::DexFile file, std::string source)
   image->source = std::move(source);
   image->file = std::move(file);
   images_.push_back(std::move(image));
-  // A new image can turn a framework descriptor into an app class, so every
-  // class-dependent memo (including negative entries) is stale. Pool-only
-  // data (ref_info, interned strings) survives: images are immutable.
-  for (const auto& cache : image_caches_) {
-    if (!cache) continue;
-    for (auto& entry : cache->methods) entry.reset();
-    for (auto& entry : cache->static_fields) entry.reset();
-    for (auto& entry : cache->instance_fields) entry.reset();
-  }
   const DexImage& ref = *images_.back();
   runtime_.hook_chain().dispatch_dex_loaded(ref);
   return ref;
-}
-
-ClassLinker::ImageCache& ClassLinker::image_cache(const DexImage& image) {
-  size_t id = static_cast<size_t>(image.id);
-  if (image_caches_.size() <= id) image_caches_.resize(id + 1);
-  if (!image_caches_[id]) {
-    auto cache = std::make_unique<ImageCache>();
-    cache->ref_info.resize(image.file.methods.size());
-    cache->methods.resize(image.file.methods.size());
-    cache->static_fields.resize(image.file.fields.size());
-    cache->instance_fields.resize(image.file.fields.size());
-    cache->strings.assign(image.file.strings.size(), nullptr);
-    image_caches_[id] = std::move(cache);
-  }
-  return *image_caches_[id];
 }
 
 bool ClassLinker::is_framework_descriptor(std::string_view descriptor) const {
@@ -301,57 +277,6 @@ ClassLinker::MethodRefInfo ClassLinker::method_ref_info(const DexImage& image,
   info.name = image.file.string_at(ref.name);
   info.shorty = image.file.proto_shorty(ref.proto);
   return info;
-}
-
-const ClassLinker::MethodRefInfo& ClassLinker::method_ref_info_cached(
-    const DexImage& image, uint16_t method_idx) {
-  ImageCache& cache = image_cache(image);
-  if (method_idx >= cache.ref_info.size()) {
-    image.file.methods.at(method_idx);  // throws, like the uncached path
-  }
-  std::optional<MethodRefInfo>& slot = cache.ref_info[method_idx];
-  if (!slot) slot = method_ref_info(image, method_idx);
-  return *slot;
-}
-
-ClassLinker::ResolvedMethod ClassLinker::resolve_method_cached(
-    const DexImage& image, uint16_t method_idx) {
-  ImageCache& cache = image_cache(image);
-  if (method_idx < cache.methods.size() && cache.methods[method_idx]) {
-    return *cache.methods[method_idx];
-  }
-  ResolvedMethod resolved;
-  resolved.method = resolve_method(image, method_idx, &resolved.framework);
-  if (method_idx < cache.methods.size()) cache.methods[method_idx] = resolved;
-  return resolved;
-}
-
-ClassLinker::ResolvedField ClassLinker::resolve_field_cached(
-    const DexImage& image, uint16_t field_idx, bool want_static) {
-  ImageCache& cache = image_cache(image);
-  auto& entries = want_static ? cache.static_fields : cache.instance_fields;
-  if (field_idx < entries.size() && entries[field_idx]) {
-    return *entries[field_idx];
-  }
-  // The first resolution runs ensure_initialized (static refs) and lazy
-  // class loading — both idempotent, so memoizing the result afterwards
-  // changes nothing observable.
-  ResolvedField resolved = resolve_field(image, field_idx, want_static);
-  if (field_idx < entries.size()) entries[field_idx] = resolved;
-  return resolved;
-}
-
-Object* ClassLinker::interned_string(const DexImage& image,
-                                     uint16_t string_idx) {
-  ImageCache& cache = image_cache(image);
-  if (string_idx >= cache.strings.size()) {
-    image.file.string_at(string_idx);  // throws, like the uncached path
-  }
-  Object*& slot = cache.strings[string_idx];
-  if (slot == nullptr) {
-    slot = runtime_.heap().intern_string(image.file.string_at(string_idx));
-  }
-  return slot;
 }
 
 std::vector<RtClass*> ClassLinker::loaded_classes() const { return load_order_; }

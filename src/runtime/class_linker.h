@@ -1,11 +1,13 @@
 // Class linker: lazy loading, linking and initialization of classes from
 // registered DEX images — the component DexLego hooks for class/field/static
-// value collection (paper Fig. 2 "Initialization in class linker").
+// value collection (paper Fig. 2 "Initialization in class linker"). Its pool
+// resolvers keep no memo: the interpreter calls them on every execution of
+// a field or invoke instruction, so a newly registered image is seen at the
+// next resolution.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,7 +44,7 @@ class ClassLinker {
   RtClass* framework_class(std::string_view descriptor);
   bool is_framework_descriptor(std::string_view descriptor) const;
 
-  // --- pool resolution for the interpreter (cached per image) ---
+  // --- pool resolution for the interpreter ---
   const std::string& type_descriptor(const DexImage& image, uint16_t type_idx) const;
   struct ResolvedField {
     RtClass* cls = nullptr;
@@ -66,27 +68,6 @@ class ClassLinker {
   };
   MethodRefInfo method_ref_info(const DexImage& image, uint16_t method_idx) const;
 
-  // --- index-keyed resolution caches (cached dispatch mode) ---
-  // Memoized twins of the resolvers above, keyed (image id, pool index).
-  // Pool-only data (ref info, interned literals) is immutable per image and
-  // cached forever; class-dependent results (methods, fields) are flushed
-  // whenever a new image registers, because dynamic loading can turn a
-  // framework descriptor into an app class. Returned references stay valid
-  // across further cache fills and image registrations.
-  const MethodRefInfo& method_ref_info_cached(const DexImage& image,
-                                              uint16_t method_idx);
-  struct ResolvedMethod {
-    RtMethod* method = nullptr;
-    bool framework = false;
-  };
-  ResolvedMethod resolve_method_cached(const DexImage& image,
-                                       uint16_t method_idx);
-  ResolvedField resolve_field_cached(const DexImage& image, uint16_t field_idx,
-                                     bool want_static);
-  // The interned literal for a const-string operand (Heap::intern_string
-  // keyed by string index so repeat executions skip the content lookup).
-  Object* interned_string(const DexImage& image, uint16_t string_idx);
-
   // All loaded (app) classes, in load order — DexHunter/AppSpear dump these.
   std::vector<RtClass*> loaded_classes() const;
 
@@ -94,21 +75,8 @@ class ClassLinker {
   RtClass* load_class(std::string_view descriptor);
   void link_class(RtClass& cls, const dex::ClassDef& def, const DexImage& image);
 
-  // Per-image memo for the cached resolvers. Entry vectors are sized to the
-  // image's pool once and never reallocate, so pointers into them are
-  // stable while the linker lives.
-  struct ImageCache {
-    std::vector<std::optional<MethodRefInfo>> ref_info;
-    std::vector<std::optional<ResolvedMethod>> methods;
-    std::vector<std::optional<ResolvedField>> static_fields;
-    std::vector<std::optional<ResolvedField>> instance_fields;
-    std::vector<Object*> strings;
-  };
-  ImageCache& image_cache(const DexImage& image);
-
   Runtime& runtime_;
   std::vector<std::unique_ptr<DexImage>> images_;
-  std::vector<std::unique_ptr<ImageCache>> image_caches_;  // by image id
   std::map<std::string, std::unique_ptr<RtClass>, std::less<>> classes_;
   std::vector<RtClass*> load_order_;
   std::map<std::string, std::unique_ptr<RtClass>, std::less<>> framework_classes_;

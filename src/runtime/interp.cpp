@@ -144,7 +144,6 @@ Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
   size_t base = registers - ins;
   for (size_t i = 0; i < args.size() && i < ins; ++i) regs[base + i] = args[i];
 
-  const bool cached = rt_.config().dispatch == DispatchMode::kCached;
   ClassLinker& linker = rt_.linker();
 
   Value result_reg = Value::Null();   // move-result source
@@ -171,36 +170,9 @@ Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
     rt_.hook_chain().dispatch_instruction(method, static_cast<uint32_t>(pc),
                                           insns);
 
-    // `cache` is re-looked-up every step and the decoded insn is copied
-    // out of the slot: nested execution (invokes, clinit inside field
-    // resolution, recursion into this very method, hooks) can patch,
-    // rebuild or wholesale-invalidate this method's cache while this frame
-    // is mid-instruction, so a reference into the slot array must not
-    // outlive the fetch.
-    PredecodedCode* cache = nullptr;
     Insn insn;
     try {
-      if (cached) {
-        cache = method.predecoded.get();
-        if (cache == nullptr) {
-          method.predecoded = std::make_unique<PredecodedCode>();
-          cache = method.predecoded.get();
-          cache->rebuild(insns, method.code_generation);
-        } else if (!cache->valid_for(insns, method.code_generation)) {
-          if (cache->stats().rebuilds < PredecodedCode::kMaxRebuilds) {
-            cache->rebuild(insns, method.code_generation);
-          } else {
-            cache = nullptr;  // hostile churn: degrade to decode-every-step
-          }
-        }
-        if (cache != nullptr) {
-          insn = cache->fetch(insns, pc);
-        } else {
-          insn = bc::decode_at(insns, pc);
-        }
-      } else {
-        insn = bc::decode_at(insns, pc);
-      }
+      insn = bc::decode_at(insns, pc);
     } catch (const support::ParseError& e) {
       out.exception = make_exception("Ljava/lang/VerifyError;", e.what());
       return out;
@@ -221,13 +193,11 @@ Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
           regs.at(insn.a) = Value::Int(insn.lit);
           break;
         case Op::kConstString: {
-          // Interned in both modes (Dalvik semantics): repeat executions of
-          // one literal — and the same literal elsewhere — share an object,
+          // Interned (Dalvik semantics): repeat executions of one literal —
+          // and the same literal elsewhere, in any image — share an object,
           // so if-eq identity checks on literals hold.
-          Object* s = cache != nullptr
-                          ? linker.interned_string(*method.image, insn.idx)
-                          : rt_.heap().intern_string(
-                                method.image->file.string_at(insn.idx));
+          Object* s =
+              rt_.heap().intern_string(method.image->file.string_at(insn.idx));
           regs.at(insn.a) = Value::Ref(s);
           break;
         }
@@ -411,10 +381,7 @@ Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
                                      "field access on null");
             break;
           }
-          auto resolved =
-              cache != nullptr
-                  ? linker.resolve_field_cached(*method.image, insn.idx, false)
-                  : linker.resolve_field(*method.image, insn.idx, false);
+          auto resolved = linker.resolve_field(*method.image, insn.idx, false);
           if (resolved.field == nullptr ||
               resolved.field->slot >= obj.ref->fields.size()) {
             pending = make_exception("Ljava/lang/NoSuchFieldError;",
@@ -430,10 +397,7 @@ Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
         }
         case Op::kSget:
         case Op::kSput: {
-          auto resolved =
-              cache != nullptr
-                  ? linker.resolve_field_cached(*method.image, insn.idx, true)
-                  : linker.resolve_field(*method.image, insn.idx, true);
+          auto resolved = linker.resolve_field(*method.image, insn.idx, true);
           if (resolved.field == nullptr) {
             pending = make_exception("Ljava/lang/NoSuchFieldError;",
                                      method.image->file.pretty_field(insn.idx));
@@ -452,11 +416,10 @@ Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
           std::vector<Value> call_args;
           call_args.reserve(insn.a);
           for (uint8_t i = 0; i < insn.a; ++i) call_args.push_back(regs.at(insn.args[i]));
-          InlineSite* ic = cache != nullptr ? &cache->inline_site(pc) : nullptr;
           CallResult r =
               dispatch_invoke(static_cast<uint8_t>(insn.op), method,
                               static_cast<uint32_t>(pc), insn.idx,
-                              std::move(call_args), ic);
+                              std::move(call_args));
           if (aborted_) return {};
           if (r.exception != nullptr) {
             pending = r.exception;
@@ -511,7 +474,9 @@ Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
           method, static_cast<uint32_t>(pc));
       if (tolerated) {
         pending = nullptr;
-        pc += insn.width;  // skip the faulting instruction
+        // Skip the faulting instruction by its true extent: a switch
+        // payload can outgrow Insn::width's 8 bits.
+        pc += bc::consumed_units(insn);
         continue;
       }
       const dex::TryItem* handler = nullptr;
@@ -538,33 +503,14 @@ Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
 Interpreter::CallResult Interpreter::dispatch_invoke(uint8_t op_raw,
                                                      RtMethod& caller, uint32_t pc,
                                                      uint16_t method_idx,
-                                                     std::vector<Value> args,
-                                                     InlineSite* ic) {
+                                                     std::vector<Value> args) {
   CallResult out;
   Op op = static_cast<Op>(op_raw);
   ClassLinker& linker = rt_.linker();
 
-  // Monomorphic fast path: the receiver class matches the one this call
-  // site dispatched to last time — skip ref-info construction and the
-  // find_dispatch walk entirely. The site is cleared whenever its slot
-  // redecodes, so a self-mod write of the method index cannot serve a
-  // stale target.
-  if (ic != nullptr && ic->klass != nullptr && op == Op::kInvokeVirtual &&
-      !args.empty() && args[0].is_ref() && args[0].ref != nullptr &&
-      args[0].ref->klass == ic->klass) {
-    return call(*ic->target, std::move(args), &caller, pc);
-  }
-
-  const bool use_cache = ic != nullptr;  // cached dispatch mode
-  const ClassLinker::MethodRefInfo* info;
-  ClassLinker::MethodRefInfo local_info;
+  ClassLinker::MethodRefInfo info;
   try {
-    if (use_cache) {
-      info = &linker.method_ref_info_cached(*caller.image, method_idx);
-    } else {
-      local_info = linker.method_ref_info(*caller.image, method_idx);
-      info = &local_info;
-    }
+    info = linker.method_ref_info(*caller.image, method_idx);
   } catch (const std::out_of_range&) {
     out.exception = make_exception("Ljava/lang/VerifyError;", "bad method index");
     return out;
@@ -575,7 +521,7 @@ Interpreter::CallResult Interpreter::dispatch_invoke(uint8_t op_raw,
     // like null dispatch rather than crashing the host.
     if (args.empty() || !args[0].is_ref() || args[0].ref == nullptr) {
       out.exception = make_exception("Ljava/lang/NullPointerException;",
-                                     "invoke on null: " + info->name);
+                                     "invoke on null: " + info.name);
       return out;
     }
   }
@@ -583,45 +529,36 @@ Interpreter::CallResult Interpreter::dispatch_invoke(uint8_t op_raw,
   if (op == Op::kInvokeVirtual) {
     Object* receiver = args[0].ref;
     if (receiver->klass != nullptr) {
-      if (RtMethod* target = receiver->klass->find_dispatch(info->name, info->shorty)) {
-        if (ic != nullptr) {
-          ic->klass = receiver->klass;
-          ic->target = target;
-        }
+      if (RtMethod* target = receiver->klass->find_dispatch(info.name, info.shorty)) {
         return call(*target, std::move(args), &caller, pc);
       }
     }
     // Framework receiver or inherited framework method: resolve against the
     // static reference type first, then the receiver's runtime type (models
     // framework subclassing, e.g. EditText methods on a View handle).
-    if (rt_.find_builtin(info->class_descriptor, info->name) == nullptr &&
-        rt_.find_builtin(receiver->class_descriptor, info->name) != nullptr) {
-      return call_builtin(receiver->class_descriptor, info->name, &caller, pc, args);
+    if (rt_.find_builtin(info.class_descriptor, info.name) == nullptr &&
+        rt_.find_builtin(receiver->class_descriptor, info.name) != nullptr) {
+      return call_builtin(receiver->class_descriptor, info.name, &caller, pc, args);
     }
-    return call_builtin(info->class_descriptor, info->name, &caller, pc, args);
+    return call_builtin(info.class_descriptor, info.name, &caller, pc, args);
   }
 
   // Static / direct.
-  ClassLinker::ResolvedMethod resolved;
-  if (use_cache) {
-    resolved = linker.resolve_method_cached(*caller.image, method_idx);
-  } else {
-    resolved.method =
-        linker.resolve_method(*caller.image, method_idx, &resolved.framework);
+  bool framework = false;
+  RtMethod* resolved = linker.resolve_method(*caller.image, method_idx, &framework);
+  if (framework) {
+    return call_builtin(info.class_descriptor, info.name, &caller, pc, args);
   }
-  if (resolved.framework) {
-    return call_builtin(info->class_descriptor, info->name, &caller, pc, args);
-  }
-  if (resolved.method == nullptr) {
+  if (resolved == nullptr) {
     out.exception = make_exception(
         "Ljava/lang/NoSuchMethodError;",
-        info->class_descriptor + "->" + info->name + info->shorty);
+        info.class_descriptor + "->" + info.name + info.shorty);
     return out;
   }
   if (op == Op::kInvokeStatic) {
-    linker.ensure_initialized(*resolved.method->declaring);
+    linker.ensure_initialized(*resolved->declaring);
   }
-  return call(*resolved.method, std::move(args), &caller, pc);
+  return call(*resolved, std::move(args), &caller, pc);
 }
 
 Interpreter::CallResult Interpreter::call_builtin(const std::string& class_descriptor,
@@ -632,9 +569,6 @@ Interpreter::CallResult Interpreter::call_builtin(const std::string& class_descr
   CallResult out;
   const NativeFn* fn = rt_.find_builtin(class_descriptor, name);
   if (fn == nullptr) {
-    if (rt_.config().lenient_framework) {
-      return out;  // unknown framework call is a no-op returning null
-    }
     out.exception = make_exception("Ljava/lang/NoSuchMethodError;",
                                    class_descriptor + "->" + name + " (framework)");
     return out;

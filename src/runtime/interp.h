@@ -1,17 +1,12 @@
 // The bytecode interpreter — the ExecuteSwitchImpl analog. A switch-based
 // dispatch loop over 16-bit code units driven by a dex_pc variable, exactly
-// the structure DexLego instruments (paper Section IV-A). The instruction
-// array is re-fetched from the method on every step so native code patching
-// it mid-execution (self-modifying apps) is observed faithfully.
-//
-// One loop, two dispatch modes (RuntimeConfig::dispatch,
-// docs/INTERPRETER.md): kCached, the production mode, serves each step from
-// the method's predecoded cache (src/runtime/predecode.h — decode-once,
-// source-unit-guarded against self-modification, with inline caches for
-// method/field/string pool refs); kBaseline decodes and resolves everything
-// every step and is kept as the single differential oracle. Both must
-// produce byte-identical traces (docs/ARCHITECTURE.md invariant 11,
-// tests/interp_cache_test.cpp).
+// the structure DexLego instruments (paper Section IV-A). Every step
+// re-fetches the instruction array from the method, bounds-checks the pc,
+// fires the instruction hook and only then decodes the units it finds, so
+// any write to code->insns — through RtMethod::patch_code_unit or direct,
+// in place or by swapping the whole array — is seen at the next fetch. Nothing decoded or resolved is
+// kept between steps: pool references resolve through the class linker on
+// every execution (docs/INTERPRETER.md says why).
 //
 // The interpreter also implements the dynamic-taint substrate (value taint
 // masks propagate through moves/arithmetic/fields) and the two
@@ -69,11 +64,8 @@ class Interpreter {
 
  private:
   CallResult run_bytecode(RtMethod& method, std::vector<Value>& args);
-  // `ic` is the call site's inline-cache slot in cached dispatch mode,
-  // nullptr in baseline mode.
   CallResult dispatch_invoke(uint8_t op_raw, RtMethod& caller, uint32_t pc,
-                             uint16_t method_idx, std::vector<Value> args,
-                             InlineSite* ic);
+                             uint16_t method_idx, std::vector<Value> args);
   CallResult call_builtin(const std::string& class_descriptor,
                           const std::string& name, RtMethod* caller,
                           uint32_t caller_pc, std::vector<Value>& args);

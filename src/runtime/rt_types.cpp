@@ -9,13 +9,6 @@ std::string RtMethod::full_name() const {
 void RtMethod::patch_code_unit(size_t index, uint16_t value) {
   if (!code || index >= code->insns.size()) return;
   code->insns[index] = value;
-  ++code_generation;
-  if (predecoded) predecoded->patch_unit(index, code_generation);
-}
-
-void RtMethod::invalidate_code_cache() {
-  ++code_generation;
-  predecoded.reset();
 }
 
 RtMethod* RtClass::find_declared(std::string_view name, std::string_view shorty) {

@@ -2,7 +2,8 @@
 // mirror of DEX structures). RtMethod owns a *mutable* copy of its code
 // item: self-modifying native code patches these arrays at runtime, which is
 // precisely the behaviour DexLego's instruction-level collection defends
-// against (paper Section IV-A, Code 1-3).
+// against (paper Section IV-A, Code 1-3). Nothing derived from the array is
+// kept: the interpreter decodes it afresh at every step.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "src/dex/dex.h"
-#include "src/runtime/predecode.h"
 #include "src/runtime/value.h"
 
 namespace dexlego::rt {
@@ -62,21 +62,10 @@ struct RtMethod {
   // Bound implementation (native methods only).
   NativeFn native;
 
-  // Self-modification epoch: every announced patch bumps it, and the
-  // predecoded cache is only served while stamped with the current value.
-  uint64_t code_generation = 0;
-  // Predecoded fast path (src/runtime/predecode.h). Built lazily by the
-  // interpreter's cached dispatch mode; null until first bytecode run.
-  std::unique_ptr<PredecodedCode> predecoded;
-
-  // Announced code patch: writes one unit of code->insns, bumps the
-  // generation and surgically invalidates the cache slots whose decode can
-  // span the unit. Direct writes to code->insns remain legal — hostile
-  // natives do not announce, and the per-slot source-unit guard catches
-  // them — but announced patches keep the cached path rebuild-free.
+  // Bounds-checked write of one unit of code->insns; an index past the end
+  // (or a method without code) is ignored. A direct write to code->insns is
+  // just as visible: the interpreter re-fetches and decodes every step.
   void patch_code_unit(size_t index, uint16_t value);
-  // Wholesale invalidation for structural edits (resize, array swap).
-  void invalidate_code_cache();
 
   bool is_native() const { return (access_flags & dex::kAccNative) != 0; }
   bool is_static() const { return (access_flags & dex::kAccStatic) != 0; }

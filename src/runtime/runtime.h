@@ -25,24 +25,12 @@ namespace dexlego::rt {
 
 enum class DeviceProfile { kPhone, kTablet, kEmulator };
 
-// Interpreter dispatch mode: two modes of one loop (docs/INTERPRETER.md).
-// kCached predecodes instruction streams and inline-caches pool resolution
-// (src/runtime/predecode.h); it is the only production mode. kBaseline
-// re-decodes every step and re-resolves every pool ref — deliberately kept
-// alive as the single differential oracle the cached mode is tested
-// against (docs/ARCHITECTURE.md invariant 11; tests/interp_cache_test.cpp,
-// bench/interp_dispatch.cpp).
-enum class DispatchMode : uint8_t { kCached, kBaseline };
-
 struct RuntimeConfig {
   DeviceProfile device = DeviceProfile::kPhone;
   // false models the TaintDroid/TaintART taint loss through framework/native
   // marshalling (View tags, framework containers) — Table IV's Button1/3.
   bool taint_through_framework = true;
-  // Unknown framework calls: no-op (true) or NoSuchMethodError (false).
-  bool lenient_framework = false;
   uint64_t step_limit = 200'000'000;
-  DispatchMode dispatch = DispatchMode::kCached;
 };
 
 class Runtime {

@@ -393,59 +393,5 @@ TEST(Disasm, InvokeArgListAndWithoutFile) {
   EXPECT_NE(text.find("@0"), std::string::npos);
 }
 
-// --- batch predecoder (the cached-dispatch decode layer) ---
-
-TEST(Predecode, LinearSweepMapsEveryInstructionStart) {
-  MethodAssembler as(4, 0);
-  auto done = as.make_label();
-  as.const16(0, 41);        // pc 0, width 2
-  as.const_wide(1, 7);      // pc 2, width 5
-  as.if_testz(Op::kIfEqz, 0, done);  // pc 7, width 2
-  as.binop(Op::kAdd, 0, 0, 1);       // pc 9, width 2
-  as.bind(done);
-  as.return_void();         // pc 11, width 1
-  dex::CodeItem code = as.finish();
-
-  std::vector<PredecodedUnit> units = predecode_linear(code.insns);
-  ASSERT_EQ(units.size(), code.insns.size());
-  for (size_t pc : {0u, 2u, 7u, 9u, 11u}) {
-    EXPECT_TRUE(units[pc].mapped) << pc;
-    EXPECT_EQ(units[pc].insn, decode_at(code.insns, pc)) << pc;
-  }
-  // Interior units of multi-unit instructions stay unmapped (they only
-  // decode lazily if self-modified code ever jumps into them).
-  for (size_t pc : {1u, 3u, 4u, 5u, 6u, 8u, 10u}) {
-    EXPECT_FALSE(units[pc].mapped) << pc;
-  }
-}
-
-TEST(Predecode, SourceUnitGuardDetectsInPlaceWrites) {
-  MethodAssembler as(2, 0);
-  as.const16(0, 41);
-  as.return_value(0);
-  dex::CodeItem code = as.finish();
-
-  std::vector<PredecodedUnit> units = predecode_linear(code.insns);
-  ASSERT_TRUE(units[0].mapped);
-  ASSERT_TRUE(units[2].mapped);  // return-value
-  EXPECT_TRUE(units[0].src_matches(code.insns, 0));
-  code.insns[1] = 99;  // patch the literal in place
-  EXPECT_FALSE(units[0].src_matches(code.insns, 0));
-  // Slots whose decode did not consume the written unit stay valid.
-  EXPECT_TRUE(units[2].src_matches(code.insns, 2));
-}
-
-TEST(Predecode, GarbageTailStopsTheSweepQuietly) {
-  std::vector<uint16_t> code = {
-      static_cast<uint16_t>(Op::kConst16), 5,  // valid pc 0
-      0x00fe,                                  // invalid opcode at pc 2
-      static_cast<uint16_t>(Op::kReturnVoid),
-  };
-  std::vector<PredecodedUnit> units = predecode_linear(code);
-  EXPECT_TRUE(units[0].mapped);
-  EXPECT_FALSE(units[2].mapped);
-  EXPECT_FALSE(units[3].mapped);  // past the error: left for lazy decode
-}
-
 }  // namespace
 }  // namespace dexlego::bc

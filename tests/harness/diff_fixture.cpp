@@ -51,12 +51,7 @@ std::string ExecutionTrace::summary() const {
 }
 
 ExecutionTrace run_and_trace(const dex::Apk& apk, const ConfigureFn& configure) {
-  return run_and_trace(apk, configure, rt::RuntimeConfig{});
-}
-
-ExecutionTrace run_and_trace(const dex::Apk& apk, const ConfigureFn& configure,
-                             const rt::RuntimeConfig& config) {
-  rt::Runtime runtime(config);
+  rt::Runtime runtime;
   if (configure) configure(runtime);
   runtime.install(apk);
 

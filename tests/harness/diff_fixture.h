@@ -56,10 +56,6 @@ struct ExecutionTrace {
 // returns the trace. `configure` registers sample natives before install.
 ExecutionTrace run_and_trace(const dex::Apk& apk,
                              const ConfigureFn& configure = {});
-// Same, on a runtime built with `config` — the cached-vs-baseline dispatch
-// parity suite (tests/interp_cache_test.cpp) traces both modes through it.
-ExecutionTrace run_and_trace(const dex::Apk& apk, const ConfigureFn& configure,
-                             const rt::RuntimeConfig& config);
 
 struct DiffOptions {
   // Registers natives on every runtime used: collection, original replay and

@@ -7,6 +7,7 @@
 #include "src/dex/io.h"
 #include "src/runtime/runtime.h"
 #include "src/runtime/source_sink.h"
+#include "tests/harness/diff_fixture.h"
 
 namespace dexlego::rt {
 namespace {
@@ -802,6 +803,249 @@ TEST(Runtime, TabletOnlyLeakRespectsDeviceProfile) {
       EXPECT_TRUE(rt->leaks().empty());
     }
   }
+}
+
+// A tolerated exception skips the faulting instruction by its true extent.
+// A switch payload of `targets` targets occupies 4 + targets units, which
+// Insn::width's 8 bits wrap from 252 targets on (256 -> 0, 257 -> 1):
+// stepping by the width would re-execute the payload in place, or resume on
+// its count word and die on "invalid opcode 253".
+class ToleratedPayloadSkip : public ::testing::TestWithParam<uint16_t> {};
+
+TEST_P(ToleratedPayloadSkip, CompletesInThreeSteps) {
+  struct TolerateAll : RuntimeHooks {
+    uint32_t subscribed_events() const override {
+      return hook_mask(HookEvent::kTolerateException);
+    }
+    bool tolerate_exception(RtMethod&, uint32_t) override { return true; }
+  };
+  const uint16_t targets = GetParam();
+  // goto +2; a payload of `targets` zero targets; return-void.
+  dex::CodeItem code;
+  code.registers_size = 1;
+  code.insns = {static_cast<uint16_t>(Op::kGoto), 2,
+                static_cast<uint16_t>(Op::kPayload), targets, 0, 0};
+  code.insns.resize(code.insns.size() + targets, 0);
+  code.insns.push_back(static_cast<uint16_t>(Op::kReturnVoid));
+  dex::DexBuilder b;
+  b.start_class("Lt/A;");
+  b.add_direct_method("skip", "V", {}, std::move(code));
+  RuntimeConfig cfg;
+  cfg.step_limit = 10'000;
+  auto rt = runtime_with(std::move(b).build(), cfg);
+  TolerateAll tolerate;
+  rt->add_hooks(&tolerate);
+
+  ExecOutcome out = rt->interp().invoke(*find_method(*rt, "Lt/A;", "skip"), {});
+  EXPECT_TRUE(out.completed) << out.exception_type << " "
+                             << out.exception_message << out.abort_reason;
+  EXPECT_EQ(rt->interp().steps(), 3u);  // goto, the payload, return-void
+}
+
+INSTANTIATE_TEST_SUITE_P(Targets, ToleratedPayloadSkip,
+                         ::testing::Values(uint16_t{251}, uint16_t{252},
+                                           uint16_t{253}),
+                         [](const auto& info) {
+                           return "targets" + std::to_string(info.param);
+                         });
+
+dex::Apk make_apk(dex::DexFile file, const std::string& entry) {
+  dex::Apk apk;
+  dex::Manifest manifest;
+  manifest.package = "t";
+  manifest.entry_class = entry;
+  apk.set_manifest(manifest);
+  apk.set_classes(dex::write_dex(file));
+  return apk;
+}
+
+// --- const-string interning (Dalvik identity semantics) --------------------
+
+dex::Apk literal_identity_app() {
+  dex::DexBuilder b;
+  uint32_t log_i =
+      b.intern_method("Landroid/util/Log;", "i", "V", {"Ljava/lang/String;"});
+  uint32_t lit = b.intern_string("the-literal");
+  uint32_t same = b.intern_string("same");
+  uint32_t diff = b.intern_string("diff");
+  b.start_class("Lt/Lit;", "Landroid/app/Activity;");
+  {
+    MethodAssembler as(4, 1);
+    auto eq = as.make_label();
+    auto end = as.make_label();
+    as.const_string(0, static_cast<uint16_t>(lit));
+    as.const_string(1, static_cast<uint16_t>(lit));
+    as.if_test(Op::kIfEq, 0, 1, eq);
+    as.const_string(2, static_cast<uint16_t>(diff));
+    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(log_i), {2});
+    as.goto_(end);
+    as.bind(eq);
+    as.const_string(2, static_cast<uint16_t>(same));
+    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(log_i), {2});
+    as.bind(end);
+    as.return_void();
+    b.add_virtual_method("onCreate", "V", {}, as.finish());
+  }
+  return make_apk(std::move(b).build(), "Lt/Lit;");
+}
+
+TEST(StringInterning, RepeatedConstStringIsReferenceEqual) {
+  harness::ExecutionTrace trace = harness::run_and_trace(literal_identity_app());
+  ASSERT_EQ(trace.sink_log.size(), 1u);
+  EXPECT_NE(trace.sink_log[0].find("same"), std::string::npos)
+      << "two executions of the same literal must be reference-equal "
+      << "(interned)";
+}
+
+TEST(StringInterning, LiteralIdentitySurvivesTheRevealRoundTrip) {
+  harness::DiffOptions options;
+  options.check_containment = false;  // the "diff" branch is never executed
+  harness::DiffResult diff =
+      harness::run_differential(literal_identity_app(), options);
+  EXPECT_TRUE(harness::BehaviorallyEquivalent(diff));
+}
+
+// Interned literals are shared program-wide, so they must be immune to a
+// hostile invoke-virtual of StringBuilder.append with a *string* receiver
+// (unrepresentable under the on-device verifier, but reachable here): the
+// builtin must not mutate the shared literal in place.
+TEST(StringInterning, HostileStringBuilderAppendCannotMutateLiterals) {
+  dex::DexBuilder b;
+  uint32_t log_i =
+      b.intern_method("Landroid/util/Log;", "i", "V", {"Ljava/lang/String;"});
+  uint32_t append = b.intern_method("Ljava/lang/StringBuilder;", "append",
+                                    "Ljava/lang/StringBuilder;",
+                                    {"Ljava/lang/String;"});
+  uint32_t lit = b.intern_string("SECRET");
+  b.start_class("Lt/Sb;", "Landroid/app/Activity;");
+  {
+    MethodAssembler as(3, 1);
+    as.const_string(0, static_cast<uint16_t>(lit));
+    // Hostile: the "builder" receiver is the interned literal itself.
+    as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(append), {0, 0});
+    as.const_string(1, static_cast<uint16_t>(lit));
+    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(log_i), {1});
+    as.return_void();
+    b.add_virtual_method("onCreate", "V", {}, as.finish());
+  }
+  harness::ExecutionTrace trace =
+      harness::run_and_trace(make_apk(std::move(b).build(), "Lt/Sb;"));
+  ASSERT_EQ(trace.sink_log.size(), 1u);
+  EXPECT_EQ(trace.sink_log[0].substr(trace.sink_log[0].rfind('|') + 1),
+            "SECRET");
+}
+
+// Interning is by content, not by image: the literal a dynamically loaded
+// DEX uses, at a different string index, is the object the APK's code gets.
+TEST(StringInterning, SameLiteralInTwoImagesIsOneObject) {
+  auto literal_dex = [](const char* cls, bool pad) {
+    dex::DexBuilder b;
+    if (pad) b.intern_string("a-padding-literal");  // shifts the index
+    uint32_t lit = b.intern_string("shared-literal");
+    b.start_class(cls);
+    MethodAssembler as(1, 0);
+    as.const_string(0, static_cast<uint16_t>(lit));
+    as.return_value(0);
+    b.add_direct_method("lit", "Ljava/lang/String;", {}, as.finish());
+    return std::move(b).build();
+  };
+  auto rt = runtime_with(literal_dex("Lt/A;", false));
+  rt->linker().register_dex(literal_dex("Lt/B;", true), "dynamic:b");
+  ExecOutcome a = rt->interp().invoke(*find_method(*rt, "Lt/A;", "lit"), {});
+  ExecOutcome b = rt->interp().invoke(*find_method(*rt, "Lt/B;", "lit"), {});
+  ASSERT_TRUE(a.completed && b.completed);
+  ASSERT_NE(a.ret.ref, nullptr);
+  EXPECT_EQ(a.ret.ref, b.ret.ref);
+}
+
+// --- unique-name-only method resolution fallback ---------------------------
+
+// Two static overloads pick(I)V / pick(II)V and a method ref whose proto
+// matches neither: resolution is ambiguous and must raise NoSuchMethodError
+// instead of silently dispatching whichever overload linked first.
+TEST(ResolveMethodOverloads, AmbiguousNameOnlyFallbackRaises) {
+  dex::DexBuilder b;
+  uint32_t bad_ref =
+      b.intern_method("Lt/Ov;", "pick", "V", {"Ljava/lang/String;"});
+  b.start_class("Lt/Ov;", "Landroid/app/Activity;");
+  {
+    MethodAssembler as(2, 1);
+    as.return_void();
+    b.add_direct_method("pick", "V", {"I"}, as.finish());
+  }
+  {
+    MethodAssembler as(3, 2);
+    as.return_void();
+    b.add_direct_method("pick", "V", {"I", "I"}, as.finish());
+  }
+  {
+    MethodAssembler as(2, 1);  // this v1
+    as.const16(0, 5);
+    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(bad_ref), {0});
+    as.return_void();
+    b.add_virtual_method("onCreate", "V", {}, as.finish());
+  }
+  Runtime runtime;
+  runtime.install(make_apk(std::move(b).build(), "Lt/Ov;"));
+  ExecOutcome out = runtime.launch();
+  EXPECT_TRUE(out.uncaught);
+  EXPECT_EQ(out.exception_type, "Ljava/lang/NoSuchMethodError;");
+}
+
+// The same uniqueness rule applies to virtual dispatch: two virtual
+// overloads and a ref proto matching neither must not silently pick the
+// first-declared one (RtClass::find_dispatch name-only fallback).
+TEST(ResolveMethodOverloads, AmbiguousVirtualDispatchRaises) {
+  dex::DexBuilder b;
+  uint32_t bad_ref =
+      b.intern_method("Lt/Ov2;", "pick", "V", {"Ljava/lang/String;"});
+  b.start_class("Lt/Ov2;", "Landroid/app/Activity;");
+  {
+    MethodAssembler as(3, 2);
+    as.return_void();
+    b.add_virtual_method("pick", "V", {"I"}, as.finish());
+  }
+  {
+    MethodAssembler as(4, 3);
+    as.return_void();
+    b.add_virtual_method("pick", "V", {"I", "I"}, as.finish());
+  }
+  {
+    MethodAssembler as(2, 1);  // this v1
+    as.const16(0, 5);
+    as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(bad_ref), {1, 0});
+    as.return_void();
+    b.add_virtual_method("onCreate", "V", {}, as.finish());
+  }
+  Runtime runtime;
+  runtime.install(make_apk(std::move(b).build(), "Lt/Ov2;"));
+  ExecOutcome out = runtime.launch();
+  EXPECT_TRUE(out.uncaught);
+  EXPECT_EQ(out.exception_type, "Ljava/lang/NoSuchMethodError;");
+}
+
+// A unique name still resolves under a mismatched proto (the leniency the
+// fallback exists for — erased-generics style call sites).
+TEST(ResolveMethodOverloads, UniqueNameFallbackStillResolves) {
+  dex::DexBuilder b;
+  uint32_t ref =
+      b.intern_method("Lt/Solo;", "solo", "V", {"Ljava/lang/String;"});
+  b.start_class("Lt/Solo;", "Landroid/app/Activity;");
+  {
+    MethodAssembler as(2, 1);
+    as.return_void();
+    b.add_direct_method("solo", "V", {"I"}, as.finish());
+  }
+  {
+    MethodAssembler as(2, 1);  // this v1
+    as.const16(0, 5);
+    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(ref), {0});
+    as.return_void();
+    b.add_virtual_method("onCreate", "V", {}, as.finish());
+  }
+  Runtime runtime;
+  runtime.install(make_apk(std::move(b).build(), "Lt/Solo;"));
+  EXPECT_TRUE(runtime.launch().completed);
 }
 
 }  // namespace

@@ -2,8 +2,15 @@
 // self-modifying code ("self-modifying code might also exist in the
 // divergence branch"), divergence branches that never converge (the method
 // returns inside the modified region), and repeated modification across
-// many executions (unique-tree dedup under churn).
+// many executions (unique-tree dedup under churn). Below them, the
+// interpreter's side of the contract: every write to code->insns, through
+// RtMethod::patch_code_unit or direct, in place or by swapping the array, is
+// seen at the next fetch.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "src/bytecode/assembler.h"
 #include "src/bytecode/disasm.h"
@@ -306,6 +313,97 @@ TEST(SelfModEdge, GarbageModificationIsContained) {
   EXPECT_TRUE(result.verified) << result.verify_errors;
   EXPECT_NE(result.collection.find_method({"Ledge/Main;", "onCreate", "()V"}),
             nullptr);
+}
+
+// --- every write to code->insns is seen at the next fetch ------------------
+
+// How a native rewrites the literal held in code unit `unit` of onCreate.
+using LiteralWrite = std::function<void(rt::RtMethod& on_create, size_t unit)>;
+
+// Launches an app whose onCreate loops `iterations` times: log a const/16
+// literal, then call the native mutate(), which applies `write` to that
+// literal's unit. Returns the logged literals in order.
+std::vector<std::string> logged_literals(int16_t iterations,
+                                         const LiteralWrite& write) {
+  dex::DexBuilder b;
+  uint32_t log_i = b.intern_method("Landroid/util/Log;", "i", "V",
+                                   {"Ljava/lang/String;"});
+  uint32_t tostr = b.intern_method("Ljava/lang/Integer;", "toString",
+                                   "Ljava/lang/String;", {"I"});
+  uint32_t tamper = b.intern_method("Ledge/Loop;", "mutate", "V", {});
+  b.start_class("Ledge/Loop;", "Landroid/app/Activity;");
+  size_t patch_pc = 0;
+  {
+    MethodAssembler as(4, 1);  // this v3
+    auto loop = as.make_label();
+    auto done = as.make_label();
+    as.const16(1, 0);
+    as.const16(2, iterations);
+    as.bind(loop);
+    as.if_test(Op::kIfGe, 1, 2, done);
+    patch_pc = as.current_pc();
+    as.const16(0, 100);
+    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(tostr), {0});
+    as.move_result(0);
+    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(log_i), {0});
+    as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(tamper), {3});
+    as.add_lit8(1, 1, 1);
+    as.goto_(loop);
+    as.bind(done);
+    as.return_void();
+    b.add_virtual_method("onCreate", "V", {}, as.finish());
+  }
+  b.add_native_method("mutate", "V", {});
+
+  rt::Runtime runtime;
+  runtime.register_native(
+      "Ledge/Loop;->mutate",
+      [patch_pc, &write](rt::NativeContext& ctx, std::span<rt::Value>) {
+        write(*ctx.runtime.linker().resolve("Ledge/Loop;")->find_declared(
+                  "onCreate"),
+              patch_pc + 1);
+        return rt::Value::Null();
+      });
+  runtime.install(make_apk(std::move(b).build(), "Ledge/Loop;"));
+  EXPECT_TRUE(runtime.launch().completed);
+  std::vector<std::string> logged;
+  for (const rt::Runtime::SinkEvent& ev : runtime.sink_events()) {
+    logged.push_back(ev.detail);
+  }
+  return logged;
+}
+
+// Every rewritten literal is logged, whether the native writes through
+// RtMethod::patch_code_unit or straight into code->insns.
+TEST(SelfModEdge, RewrittenLiteralIsSeenAtTheNextFetch) {
+  const std::vector<std::string> expected = {"100", "111", "122", "133"};
+  EXPECT_EQ(logged_literals(4,
+                            [](rt::RtMethod& oc, size_t unit) {
+                              oc.patch_code_unit(
+                                  unit, static_cast<uint16_t>(
+                                            oc.code->insns[unit] + 11));
+                            }),
+            expected);
+  EXPECT_EQ(logged_literals(4,
+                            [](rt::RtMethod& oc, size_t unit) {
+                              oc.code->insns[unit] += 11;
+                            }),
+            expected);
+}
+
+// A native that replaces the whole backing array on every call is seen just
+// the same: 100 iterations log 100, 103, ..., 397.
+TEST(SelfModEdge, SwappedBackingArrayIsSeenAtTheNextFetch) {
+  std::vector<std::string> logged =
+      logged_literals(100, [](rt::RtMethod& oc, size_t unit) {
+        std::vector<uint16_t> fresh = oc.code->insns;
+        fresh[unit] = static_cast<uint16_t>(fresh[unit] + 3);
+        oc.code->insns = std::move(fresh);
+      });
+  ASSERT_EQ(logged.size(), 100u);
+  for (size_t i = 0; i < logged.size(); ++i) {
+    EXPECT_EQ(logged[i], std::to_string(100 + 3 * i)) << i;
+  }
 }
 
 }  // namespace

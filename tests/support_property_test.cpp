@@ -12,16 +12,13 @@
 #include <variant>
 #include <vector>
 
-#include "src/bytecode/assembler.h"
 #include "src/bytecode/insn.h"
 #include "src/bytecode/verify_code.h"
-#include "src/dex/builder.h"
 #include "src/dex/io.h"
 #include "src/dex/real/leb128.h"
 #include "src/dex/verify.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/mutator.h"
-#include "src/runtime/runtime.h"
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
 #include "src/support/rng.h"
@@ -483,177 +480,6 @@ TEST(MutatorVerifierContract, BehavioralMutantsAreAlwaysWellFormed) {
     }
   }
 }
-
-// --- dispatch-mode property (src/runtime/predecode.h) ----------------------
-// The cached interpreter must trace randomized verifier-clean apps exactly
-// like the decode-every-step kBaseline oracle, not just the pinned DroidBench
-// samples in interp_cache_test (ARCHITECTURE invariant 11).
-
-// Randomized verifier-clean activity: onCreate runs a short loop whose body
-// is a seeded random mix of blocks — cmp + conditional branch, const + move,
-// iget + invoke — plus arithmetic filler, all folding into an accumulator
-// that is logged at the end, so a single wrong register anywhere lands in
-// the sink trace. The generator only emits in-bounds registers and bound
-// labels, so every draw is verifier-clean by construction (asserted below
-// anyway).
-dex::Apk random_loop_app(uint64_t seed) {
-  dex::DexBuilder b;
-  const std::string cls = "Lprop/Fuse" + std::to_string(seed) + ";";
-  uint32_t log_i =
-      b.intern_method("Landroid/util/Log;", "i", "V", {"Ljava/lang/String;"});
-  uint32_t tostr = b.intern_method("Ljava/lang/Integer;", "toString",
-                                   "Ljava/lang/String;", {"I"});
-  b.start_class(cls, "Landroid/app/Activity;");
-  uint32_t fld = b.intern_field(cls, "I", "f");
-  b.add_instance_field("f", "I");
-
-  Rng rng(seed);
-  bc::MethodAssembler as(8, 1);  // this = v7, scratch v0..v6, acc = v4
-  for (uint8_t r = 0; r <= 6; ++r) {
-    as.const16(r, static_cast<int16_t>(rng.range(-50, 50)));
-  }
-  as.iput(0, 7, static_cast<uint16_t>(fld));
-  as.const16(5, 0);  // loop counter
-  as.const16(6, 3);  // iterations: cached slots are re-served, not just built
-  auto loop = as.make_label();
-  auto done = as.make_label();
-  as.bind(loop);
-  as.if_test(bc::Op::kIfGe, 5, 6, done);
-  const bc::Op kIfz[] = {bc::Op::kIfEqz, bc::Op::kIfNez, bc::Op::kIfLtz,
-                         bc::Op::kIfGez, bc::Op::kIfGtz, bc::Op::kIfLez};
-  const bc::Op kFiller[] = {bc::Op::kAdd, bc::Op::kSub, bc::Op::kMul,
-                            bc::Op::kXor, bc::Op::kAnd, bc::Op::kOr};
-  for (int block = 0; block < 24; ++block) {
-    // The first three draws are one block of each paired kind, so every
-    // seed exercises all of them; the rest are random.
-    uint64_t kind = block < 3 ? static_cast<uint64_t>(block) : rng.below(4);
-    uint8_t a = static_cast<uint8_t>(rng.below(4));      // v0..v3
-    uint8_t c = static_cast<uint8_t>(rng.below(4));
-    switch (kind) {
-      case 0: {  // cmp + conditional branch
-        auto skip = as.make_label();
-        as.binop(bc::Op::kCmp, 3, a, c);
-        as.if_testz(kIfz[rng.below(6)], 3, skip);
-        as.const16(static_cast<uint8_t>(rng.below(3)),
-                   static_cast<int16_t>(rng.range(-99, 99)));
-        as.bind(skip);
-        break;
-      }
-      case 1:  // const + move
-        as.const16(a, static_cast<int16_t>(rng.range(-999, 999)));
-        as.move(c, a);
-        break;
-      case 2:  // iget + invoke
-        as.iget(0, 7, static_cast<uint16_t>(fld));
-        as.invoke(bc::Op::kInvokeStatic, static_cast<uint16_t>(tostr), {0});
-        as.move_result(0);
-        as.iput(a, 7, static_cast<uint16_t>(fld));
-        break;
-      default:  // arithmetic filler
-        as.binop(kFiller[rng.below(6)], a, c,
-                 static_cast<uint8_t>(rng.below(4)));
-        break;
-    }
-    as.binop(block % 2 == 0 ? bc::Op::kAdd : bc::Op::kXor, 4, 4, a);
-  }
-  as.add_lit8(5, 5, 1);
-  as.goto_(loop);
-  as.bind(done);
-  as.invoke(bc::Op::kInvokeStatic, static_cast<uint16_t>(tostr), {4});
-  as.move_result(0);
-  as.invoke(bc::Op::kInvokeStatic, static_cast<uint16_t>(log_i), {0});
-  as.return_void();
-  b.add_virtual_method("onCreate", "V", {}, as.finish());
-
-  dex::DexFile file = std::move(b).build();
-  dex::Apk apk;
-  dex::Manifest manifest;
-  manifest.package = "prop";
-  manifest.entry_class = cls;
-  apk.set_manifest(manifest);
-  apk.set_classes(dex::write_dex(file));
-  return apk;
-}
-
-std::string render_outcome(const rt::ExecOutcome& out) {
-  if (out.completed) return "completed";
-  if (out.uncaught) return "uncaught " + out.exception_type;
-  if (out.aborted) return "aborted (" + out.abort_reason + ")";
-  return "no outcome";
-}
-
-struct AppTrace {
-  std::vector<std::string> phases;  // "event: exit state"
-  std::vector<std::string> sinks;   // "sink|taint|detail"
-  uint64_t steps = 0;               // executed instructions, all phases
-  size_t predecoded_methods = 0;    // methods that built a predecoded cache
-};
-
-// Methods the runtime served from a predecoded cache (kCached only).
-size_t predecoded_methods(rt::Runtime& runtime) {
-  size_t count = 0;
-  for (rt::RtClass* cls : runtime.linker().loaded_classes()) {
-    for (const std::unique_ptr<rt::RtMethod>& m : cls->methods) {
-      if (m->predecoded) ++count;
-    }
-  }
-  return count;
-}
-
-// The triage oracle's event script (launch, every clickable, teardown) run
-// under one dispatch configuration, reduced to its observable state.
-AppTrace trace_app(const dex::Apk& apk, rt::RuntimeConfig cfg) {
-  rt::Runtime runtime(cfg);
-  runtime.install(apk);
-  AppTrace trace;
-  trace.phases.push_back("launch: " + render_outcome(runtime.launch()));
-  for (int id : runtime.ui_clickable_ids()) {
-    trace.phases.push_back("click:" + std::to_string(id) + ": " +
-                           render_outcome(runtime.fire_click(id)));
-  }
-  trace.phases.push_back(
-      "onPause: " + render_outcome(runtime.call_activity_method("onPause")));
-  trace.phases.push_back(
-      "onDestroy: " +
-      render_outcome(runtime.call_activity_method("onDestroy")));
-  for (const rt::Runtime::SinkEvent& ev : runtime.sink_events()) {
-    trace.sinks.push_back(ev.sink + "|" + std::to_string(ev.taint) + "|" +
-                          ev.detail);
-  }
-  trace.steps = runtime.interp().steps();
-  trace.predecoded_methods = predecoded_methods(runtime);
-  return trace;
-}
-
-class CachedDispatchProperty : public ::testing::TestWithParam<uint64_t> {};
-
-// The predecoded cache is semantics-preserving: a randomized verifier-clean
-// app traces identically — phases, sinks and step count — under kCached and
-// under the decode-every-step kBaseline oracle.
-TEST_P(CachedDispatchProperty, CachedTracesMatchBaseline) {
-  const uint64_t seed = GetParam();
-  dex::Apk apk = random_loop_app(seed);
-  ASSERT_TRUE(bc::verify_dex(dex::read_dex(apk.classes())).ok());
-
-  rt::RuntimeConfig cached;
-  cached.dispatch = rt::DispatchMode::kCached;
-  rt::RuntimeConfig baseline;
-  baseline.dispatch = rt::DispatchMode::kBaseline;
-
-  AppTrace cached_trace = trace_app(apk, cached);
-  AppTrace baseline_trace = trace_app(apk, baseline);
-
-  // Non-vacuous: the cached run really served from predecoded caches, and
-  // the baseline control really built none.
-  EXPECT_GT(cached_trace.predecoded_methods, 0u) << "seed " << seed;
-  EXPECT_EQ(baseline_trace.predecoded_methods, 0u) << "seed " << seed;
-  EXPECT_EQ(cached_trace.phases, baseline_trace.phases) << "seed " << seed;
-  EXPECT_EQ(cached_trace.sinks, baseline_trace.sinks) << "seed " << seed;
-  EXPECT_EQ(cached_trace.steps, baseline_trace.steps) << "seed " << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CachedDispatchProperty,
-                         ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace dexlego::support
