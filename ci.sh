@@ -94,6 +94,10 @@ fi
   --threads 2 --compare-sequential --quiet
 "$BUILD_DIR"/examples/dexlego_batch --scenario guarded --count 2 --force \
   --jobs 2 --compare-sequential --quiet
+# DroidBench under force: its self-modifying and reflection samples send
+# forced units that walk the fold into divergences and reflective calls.
+"$BUILD_DIR"/examples/dexlego_batch --scenario droidbench --force \
+  --threads 2 --compare-sequential --quiet
 # Real-DEX containers (classes.dex + split multidex) through the same
 # pipeline, byte-compared against sequential — ARCHITECTURE invariant 12.
 "$BUILD_DIR"/examples/dexlego_batch --scenario realdex --count 6 \

@@ -20,6 +20,10 @@ class CodeVerifier {
       fail("empty instruction array");
       return;
     }
+    if (code_.insns.size() > 0xffff) {
+      fail("code longer than 65535 units");  // no loader accepts it
+      return;
+    }
     if (!collect_starts()) return;
     check_instructions();
     check_flow_termination();

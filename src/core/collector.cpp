@@ -37,6 +37,41 @@ MethodKey Collector::key_of(const rt::RtMethod& method) {
 
 namespace {
 
+// Feeds `part` the parts of the symbolic form of a `kind` pool reference to
+// `idx`, in SymRef order, until it returns false; returns whether it took
+// them all. Throws std::out_of_range for an index outside the pools.
+template <typename Part>
+bool for_each_ref_part(const dex::DexFile& file, bc::RefKind kind,
+                       uint16_t idx, Part&& part) {
+  switch (kind) {
+    case bc::RefKind::kString:
+      return part(file.string_at(idx));
+    case bc::RefKind::kType:
+      return part(file.type_descriptor(idx));
+    case bc::RefKind::kField: {
+      const dex::FieldRef& f = file.fields.at(idx);
+      return part(file.type_descriptor(f.class_type)) &&
+             part(file.type_descriptor(f.type)) && part(file.string_at(f.name));
+    }
+    case bc::RefKind::kMethod: {
+      const dex::MethodRef& m = file.methods.at(idx);
+      const dex::Proto& proto = file.protos.at(m.proto);
+      if (!part(file.type_descriptor(m.class_type)) ||
+          !part(file.string_at(m.name)) ||
+          !part(file.type_descriptor(proto.return_type))) {
+        return false;
+      }
+      for (uint32_t p : proto.param_types) {
+        if (!part(file.type_descriptor(p))) return false;
+      }
+      return true;
+    }
+    case bc::RefKind::kNone:
+      break;
+  }
+  return true;
+}
+
 // The symbolic form of a decoded instruction's pool operand, resolved
 // against the method's defining image; nullopt when it has none. A pure
 // function of the image and the instruction's units.
@@ -44,36 +79,56 @@ std::optional<SymRef> symbolic_ref(const rt::RtMethod& method,
                                    const bc::Insn& insn) {
   bc::RefKind kind = bc::op_info(insn.op).ref;
   if (kind == bc::RefKind::kNone) return std::nullopt;
-  const dex::DexFile& file = method.image->file;
   SymRef ref;
   ref.kind = kind;
-  switch (kind) {
-    case bc::RefKind::kString:
-      ref.parts = {file.string_at(insn.idx)};
-      break;
-    case bc::RefKind::kType:
-      ref.parts = {file.type_descriptor(insn.idx)};
-      break;
-    case bc::RefKind::kField: {
-      const dex::FieldRef& f = file.fields.at(insn.idx);
-      ref.parts = {file.type_descriptor(f.class_type), file.type_descriptor(f.type),
-                   file.string_at(f.name)};
-      break;
-    }
-    case bc::RefKind::kMethod: {
-      const dex::MethodRef& m = file.methods.at(insn.idx);
-      const dex::Proto& proto = file.protos.at(m.proto);
-      ref.parts = {file.type_descriptor(m.class_type), file.string_at(m.name),
-                   file.type_descriptor(proto.return_type)};
-      for (uint32_t p : proto.param_types) {
-        ref.parts.push_back(file.type_descriptor(p));
-      }
-      break;
-    }
-    case bc::RefKind::kNone:
-      break;
-  }
+  for_each_ref_part(method.image->file, kind, insn.idx,
+                    [&](const std::string& part) {
+                      ref.parts.push_back(part);
+                      return true;
+                    });
   return ref;
+}
+
+// The switch snapshot of a packed-switch at `dex_pc`. Throws
+// support::ParseError or std::out_of_range for an unreadable payload.
+SwitchSnapshot switch_snapshot(std::span<const uint16_t> code, uint32_t dex_pc,
+                               const bc::Insn& insn) {
+  bc::SwitchPayload payload = bc::read_switch_payload(code, dex_pc, insn);
+  SwitchSnapshot snap;
+  snap.first_key = payload.first_key;
+  for (int32_t rel : payload.rel_targets) {
+    snap.target_pcs.push_back(
+        static_cast<uint16_t>(static_cast<int32_t>(dex_pc) + rel));
+  }
+  return snap;
+}
+
+// Whether `entry` is, but for its pc, the ILEntry on_instruction would build
+// for `insn` at `dex_pc` of `method`: the same units, SymRef and switch
+// snapshot. Reads the pool strings instead of building a SymRef, and throws
+// wherever building the entry would.
+bool same_entry(const ILEntry& entry, const rt::RtMethod& method,
+                const bc::Insn& insn, std::span<const uint16_t> code,
+                uint32_t dex_pc, std::span<const uint16_t> units) {
+  if (!std::ranges::equal(entry.units, units)) return false;
+  bc::RefKind kind = bc::op_info(insn.op).ref;
+  if (kind == bc::RefKind::kNone) {
+    if (entry.ref) return false;
+  } else {
+    if (!entry.ref || entry.ref->kind != kind) return false;
+    const std::vector<std::string>& parts = entry.ref->parts;
+    size_t n = 0;
+    if (!for_each_ref_part(method.image->file, kind, insn.idx,
+                           [&](const std::string& part) {
+                             return n < parts.size() && parts[n++] == part;
+                           }) ||
+        n != parts.size()) {
+      return false;
+    }
+  }
+  if (insn.op != bc::Op::kPackedSwitch) return !entry.switch_payload;
+  return entry.switch_payload &&
+         *entry.switch_payload == switch_snapshot(code, dex_pc, insn);
 }
 
 std::vector<CollectedField> snapshot_statics(const rt::RtClass& cls) {
@@ -173,11 +228,83 @@ void Collector::on_method_entry(rt::RtMethod& method) {
   act.bytecode = method.code != nullptr;
   MethodRecord& rec = record_for(method);
   ++rec.executions;
-  if (act.bytecode) {
+  if (act.bytecode && known_ != nullptr) {
+    act.known = known_->find_method(act.key);
+    if (act.known != nullptr) {
+      for (size_t i = 0; i < act.known->trees.size(); ++i) {
+        if (act.known->trees[i]->children.empty()) act.walk.push_back(i);
+      }
+    }
+  }
+  if (act.bytecode && act.walk.empty()) {
     act.root = std::make_unique<TreeNode>();
     act.current = act.root.get();
   }
   stack_.push_back(std::move(act));
+}
+
+// One instruction of the lockstep walk. True when the walk accounts for it:
+// it is the next IL entry of a known tree, or a repeat Algorithm 1 would
+// skip. Otherwise the walk ends with the matched prefix copied into the
+// activation's tree, for Algorithm 1 to handle the instruction from there.
+bool Collector::walk_step(Activation& act, const rt::RtMethod& method,
+                          const bc::Insn& insn, std::span<const uint16_t> code,
+                          uint32_t dex_pc, std::span<const uint16_t> units) {
+  const uint16_t pc = static_cast<uint16_t>(dex_pc);
+  const auto& trees = act.known->trees;
+  // A root's entries have distinct pcs, so a tree whose next entry sits at
+  // this pc does not hold it in the prefix.
+  bool next_at_pc = false;
+  size_t kept = 0;
+  try {
+    for (size_t w = 0; w < act.walk.size(); ++w) {
+      const std::vector<ILEntry>& il = trees[act.walk[w]]->il;
+      if (act.matched == il.size() || il[act.matched].pc != pc) continue;
+      next_at_pc = true;
+      if (same_entry(il[act.matched], method, insn, code, dex_pc, units)) {
+        act.walk[kept++] = act.walk[w];
+      }
+    }
+  } catch (const support::ParseError&) {
+    depart(act);  // Algorithm 1 meets the same error building the entry
+    return false;
+  } catch (const std::out_of_range&) {
+    depart(act);
+    return false;
+  }
+  if (kept > 0) {
+    act.walk.resize(kept);
+    ++act.matched;
+    return true;
+  }
+  if (!next_at_pc) {
+    // Already recorded: the early return on_instruction takes.
+    const TreeNode& tree = *trees[act.walk.front()];
+    auto it = tree.iim.find(pc);
+    if (it != tree.iim.end() && it->second < act.matched &&
+        act.method != nullptr &&
+        std::ranges::equal(tree.il[it->second].units, units)) {
+      return true;
+    }
+  }
+  depart(act);
+  return false;
+}
+
+// Ends the walk: the activation's tree becomes the matched prefix, which is
+// exactly what Algorithm 1 would have built by now.
+void Collector::depart(Activation& act) {
+  const TreeNode& tree = *act.known->trees[act.walk.front()];
+  act.root = std::make_unique<TreeNode>();
+  act.root->il.assign(tree.il.begin(),
+                      tree.il.begin() + static_cast<std::ptrdiff_t>(act.matched));
+  for (const auto& [pc, index] : tree.iim) {
+    if (index < act.matched) {
+      act.root->iim.emplace_hint(act.root->iim.end(), pc, index);
+    }
+  }
+  act.current = act.root.get();
+  act.walk.clear();
 }
 
 void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
@@ -201,6 +328,9 @@ void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
   }
   std::span<const uint16_t> units =
       code.subspan(dex_pc, bc::consumed_units(insn));
+  if (!act.walk.empty() && walk_step(act, method, insn, code, dex_pc, units)) {
+    return;
+  }
   const uint16_t pc = static_cast<uint16_t>(dex_pc);
 
   TreeNode* current = act.current;
@@ -222,14 +352,7 @@ void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
     if (insn.op == bc::Op::kPackedSwitch) {
       // Payload units are data the interpreter never "executes"; snapshot
       // them as metadata so the reassembler can rebuild the switch.
-      bc::SwitchPayload payload = bc::read_switch_payload(code, dex_pc, insn);
-      SwitchSnapshot snap;
-      snap.first_key = payload.first_key;
-      for (int32_t rel : payload.rel_targets) {
-        snap.target_pcs.push_back(
-            static_cast<uint16_t>(static_cast<int32_t>(dex_pc) + rel));
-      }
-      entry.switch_payload = std::move(snap);
+      entry.switch_payload = switch_snapshot(code, dex_pc, insn);
     }
   } catch (const support::ParseError&) {
     return;  // undecodable payload; nothing to collect
@@ -269,21 +392,54 @@ void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
 }
 
 void Collector::finish_activation(Activation& act) {
+  if (!act.walk.empty()) {
+    for (size_t i : act.walk) {
+      if (act.known->trees[i]->il.size() == act.matched) {
+        // A full retrace: its fingerprint is the known tree's, stored unless
+        // the record came from decode_collection.
+        const MethodRecord& known = *act.known;
+        keep_unique(act,
+                    known.tree_fingerprints.size() == known.trees.size()
+                        ? known.tree_fingerprints[i]
+                        : known.trees[i]->fingerprint(),
+                    nullptr);
+        return;
+      }
+    }
+    depart(act);  // a strict prefix of a known tree, perhaps empty
+  }
   if (!act.bytecode || act.root == nullptr || act.root->il.empty()) return;
+  uint64_t fp = act.root->fingerprint();
+  keep_unique(act, fp, std::move(act.root));
+}
+
+// Keeps `tree` unless its fingerprint `fp` is already kept or the record is
+// at its variant cap. A null `tree` is a full retrace of a known tree: it
+// counts as kept, but only its fingerprint is.
+void Collector::keep_unique(const Activation& act, uint64_t fp,
+                            std::unique_ptr<TreeNode> tree) {
   auto it = output_.methods.find(act.key);
   if (it == output_.methods.end()) return;
   MethodRecord& rec = it->second;
-  uint64_t fp = act.root->fingerprint();
+  std::vector<uint64_t>* retraced = nullptr;
+  if (act.known != nullptr) retraced = &retraced_[act.known];
   if (std::ranges::find(rec.tree_fingerprints, fp) !=
-      rec.tree_fingerprints.end()) {
+          rec.tree_fingerprints.end() ||
+      (retraced != nullptr &&
+       std::ranges::find(*retraced, fp) != retraced->end())) {
     return;  // keep unique trees only
   }
-  if (rec.trees.size() >= options_.max_variants) {
+  if (rec.trees.size() + (retraced != nullptr ? retraced->size() : 0) >=
+      options_.max_variants) {
     ++rec.dropped_trees;
     DL_DEBUG << "variant cap reached for " << rec.key.pretty();
     return;
   }
-  rec.trees.push_back(std::move(act.root));
+  if (tree == nullptr) {
+    retraced->push_back(fp);
+    return;
+  }
+  rec.trees.push_back(std::move(tree));
   rec.tree_fingerprints.push_back(fp);
 }
 
@@ -387,6 +543,7 @@ CollectionOutput Collector::take_output() {
     finish_activation(stack_.back());
     stack_.pop_back();
   }
+  retraced_.clear();
   return std::move(output_);
 }
 

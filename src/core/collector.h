@@ -10,6 +10,17 @@
 // hashed once and checked against the fingerprints its MethodRecord keeps
 // beside its trees, the in-collector half of the dedup that
 // pipeline::DedupStore extends across apps and worker threads.
+//
+// A Collector may also be given the trees its caller already holds (a force
+// job's fold so far). An activation of a method whose known record has
+// childless trees then walks them in lockstep: while every instruction it
+// would append equals the next IL entry of at least one of them, it builds
+// and hashes nothing. At the first instruction that matches none, it copies
+// the matched prefix into its own tree and goes on with Algorithm 1. A walk
+// that reaches the exit having retraced a known tree in full counts against
+// the record's dedup set and variant cap as though kept, but is left out of
+// the output, where merge_collection would have skipped it. The output
+// merges into the known trees exactly as a plain collection's would.
 #pragma once
 
 #include <map>
@@ -18,6 +29,10 @@
 
 #include "src/core/collection.h"
 #include "src/runtime/hooks.h"
+
+namespace dexlego::bc {
+struct Insn;
+}  // namespace dexlego::bc
 
 namespace dexlego::core {
 
@@ -28,7 +43,15 @@ class Collector : public rt::RuntimeHooks {
   };
 
   Collector() : options_(Options{}) {}
-  explicit Collector(const Options& options) : options_(options) {}
+  // `known`, when given, is the collection the output will be merged into:
+  // Collector outputs folded by merge_collection, such as a force job's
+  // merged collection. Its childless method trees are walked instead of
+  // rebuilt (see above). It must outlive the Collector and stay unchanged
+  // while the Collector collects. Without it the Collector runs Algorithm 1
+  // alone.
+  explicit Collector(const Options& options,
+                     const CollectionOutput* known = nullptr)
+      : options_(options), known_(known) {}
 
   // --- RuntimeHooks ---
   uint32_t subscribed_events() const override {
@@ -70,20 +93,36 @@ class Collector : public rt::RuntimeHooks {
     // started while the activation was still on the stack: that runtime
     // may reuse the address.
     const rt::RtMethod* method = nullptr;
-    std::unique_ptr<TreeNode> root;
+    std::unique_ptr<TreeNode> root;  // null while walking
     TreeNode* current = nullptr;
     bool bytecode = false;  // native/abstract activations collect nothing
+    // The lockstep walk: `known_`'s record of this method, and the indices
+    // of its childless trees whose first `matched` IL entries are the tree
+    // this activation has executed so far. Walking while `walk` is
+    // non-empty.
+    const MethodRecord* known = nullptr;
+    std::vector<size_t> walk;
+    size_t matched = 0;
   };
 
   MethodRecord& record_for(rt::RtMethod& method);
+  bool walk_step(Activation& act, const rt::RtMethod& method,
+                 const bc::Insn& insn, std::span<const uint16_t> code,
+                 uint32_t dex_pc, std::span<const uint16_t> units);
+  void depart(Activation& act);
   void finish_activation(Activation& act);
+  void keep_unique(const Activation& act, uint64_t fp,
+                   std::unique_ptr<TreeNode> tree);
   static MethodKey key_of(const rt::RtMethod& method);
 
   Options options_;
+  const CollectionOutput* known_ = nullptr;
   CollectionOutput output_;
   std::vector<Activation> stack_;
   // descriptor -> index into output_.classes, for the init-time re-snapshot.
   std::map<std::string, size_t> class_index_;
+  // Fingerprints of the full retraces counted as kept, per known record.
+  std::map<const MethodRecord*, std::vector<uint64_t>> retraced_;
 };
 
 }  // namespace dexlego::core

@@ -20,8 +20,9 @@ void default_driver(rt::Runtime& rt, int run_index) {
 }
 
 CollectionOutput DexLego::collect(const dex::Apk& apk,
-                                  const DexLegoOptions& options) {
-  Collector collector(options.collector);
+                                  const DexLegoOptions& options,
+                                  const CollectionOutput* known) {
+  Collector collector(options.collector, known);
   for (int run = 0; run < options.runs; ++run) {
     rt::Runtime runtime(options.runtime);
     if (options.configure_runtime) options.configure_runtime(runtime);

@@ -50,9 +50,15 @@ class DexLego {
   // Online half only: `options.runs` driver executions against fresh
   // runtimes with a collector attached, returning the raw collection.
   // reveal() is collect + encode + reassemble_files; the batch pipeline
-  // calls this directly for its per-plan-unit collection runs.
+  // calls this directly for its per-plan-unit collection runs. `known` is
+  // the collection the result will be merged into, if any (a force job
+  // passes its fold so far to every forced unit): the collector walks its
+  // trees instead of rebuilding them and leaves out trees that retrace one
+  // in full, so merging the result into `known` gives what merging a plain
+  // collection would. It must stay unchanged until collect returns.
   static CollectionOutput collect(const dex::Apk& apk,
-                                  const DexLegoOptions& options);
+                                  const DexLegoOptions& options,
+                                  const CollectionOutput* known = nullptr);
 
   // Offline half only: collection files -> revealed APK (manifest and assets
   // copied from `original`).

@@ -69,6 +69,9 @@ CodeItem read_code_item(ByteReader& r) {
     throw ParseError("ins exceed registers in code item");
   }
   uint32_t n_insns = r.u32();
+  // Collected and reassembled pcs are 16-bit; the real-DEX loader has the
+  // same bound.
+  if (n_insns > 0xffff) throw ParseError("code longer than 65535 units");
   check_count(r, n_insns, 2, "insns");
   code.insns.reserve(n_insns);
   for (uint32_t i = 0; i < n_insns; ++i) code.insns.push_back(r.u16());

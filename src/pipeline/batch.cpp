@@ -30,8 +30,10 @@ struct UnitOutput {
 // Executes one plan unit through the DexLego collect phase, with a per-unit
 // coverage tracker and — for non-empty plans — the plan's ForceHooks riding
 // along. The baseline unit (empty plan) honors the job's run count; forced
-// units replay the driver once. Never throws: a failure lands in `error`.
-UnitOutput run_unit(const BatchJob& job, const coverage::PlanUnit& unit) {
+// units replay the driver once. `known` goes to DexLego::collect. Never
+// throws: a failure lands in `error`.
+UnitOutput run_unit(const BatchJob& job, const coverage::PlanUnit& unit,
+                    const core::CollectionOutput* known = nullptr) {
   UnitOutput out;
   try {
     coverage::ForceHooks force_hooks(unit.plan);
@@ -55,7 +57,7 @@ UnitOutput run_unit(const BatchJob& job, const coverage::PlanUnit& unit) {
       out.leaks += runtime.leaks().size();
     };
 
-    out.collection = core::DexLego::collect(job.apk, options);
+    out.collection = core::DexLego::collect(job.apk, options, known);
     out.forced = force_hooks.forced();
     out.ok = true;
   } catch (const std::exception& e) {
@@ -118,7 +120,9 @@ void run_classic(const BatchJob& job, DedupStore& store, bool keep_dex,
 // A force job (docs/FORCE_EXECUTION.md): the baseline unit, then every plan
 // the ForceEngine issues, wave by wave. Each unit is folded — merged into
 // the app's collection and observed by the engine — as soon as it finishes,
-// in plan order, so no unit's output outlives its own fold.
+// in plan order, so no unit's output outlives its own fold. A forced unit
+// collects against the fold so far, which does not change while it runs:
+// the trees it retraces are already merged and are not rebuilt.
 void run_force(const BatchJob& job, DedupStore& store, bool keep_dex,
                JobResult& result) {
   UnitOutput baseline = run_unit(job, coverage::PlanUnit{});
@@ -162,7 +166,7 @@ void run_force(const BatchJob& job, DedupStore& store, bool keep_dex,
   for (std::vector<coverage::PlanUnit> wave = engine->next_wave();
        !wave.empty(); wave = engine->next_wave()) {
     for (const coverage::PlanUnit& unit : wave) {
-      UnitOutput out = run_unit(job, unit);
+      UnitOutput out = run_unit(job, unit, &merged);
       fold(unit, out);
     }
     force_paths += wave.size();

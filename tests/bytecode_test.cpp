@@ -342,6 +342,21 @@ TEST(VerifyCode, RejectsEmptyCode) {
   EXPECT_FALSE(verify_code(f, code, "t").ok());
 }
 
+TEST(VerifyCode, RejectsCodePastSixteenBitPcs) {
+  // The loaders refuse a code item of 65,536 units or more.
+  dex::DexFile f = std::move(sample_builder()).build();
+  dex::CodeItem code;
+  code.registers_size = 1;
+  code.insns.assign(0xfffe, static_cast<uint16_t>(Op::kNop));
+  code.insns.push_back(0x0009);
+  EXPECT_TRUE(verify_code(f, code, "t").ok());
+  code.insns.insert(code.insns.begin(), static_cast<uint16_t>(Op::kNop));
+  dex::VerifyResult result = verify_code(f, code, "t");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.errors, (std::vector<std::string>{
+                               "t: code longer than 65535 units"}));
+}
+
 TEST(VerifyDex, WholeFilePasses) {
   dex::DexBuilder b;
   b.start_class("Lcom/A;");

@@ -137,10 +137,9 @@ TEST(Collector, TwoPathsGiveTwoUniqueTrees) {
 
 // --- merge_collection: the fold a force job runs once per plan unit ---
 
-// One Collector output of Lt/A;->f(I)I invoked once per argument, each on
-// the same runtime. Zero returns early, a positive argument runs both
+// Lt/A;->f(I)I: zero returns early, a positive argument runs both
 // const/16s, a negative one takes the if-ltz: three distinct trees.
-CollectionOutput collect_f(std::initializer_list<int> args) {
+dex::DexFile f_file() {
   dex::DexBuilder b;
   b.start_class("Lt/A;");
   MethodAssembler as(2, 1);
@@ -156,11 +155,16 @@ CollectionOutput collect_f(std::initializer_list<int> args) {
   as.const16(0, 0);
   as.return_value(0);
   b.add_direct_method("f", "I", {"I"}, as.finish());
+  return std::move(b).build();
+}
 
+// One Collector output of f invoked once per argument, each on the same
+// runtime.
+CollectionOutput collect_f(std::initializer_list<int> args) {
   Collector collector;
   rt::Runtime runtime;
   runtime.add_hooks(&collector);
-  runtime.linker().register_dex(std::move(b).build(), "t");
+  runtime.linker().register_dex(f_file(), "t");
   rt::RtMethod* f = runtime.linker().resolve("Lt/A;")->find_declared("f");
   for (int x : args) runtime.interp().invoke(*f, {rt::Value::Int(x)});
   return collector.take_output();
@@ -274,6 +278,463 @@ TEST(MergeCollection, DecodedOutputFoldsLikeCollected) {
   CollectionFiles b = encode_collection(collected);
   EXPECT_EQ(a.method_data, b.method_data);
   EXPECT_EQ(a.bytecode, b.bytecode);
+}
+
+// The paper's Code 1/Listing 1/Code 4 app: advancedLeak loops twice over
+// normal(a); bytecodeTamper(i), and the tampering native patches the invoke
+// at `call_pc` to sink(a) on iteration 0 and back to normal(a) on 1.
+struct SelfModifyingApp {
+  dex::Apk apk;
+  size_t call_pc = 0;
+  uint32_t normal_m = 0;
+  uint32_t sink_m = 0;
+
+  // Registers bytecodeTamper; with `tamper` false it leaves the code alone.
+  std::function<void(rt::Runtime&)> configure(bool tamper) const {
+    return [tamper, call_pc = call_pc, normal_m = normal_m,
+            sink_m = sink_m](rt::Runtime& runtime) {
+      runtime.register_native(
+          "Lapp/Main;->bytecodeTamper",
+          [tamper, call_pc, normal_m, sink_m](rt::NativeContext& ctx,
+                                              std::span<rt::Value> args) {
+            if (!tamper) return rt::Value::Null();
+            rt::RtMethod* leak =
+                ctx.runtime.linker().resolve("Lapp/Main;")->find_declared(
+                    "advancedLeak");
+            leak->code->insns[call_pc + 1] = static_cast<uint16_t>(
+                args[1].test_value() == 0 ? sink_m : normal_m);
+            return rt::Value::Null();
+          });
+    };
+  }
+};
+
+SelfModifyingApp self_modifying_app() {
+  SelfModifyingApp app;
+  dex::DexBuilder b;
+  uint32_t src = b.intern_method("Ldexlego/api/Source;", "secret",
+                                 "Ljava/lang/String;", {});
+  app.normal_m = b.intern_method("Lapp/Main;", "normal", "V",
+                                 {"Ljava/lang/String;"});
+  app.sink_m = b.intern_method("Lapp/Main;", "sink", "V",
+                               {"Ljava/lang/String;"});
+  uint32_t tamper_m = b.intern_method("Lapp/Main;", "bytecodeTamper", "V", {"I"});
+  uint32_t sms = b.intern_method("Landroid/telephony/SmsManager;",
+                                 "sendTextMessage", "V", {"Ljava/lang/String;"});
+
+  b.start_class("Lapp/Main;", "Landroid/app/Activity;");
+  {
+    MethodAssembler as(4, 1);  // this in v3
+    auto loop = as.make_label();
+    auto done = as.make_label();
+    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(src), {});
+    as.move_result(0);
+    as.const16(1, 0);
+    as.const16(2, 2);
+    as.bind(loop);
+    as.if_test(Op::kIfGe, 1, 2, done);
+    app.call_pc = as.current_pc();
+    as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(app.normal_m), {3, 0});
+    as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(tamper_m), {3, 1});
+    as.add_lit8(1, 1, 1);
+    as.goto_(loop);
+    as.bind(done);
+    as.return_void();
+    b.add_virtual_method("advancedLeak", "V", {}, as.finish());
+  }
+  {
+    MethodAssembler as(2, 2);
+    as.return_void();
+    b.add_virtual_method("normal", "V", {"Ljava/lang/String;"}, as.finish());
+  }
+  {
+    MethodAssembler as(2, 2);
+    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(sms), {1});
+    as.return_void();
+    b.add_virtual_method("sink", "V", {"Ljava/lang/String;"}, as.finish());
+  }
+  b.add_native_method("bytecodeTamper", "V", {"I"});
+  uint32_t leak_m = b.intern_method("Lapp/Main;", "advancedLeak", "V", {});
+  {
+    MethodAssembler as(2, 1);  // this in v1 (onCreate receiver)
+    as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(leak_m), {1});
+    as.return_void();
+    b.add_virtual_method("onCreate", "V", {}, as.finish());
+  }
+  app.apk = make_apk(std::move(b).build(), "Lapp/Main;");
+  return app;
+}
+
+// --- collecting against the fold: a Collector walking known trees ---
+
+// Options whose driver invokes f once per argument on the run's runtime.
+DexLegoOptions calls_f(std::vector<int> args, size_t max_variants = 8) {
+  DexLegoOptions options;
+  options.collector.max_variants = max_variants;
+  options.driver = [args](rt::Runtime& runtime, int) {
+    rt::RtMethod* f = runtime.linker().resolve("Lt/A;")->find_declared("f");
+    for (int x : args) runtime.interp().invoke(*f, {rt::Value::Int(x)});
+  };
+  return options;
+}
+
+size_t tree_count(const CollectionOutput& out) {
+  size_t n = 0;
+  for (const auto& [key, rec] : out.methods) n += rec.trees.size();
+  return n;
+}
+
+void expect_same_tree(const TreeNode& a, const TreeNode& b) {
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  ASSERT_EQ(a.il.size(), b.il.size());
+  for (size_t i = 0; i < a.il.size(); ++i) {
+    EXPECT_TRUE(a.il[i].same_instruction(b.il[i])) << "entry " << i;
+    EXPECT_EQ(a.il[i].switch_payload, b.il[i].switch_payload) << "entry " << i;
+  }
+  EXPECT_EQ(a.iim, b.iim);
+  EXPECT_EQ(a.sm_start, b.sm_start);
+  EXPECT_EQ(a.sm_end, b.sm_end);
+  ASSERT_EQ(a.children.size(), b.children.size());
+  for (size_t c = 0; c < a.children.size(); ++c) {
+    expect_same_tree(*a.children[c], *b.children[c]);
+  }
+}
+
+// Folds `plain` (a plain collection of the unit) and `walked` (the same
+// unit collected against the fold) into two fresh copies of the fold the
+// `base` options collect, and expects the same result, byte for byte.
+void expect_same_fold(const dex::Apk& apk, const DexLegoOptions& base,
+                      CollectionOutput plain, CollectionOutput walked,
+                      size_t max_variants) {
+  CollectionOutput plain_fold = DexLego::collect(apk, base);
+  CollectionOutput walked_fold = DexLego::collect(apk, base);
+  merge_collection(plain_fold, std::move(plain), max_variants);
+  merge_collection(walked_fold, std::move(walked), max_variants);
+  CollectionFiles a = encode_collection(plain_fold);
+  CollectionFiles b = encode_collection(walked_fold);
+  EXPECT_EQ(a.class_data, b.class_data);
+  EXPECT_EQ(a.field_data, b.field_data);
+  EXPECT_EQ(a.static_values, b.static_values);
+  EXPECT_EQ(a.method_data, b.method_data);
+  EXPECT_EQ(a.bytecode, b.bytecode);
+  EXPECT_EQ(plain_fold.total_instructions_observed,
+            walked_fold.total_instructions_observed);
+  EXPECT_EQ(plain_fold.divergences_detected, walked_fold.divergences_detected);
+  EXPECT_EQ(plain_fold.reflection_sites, walked_fold.reflection_sites);
+  for (const auto& [key, rec] : plain_fold.methods) {
+    const MethodRecord* other = walked_fold.find_method(key);
+    ASSERT_NE(other, nullptr) << key.pretty();
+    EXPECT_EQ(rec.executions, other->executions) << key.pretty();
+    EXPECT_EQ(rec.dropped_trees, other->dropped_trees) << key.pretty();
+    EXPECT_EQ(rec.tree_fingerprints, other->tree_fingerprints) << key.pretty();
+  }
+}
+
+TEST(WalkingCollector, FullRetraceIsLeftOutOfTheUnit) {
+  dex::Apk apk = make_apk(f_file(), "Lt/A;");
+  DexLegoOptions base = calls_f({1});
+  DexLegoOptions unit = calls_f({1, 1});
+  CollectionOutput fold = DexLego::collect(apk, base);
+  CollectionOutput plain = DexLego::collect(apk, unit);
+  CollectionOutput walked = DexLego::collect(apk, unit, &fold);
+
+  ASSERT_EQ(plain.find_method(kF)->trees.size(), 1u);
+  const MethodRecord* rec = walked.find_method(kF);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_TRUE(rec->trees.empty());
+  EXPECT_TRUE(rec->tree_fingerprints.empty());
+  EXPECT_EQ(rec->executions, 2u);
+  EXPECT_EQ(rec->dropped_trees, 0u);
+  EXPECT_EQ(walked.total_instructions_observed,
+            plain.total_instructions_observed);
+  expect_same_fold(apk, base, std::move(plain), std::move(walked), 8);
+}
+
+TEST(WalkingCollector, StepLimitMidRetraceKeepsThePrefix) {
+  // The positive path is five instructions; the unit's runtime aborts after
+  // three, so its activation exits having matched a strict prefix.
+  dex::Apk apk = make_apk(f_file(), "Lt/A;");
+  DexLegoOptions base = calls_f({1});
+  DexLegoOptions unit = calls_f({1});
+  unit.runtime.step_limit = 3;
+  CollectionOutput fold = DexLego::collect(apk, base);
+  CollectionOutput plain = DexLego::collect(apk, unit);
+  CollectionOutput walked = DexLego::collect(apk, unit, &fold);
+
+  const MethodRecord* plain_rec = plain.find_method(kF);
+  const MethodRecord* walked_rec = walked.find_method(kF);
+  ASSERT_EQ(plain_rec->trees.size(), 1u);
+  ASSERT_EQ(plain_rec->trees[0]->il.size(), 3u);
+  ASSERT_EQ(walked_rec->trees.size(), 1u);
+  expect_same_tree(*walked_rec->trees[0], *plain_rec->trees[0]);
+  EXPECT_EQ(walked_rec->tree_fingerprints, plain_rec->tree_fingerprints);
+  expect_same_fold(apk, base, std::move(plain), std::move(walked), 8);
+}
+
+TEST(WalkingCollector, DanglingActivationResolvesAtTakeOutput) {
+  // An activation still open when take_output runs (its run died without
+  // unwinding) finishes like one that exited: a strict prefix of a known
+  // tree is copied, a full retrace is counted but left out.
+  dex::Apk apk = make_apk(f_file(), "Lt/A;");
+  CollectionOutput fold = DexLego::collect(apk, calls_f({1}));
+  auto run = [&](const CollectionOutput* known, size_t steps) {
+    Collector collector(Collector::Options{}, known);
+    rt::Runtime runtime;
+    runtime.install(apk);
+    rt::RtMethod* f = runtime.linker().resolve("Lt/A;")->find_declared("f");
+    std::span<const uint16_t> code(f->code->insns);
+    collector.on_method_entry(*f);
+    // The positive path's pcs: if-eqz, const/16, if-ltz, const/16, return.
+    size_t pc = 0;
+    for (size_t step = 0; step < steps; ++step) {
+      collector.on_instruction(*f, static_cast<uint32_t>(pc), code);
+      pc += bc::decode_at(code, pc).width;
+    }
+    return collector.take_output();
+  };
+  for (size_t steps : {2u, 5u}) {
+    SCOPED_TRACE("steps=" + std::to_string(steps));
+    CollectionOutput plain = run(nullptr, steps);
+    CollectionOutput walked = run(&fold, steps);
+    ASSERT_EQ(plain.find_method(kF)->trees.size(), 1u);
+    ASSERT_EQ(plain.find_method(kF)->trees[0]->il.size(), steps);
+    if (steps == 5) {
+      EXPECT_TRUE(walked.find_method(kF)->trees.empty());
+    } else {
+      ASSERT_EQ(walked.find_method(kF)->trees.size(), 1u);
+      expect_same_tree(*walked.find_method(kF)->trees[0],
+                       *plain.find_method(kF)->trees[0]);
+    }
+    expect_same_fold(apk, calls_f({1}), std::move(plain), std::move(walked), 8);
+  }
+}
+
+TEST(WalkingCollector, SelfModificationDivergesMidRetrace) {
+  // The fold holds advancedLeak's tree from a run whose native left the
+  // code alone. In the unit the native patches the loop's invoke, so the
+  // second iteration departs from the known tree there and forks a child.
+  SelfModifyingApp app = self_modifying_app();
+  DexLegoOptions base;
+  base.configure_runtime = app.configure(false);
+  DexLegoOptions unit;
+  unit.configure_runtime = app.configure(true);
+  const MethodKey leak{"Lapp/Main;", "advancedLeak", "()V"};
+  CollectionOutput fold = DexLego::collect(app.apk, base);
+  ASSERT_EQ(fold.find_method(leak)->trees.size(), 1u);
+  ASSERT_TRUE(fold.find_method(leak)->trees[0]->children.empty());
+  CollectionOutput plain = DexLego::collect(app.apk, unit);
+  CollectionOutput walked = DexLego::collect(app.apk, unit, &fold);
+
+  const MethodRecord* plain_rec = plain.find_method(leak);
+  const MethodRecord* walked_rec = walked.find_method(leak);
+  ASSERT_EQ(plain_rec->trees.size(), 1u);
+  ASSERT_EQ(plain_rec->trees[0]->children.size(), 1u);
+  EXPECT_EQ(plain_rec->trees[0]->children[0]->sm_start, app.call_pc);
+  ASSERT_EQ(walked_rec->trees.size(), 1u);
+  expect_same_tree(*walked_rec->trees[0], *plain_rec->trees[0]);
+  EXPECT_EQ(walked.divergences_detected, plain.divergences_detected);
+  // sink ran only in the unit; every other method retraced its known tree.
+  for (const auto& [key, rec] : walked.methods) {
+    bool fresh = key == leak || key.name == "sink";
+    EXPECT_EQ(rec.trees.size(), fresh ? 1u : 0u) << key.pretty();
+  }
+  EXPECT_GT(tree_count(plain), 2u);
+  expect_same_fold(app.apk, base, std::move(plain), std::move(walked), 8);
+}
+
+// Lt/S;->g(I)V calls the native Lt/S;->patch(), then switches on its
+// argument over {c0, c1}; any other key falls through to the return.
+// Before each call of g the native rewrites the payload's targets as that
+// call asks, without touching the switch instruction's units.
+enum class PayloadPatch { kNone, kSwap, kAliasFirst };
+
+struct SwitchApp {
+  dex::Apk apk;
+  size_t switch_pc = 0;
+
+  // Options whose driver calls g(arg) for each (arg, patch) in order.
+  DexLegoOptions calls(std::vector<std::pair<int, PayloadPatch>> calls,
+                       size_t max_variants = 8) const {
+    auto next = std::make_shared<PayloadPatch>(PayloadPatch::kNone);
+    DexLegoOptions options;
+    options.collector.max_variants = max_variants;
+    options.configure_runtime = [next, switch_pc = switch_pc](
+                                    rt::Runtime& runtime) {
+      runtime.register_native(
+          "Lt/S;->patch",
+          [next, switch_pc](rt::NativeContext& ctx, std::span<rt::Value>) {
+            std::vector<uint16_t>& code = ctx.runtime.linker()
+                                              .resolve("Lt/S;")
+                                              ->find_declared("g")
+                                              ->code->insns;
+            size_t targets = switch_pc + 4 +
+                             static_cast<size_t>(
+                                 bc::decode_at(code, switch_pc).off);
+            if (*next == PayloadPatch::kSwap) {
+              std::swap(code[targets], code[targets + 1]);
+            } else if (*next == PayloadPatch::kAliasFirst) {
+              code[targets] = code[targets + 1];
+            }
+            return rt::Value::Null();
+          });
+    };
+    options.driver = [next, calls](rt::Runtime& runtime, int) {
+      rt::RtMethod* g = runtime.linker().resolve("Lt/S;")->find_declared("g");
+      for (const auto& [arg, patch] : calls) {
+        *next = patch;
+        runtime.interp().invoke(*g, {rt::Value::Int(arg)});
+      }
+    };
+    return options;
+  }
+};
+
+SwitchApp switch_app() {
+  SwitchApp app;
+  dex::DexBuilder b;
+  b.start_class("Lt/S;");
+  b.add_native_method("patch", "V", {},
+                      dex::kAccPublic | dex::kAccNative | dex::kAccStatic);
+  uint32_t patch_m = b.intern_method("Lt/S;", "patch", "V", {});
+  MethodAssembler as(2, 1);
+  auto c0 = as.make_label();
+  auto c1 = as.make_label();
+  auto end = as.make_label();
+  as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(patch_m), {});
+  app.switch_pc = as.current_pc();
+  as.packed_switch(1, 0, {c0, c1});
+  as.goto_(end);
+  as.bind(c0);
+  as.const16(0, 10);
+  as.goto_(end);
+  as.bind(c1);
+  as.const16(0, 20);
+  as.bind(end);
+  as.return_void();
+  b.add_direct_method("g", "V", {"I"}, as.finish());
+  app.apk = make_apk(std::move(b).build(), "Lt/S;");
+  return app;
+}
+
+const MethodKey kG{"Lt/S;", "g", "(I)V"};
+
+TEST(WalkingCollector, PatchedSwitchPayloadEndsTheWalk) {
+  // The unit's switch has the folded entry's units but not its snapshot,
+  // so the walk must end there and snapshot the payload afresh.
+  SwitchApp app = switch_app();
+  DexLegoOptions base = app.calls({{1, PayloadPatch::kNone}});
+  DexLegoOptions unit = app.calls({{1, PayloadPatch::kSwap}});
+  CollectionOutput fold = DexLego::collect(app.apk, base);
+  CollectionOutput plain = DexLego::collect(app.apk, unit);
+  CollectionOutput walked = DexLego::collect(app.apk, unit, &fold);
+  ASSERT_EQ(plain.find_method(kG)->trees.size(), 1u);
+  ASSERT_EQ(walked.find_method(kG)->trees.size(), 1u);
+  const TreeNode& tree = *walked.find_method(kG)->trees[0];
+  expect_same_tree(tree, *plain.find_method(kG)->trees[0]);
+  ASSERT_GE(tree.il.size(), 2u);
+  EXPECT_NE(tree.il[1].switch_payload,
+            fold.find_method(kG)->trees[0]->il[1].switch_payload);
+  expect_same_fold(app.apk, base, std::move(plain), std::move(walked), 8);
+}
+
+TEST(WalkingCollector, RetraceDedupsABuiltTreeOfTheSameFingerprint) {
+  // A fingerprint leaves switch snapshots out. The unit first retraces the
+  // folded tree, then builds one differing only in the unused target, then
+  // a new one. The second must dedup against the retrace, so the new tree
+  // still fits under a cap of two, as in the plain unit.
+  SwitchApp app = switch_app();
+  DexLegoOptions base = app.calls({{1, PayloadPatch::kNone}}, 2);
+  DexLegoOptions unit = app.calls({{1, PayloadPatch::kNone},
+                                   {1, PayloadPatch::kAliasFirst},
+                                   {2, PayloadPatch::kNone}},
+                                  2);
+  CollectionOutput fold = DexLego::collect(app.apk, base);
+  CollectionOutput plain = DexLego::collect(app.apk, unit);
+  CollectionOutput walked = DexLego::collect(app.apk, unit, &fold);
+  EXPECT_EQ(plain.find_method(kG)->trees.size(), 2u);
+  EXPECT_EQ(plain.find_method(kG)->dropped_trees, 0u);
+  ASSERT_EQ(walked.find_method(kG)->trees.size(), 1u);
+  EXPECT_EQ(walked.find_method(kG)->dropped_trees, 0u);
+  expect_same_tree(*walked.find_method(kG)->trees[0],
+                   *plain.find_method(kG)->trees[1]);
+  expect_same_fold(app.apk, base, std::move(plain), std::move(walked), 2);
+}
+
+TEST(WalkingCollector, SameUnitsFromAnotherImageEndTheWalk) {
+  // Lt/A;->f and Lt/B;->f have the same units, but their const-string
+  // resolves to "a" in one image and "b" in the other. Instructions of
+  // Lt/B;->f reaching Lt/A;->f's activation (a mismatched frame) are
+  // compared as Algorithm 1 compares them: a repeated pc is skipped only
+  // for the method entered, and a next entry matches only with its SymRef.
+  auto image = [](const std::string& cls, const std::string& literal) {
+    dex::DexBuilder b;
+    uint16_t idx = static_cast<uint16_t>(b.intern_string(literal));
+    b.start_class(cls);
+    MethodAssembler as(1, 0);
+    as.const_string(0, idx);
+    as.return_void();
+    b.add_direct_method("f", "V", {}, as.finish());
+    return std::move(b).build();
+  };
+  rt::Runtime runtime;
+  runtime.linker().register_dex(image("Lt/A;", "a"), "a");
+  runtime.linker().register_dex(image("Lt/B;", "b"), "b");
+  rt::RtMethod* a = runtime.linker().resolve("Lt/A;")->find_declared("f");
+  rt::RtMethod* b = runtime.linker().resolve("Lt/B;")->find_declared("f");
+  ASSERT_EQ(a->code->insns, b->code->insns);
+  std::span<const uint16_t> code(a->code->insns);
+  const uint32_t ret = bc::decode_at(code, 0).width;
+  auto run = [&](const CollectionOutput* known,
+                 std::vector<rt::RtMethod*> at_zero) {
+    Collector collector(Collector::Options{}, known);
+    collector.on_method_entry(*a);
+    for (rt::RtMethod* m : at_zero) collector.on_instruction(*m, 0, code);
+    collector.on_instruction(*a, ret, code);
+    collector.on_method_exit(*a);
+    return collector.take_output();
+  };
+  const CollectionOutput fold = run(nullptr, {a});
+  const MethodKey key{"Lt/A;", "f", "()V"};
+  for (const auto& at_zero : {std::vector<rt::RtMethod*>{a, b},
+                              std::vector<rt::RtMethod*>{b}}) {
+    SCOPED_TRACE(at_zero.size() == 2 ? "repeat" : "next entry");
+    CollectionOutput plain = run(nullptr, at_zero);
+    CollectionOutput walked = run(&fold, at_zero);
+    ASSERT_EQ(plain.find_method(key)->trees.size(), 1u);
+    ASSERT_EQ(walked.find_method(key)->trees.size(), 1u);
+    expect_same_tree(*walked.find_method(key)->trees[0],
+                     *plain.find_method(key)->trees[0]);
+    EXPECT_EQ(walked.divergences_detected, plain.divergences_detected);
+  }
+}
+
+TEST(WalkingCollector, VariantCapCountsTheRetrace) {
+  // With one variant allowed, the retraced known tree takes the slot, so
+  // the new tree after it is dropped, as the plain unit drops it; and a new
+  // tree first keeps the slot and the retrace after it is dropped.
+  dex::Apk apk = make_apk(f_file(), "Lt/A;");
+  DexLegoOptions base = calls_f({1}, 1);
+  for (std::vector<int> args : {std::vector<int>{1, -1}, std::vector<int>{-1, 1}}) {
+    SCOPED_TRACE("first arg " + std::to_string(args[0]));
+    DexLegoOptions unit = calls_f(args, 1);
+    CollectionOutput fold = DexLego::collect(apk, base);
+    CollectionOutput plain = DexLego::collect(apk, unit);
+    CollectionOutput walked = DexLego::collect(apk, unit, &fold);
+    EXPECT_EQ(plain.find_method(kF)->dropped_trees, 1u);
+    EXPECT_EQ(walked.find_method(kF)->dropped_trees, 1u);
+    EXPECT_EQ(walked.find_method(kF)->trees.size(), args[0] == 1 ? 0u : 1u);
+
+    CollectionOutput plain_fold = DexLego::collect(apk, base);
+    CollectionOutput walked_fold = DexLego::collect(apk, base);
+    merge_collection(plain_fold, std::move(plain), 1);
+    merge_collection(walked_fold, std::move(walked), 1);
+    EXPECT_EQ(walked_fold.find_method(kF)->dropped_trees,
+              plain_fold.find_method(kF)->dropped_trees);
+    EXPECT_EQ(plain_fold.find_method(kF)->dropped_trees,
+              args[0] == 1 ? 1u : 2u);
+    EXPECT_EQ(encode_collection(walked_fold).method_data,
+              encode_collection(plain_fold).method_data);
+  }
 }
 
 TEST(CollectionFiles, EncodeDecodeRoundTrip) {
@@ -428,80 +889,15 @@ TEST(DexLego, DeadBranchRemoved) {
             dex::kNoIndex);
 }
 
-// The paper's Code 1/Listing 1/Code 4 scenario end to end: self-modifying
-// code that swaps normal(a) <-> sink(a) across loop iterations. The
-// collection tree must fork a child holding the sink call, and the
-// reassembled method must contain BOTH calls behind a Modification guard.
+// The self-modifying scenario end to end. The collection tree must fork a
+// child holding the sink call, and the reassembled method must contain BOTH
+// calls behind a Modification guard.
 TEST(DexLego, SelfModifyingRevealedWithGuards) {
-  dex::DexBuilder b;
-  uint32_t src = b.intern_method("Ldexlego/api/Source;", "secret",
-                                 "Ljava/lang/String;", {});
-  uint32_t normal_m = b.intern_method("Lapp/Main;", "normal", "V",
-                                      {"Ljava/lang/String;"});
-  uint32_t sink_m = b.intern_method("Lapp/Main;", "sink", "V",
-                                    {"Ljava/lang/String;"});
-  uint32_t tamper_m = b.intern_method("Lapp/Main;", "bytecodeTamper", "V", {"I"});
-  uint32_t sms = b.intern_method("Landroid/telephony/SmsManager;",
-                                 "sendTextMessage", "V", {"Ljava/lang/String;"});
-
-  b.start_class("Lapp/Main;", "Landroid/app/Activity;");
-  size_t call_pc = 0;
-  {
-    MethodAssembler as(4, 1);  // this in v3
-    auto loop = as.make_label();
-    auto done = as.make_label();
-    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(src), {});
-    as.move_result(0);
-    as.const16(1, 0);
-    as.const16(2, 2);
-    as.bind(loop);
-    as.if_test(Op::kIfGe, 1, 2, done);
-    call_pc = as.current_pc();
-    as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(normal_m), {3, 0});
-    as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(tamper_m), {3, 1});
-    as.add_lit8(1, 1, 1);
-    as.goto_(loop);
-    as.bind(done);
-    as.return_void();
-    b.add_virtual_method("advancedLeak", "V", {}, as.finish());
-  }
-  {
-    MethodAssembler as(2, 2);
-    as.return_void();
-    b.add_virtual_method("normal", "V", {"Ljava/lang/String;"}, as.finish());
-  }
-  {
-    MethodAssembler as(2, 2);
-    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(sms), {1});
-    as.return_void();
-    b.add_virtual_method("sink", "V", {"Ljava/lang/String;"}, as.finish());
-  }
-  b.add_native_method("bytecodeTamper", "V", {"I"});
-  uint32_t leak_m = b.intern_method("Lapp/Main;", "advancedLeak", "V", {});
-  {
-    MethodAssembler as(2, 1);  // this in v1 (onCreate receiver)
-    as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(leak_m), {1});
-    as.return_void();
-    b.add_virtual_method("onCreate", "V", {}, as.finish());
-  }
-  dex::Apk apk = make_apk(std::move(b).build(), "Lapp/Main;");
-
+  SelfModifyingApp app = self_modifying_app();
   DexLegoOptions options;
-  options.configure_runtime = [call_pc, normal_m, sink_m](rt::Runtime& runtime) {
-    runtime.register_native(
-        "Lapp/Main;->bytecodeTamper",
-        [call_pc, normal_m, sink_m](rt::NativeContext& ctx,
-                                    std::span<rt::Value> args) {
-          rt::RtMethod* leak =
-              ctx.runtime.linker().resolve("Lapp/Main;")->find_declared(
-                  "advancedLeak");
-          leak->code->insns[call_pc + 1] = static_cast<uint16_t>(
-              args[1].test_value() == 0 ? sink_m : normal_m);
-          return rt::Value::Null();
-        });
-  };
+  options.configure_runtime = app.configure(true);
   DexLego dexlego(options);
-  RevealResult result = dexlego.reveal(apk);
+  RevealResult result = dexlego.reveal(app.apk);
   ASSERT_TRUE(result.verified) << result.verify_errors;
 
   // Collection tree shape per Listing 1: one root + one child with 1 insn.

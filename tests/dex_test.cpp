@@ -289,6 +289,34 @@ TEST(DexIoHardening, ArbitraryCountCorruptionNeverCrashes) {
   }
 }
 
+TEST(DexIoHardening, CodeItemsAreBoundedToSixteenBitPcs) {
+  // The collection format and the reassembler keep pcs in 16 bits, so a
+  // longer code item would alias its pcs; the LDEX loader refuses it, as
+  // the real-DEX loader does.
+  for (size_t units : {size_t{0xffff}, size_t{0x10000}}) {
+    DexBuilder b;
+    b.start_class("Lcom/test/Long;");
+    CodeItem code;
+    code.registers_size = 1;
+    code.insns.assign(units - 1, 0x0000);  // nop
+    code.insns.push_back(0x0009);          // return-void
+    b.add_direct_method("run", "V", {}, code, kAccPublic | kAccStatic);
+    std::vector<uint8_t> bytes = write_dex(std::move(b).build());
+    if (units <= 0xffff) {
+      DexFile file = read_dex(bytes);
+      EXPECT_EQ(file.classes.at(0).direct_methods.at(0).code->insns.size(),
+                units);
+    } else {
+      try {
+        read_dex(bytes);
+        ADD_FAILURE() << units << " units loaded";
+      } catch (const support::ParseError& e) {
+        EXPECT_STREQ(e.what(), "code longer than 65535 units");
+      }
+    }
+  }
+}
+
 TEST(ApkHardening, EntryCountBombIsCleanlyRejected) {
   Apk apk;
   apk.set_entry(Apk::kClassesEntry, {1, 2, 3});

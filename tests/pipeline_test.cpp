@@ -7,6 +7,7 @@
 // changes nothing.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -19,8 +20,11 @@
 #include "src/core/dexlego.h"
 #include "src/core/semantic_check.h"
 #include "src/coverage/force.h"
+#include "src/coverage/force_engine.h"
+#include "src/coverage/tracker.h"
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
+#include "src/dex/real/real_dex.h"
 #include "src/pipeline/batch.h"
 #include "src/pipeline/dedup_store.h"
 #include "src/pipeline/scenarios.h"
@@ -632,6 +636,57 @@ TEST(BatchPipeline, TruncatedTrailingInstructionIsNotCollected) {
   EXPECT_TRUE(rec->trees.empty());  // no ILEntry for the truncated pc 0
 }
 
+// onCreate: nops, then const-string "tail", Log.i and return-void, `units`
+// code units in all. Every run of it completes and logs "tail".
+dex::Apk long_method_apk(size_t units) {
+  dex::DexBuilder b;
+  uint32_t log_i = b.intern_method("Landroid/util/Log;", "i", "V",
+                                   {"Ljava/lang/String;"});
+  uint16_t tail = static_cast<uint16_t>(b.intern_string("tail"));
+  b.start_class("Lhostile/Long;", "Landroid/app/Activity;");
+  auto emit_tail = [&](bc::MethodAssembler& as) {
+    as.const_string(0, tail);
+    as.invoke(bc::Op::kInvokeStatic, static_cast<uint16_t>(log_i), {0});
+    as.return_void();
+  };
+  bc::MethodAssembler probe(2, 1);
+  emit_tail(probe);
+  bc::MethodAssembler as(2, 1);
+  while (as.current_pc() + probe.current_pc() < units) as.nop();
+  emit_tail(as);
+  b.add_virtual_method("onCreate", "V", {}, as.finish());
+  dex::Manifest manifest;
+  manifest.package = "hostile.long";
+  manifest.entry_class = "Lhostile/Long;";
+  dex::Apk apk;
+  apk.set_manifest(manifest);
+  apk.set_classes(dex::write_dex(std::move(b).build()));
+  return apk;
+}
+
+TEST(BatchPipeline, CodeItemPastSixteenBitPcsFailsItsJob) {
+  // Collected pcs are 16-bit. A 65,536-unit method used to load, and its
+  // "verified" reveal aborted at run time; now its job fails on the parse.
+  std::vector<pipeline::BatchJob> jobs(2);
+  jobs[0].name = "longest";
+  jobs[0].apk = long_method_apk(0xffff);
+  jobs[1].name = "too-long";
+  jobs[1].apk = long_method_apk(0x10000);
+  pipeline::BatchReport report = pipeline::run_batch(jobs, {});
+  EXPECT_TRUE(report.jobs[0].ok) << report.jobs[0].error;
+  EXPECT_FALSE(report.jobs[1].ok);
+  EXPECT_EQ(report.jobs[1].error, "code longer than 65535 units");
+
+  // The longest loadable method reveals to a longer code item (the
+  // reassembler adds units), which no loader accepts: verification says so.
+  EXPECT_FALSE(report.jobs[0].verified);
+  core::RevealResult reveal = core::DexLego().reveal(jobs[0].apk);
+  EXPECT_FALSE(reveal.verified);
+  EXPECT_NE(reveal.verify_errors.find("code longer than 65535 units"),
+            std::string::npos)
+      << reveal.verify_errors;
+}
+
 TEST(BatchPipeline, NonStdExceptionFailsClosed) {
   // Workers must fail closed for ANY throw, not just std::exception — a
   // hostile native-method shim can throw an arbitrary type. Both the
@@ -903,6 +958,106 @@ TEST(ForcePipeline, FailedForceJobIsIsolated) {
   EXPECT_FALSE(report.jobs[1].error.empty());
   EXPECT_TRUE(report.jobs[2].ok);
   EXPECT_EQ(report.fleet.ok, 2u);
+}
+
+// --- forced units collected against the fold ------------------------------
+
+// run_job's force loop over one job at a variant cap, folding each unit in
+// plan order. With `walk`, every forced unit collects against the fold so
+// far, as run_job's do; without, each is a plain DexLego::collect.
+struct ForceFold {
+  bool ok = false;  // the baseline and the engine came up
+  core::CollectionOutput merged;
+  size_t units = 0;
+  size_t offered_trees = 0;  // trees the units handed merge_collection
+};
+
+ForceFold force_fold(const pipeline::BatchJob& job, size_t max_variants,
+                     bool walk) {
+  ForceFold out;
+  std::optional<coverage::ForceEngine> engine;
+  try {
+    engine.emplace(dex::load_classes(job.apk), job.force_options);
+  } catch (const std::exception&) {
+    return out;
+  }
+  for (std::vector<coverage::PlanUnit> wave{coverage::PlanUnit{}};
+       !wave.empty(); wave = engine->next_wave()) {
+    for (const coverage::PlanUnit& unit : wave) {
+      coverage::CoverageTracker coverage;
+      coverage::ForceHooks force_hooks(unit.plan);
+      core::DexLegoOptions options = job.reveal;
+      options.collector.max_variants = max_variants;
+      options.runs = unit.plan.empty() ? std::max(1, options.runs) : 1;
+      auto base_configure = options.configure_runtime;
+      options.configure_runtime = [&, base_configure](rt::Runtime& runtime) {
+        if (base_configure) base_configure(runtime);
+        if (job.configure_runtime) job.configure_runtime(runtime);
+        runtime.add_hooks(&coverage);
+        if (!unit.plan.empty()) runtime.add_hooks(&force_hooks);
+      };
+      const core::CollectionOutput* known =
+          walk && !unit.plan.empty() ? &out.merged : nullptr;
+      try {
+        core::CollectionOutput collected =
+            core::DexLego::collect(job.apk, options, known);
+        for (const auto& [key, rec] : collected.methods) {
+          out.offered_trees += rec.trees.size();
+        }
+        core::merge_collection(out.merged, std::move(collected), max_variants);
+      } catch (const std::exception&) {
+        if (unit.plan.empty()) return out;  // no baseline: the job fails
+      }
+      engine->observe(unit, coverage);
+      ++out.units;
+    }
+  }
+  out.ok = true;
+  return out;
+}
+
+TEST(ForcePipeline, CollectingAgainstTheFoldMatchesThePlainFold) {
+  // A forced unit that walks the fold leaves out the trees it retraces, so
+  // it offers fewer trees; the fold must not notice, at any variant cap.
+  std::vector<pipeline::BatchJob> jobs = pipeline::all_jobs();
+  pipeline::enable_force(jobs, {});
+  size_t folds = 0;
+  size_t plain_trees = 0;
+  size_t walked_trees = 0;
+  for (size_t max_variants : {8u, 2u, 1u}) {
+    for (const pipeline::BatchJob& job : jobs) {
+      SCOPED_TRACE(job.name + " max_variants=" + std::to_string(max_variants));
+      ForceFold plain = force_fold(job, max_variants, /*walk=*/false);
+      ForceFold walked = force_fold(job, max_variants, /*walk=*/true);
+      ASSERT_EQ(walked.ok, plain.ok);
+      if (!plain.ok) continue;
+      ++folds;
+      plain_trees += plain.offered_trees;
+      walked_trees += walked.offered_trees;
+      EXPECT_EQ(walked.units, plain.units);
+      core::CollectionFiles a = core::encode_collection(plain.merged);
+      core::CollectionFiles b = core::encode_collection(walked.merged);
+      EXPECT_EQ(a.class_data, b.class_data);
+      EXPECT_EQ(a.field_data, b.field_data);
+      EXPECT_EQ(a.static_values, b.static_values);
+      EXPECT_EQ(a.method_data, b.method_data);
+      EXPECT_EQ(a.bytecode, b.bytecode);
+      EXPECT_EQ(walked.merged.total_instructions_observed,
+                plain.merged.total_instructions_observed);
+      EXPECT_EQ(walked.merged.divergences_detected,
+                plain.merged.divergences_detected);
+      EXPECT_EQ(walked.merged.reflection_sites, plain.merged.reflection_sites);
+      ASSERT_EQ(walked.merged.methods.size(), plain.merged.methods.size());
+      for (const auto& [key, rec] : plain.merged.methods) {
+        const core::MethodRecord* other = walked.merged.find_method(key);
+        ASSERT_NE(other, nullptr) << key.pretty();
+        EXPECT_EQ(other->executions, rec.executions) << key.pretty();
+        EXPECT_EQ(other->dropped_trees, rec.dropped_trees) << key.pretty();
+      }
+    }
+  }
+  EXPECT_EQ(folds, 3 * jobs.size());
+  EXPECT_LT(walked_trees, plain_trees);  // the walk engaged
 }
 
 // Wall-clock scaling is no longer asserted here: a timing-ratio unit test is
