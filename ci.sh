@@ -98,6 +98,11 @@ fi
 # forced units that walk the fold into divergences and reflective calls.
 "$BUILD_DIR"/examples/dexlego_batch --scenario droidbench --force \
   --threads 2 --compare-sequential --quiet
+# Packed apps under force: every unit installs the job's one parse as image
+# 0 and parses the payload it unpacks itself, so each unit mixes a shared
+# image with one of its own.
+"$BUILD_DIR"/examples/dexlego_batch --scenario packed --force --threads 2 \
+  --compare-sequential --quiet
 # Real-DEX containers (classes.dex + split multidex) through the same
 # pipeline, byte-compared against sequential — ARCHITECTURE invariant 12.
 "$BUILD_DIR"/examples/dexlego_batch --scenario realdex --count 6 \

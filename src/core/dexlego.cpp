@@ -21,13 +21,17 @@ void default_driver(rt::Runtime& rt, int run_index) {
 
 CollectionOutput DexLego::collect(const dex::Apk& apk,
                                   const DexLegoOptions& options,
-                                  const CollectionOutput* known) {
+                                  const CollectionOutput* known,
+                                  std::shared_ptr<const dex::DexFile> classes) {
   Collector collector(options.collector, known);
   for (int run = 0; run < options.runs; ++run) {
     rt::Runtime runtime(options.runtime);
     if (options.configure_runtime) options.configure_runtime(runtime);
     runtime.add_hooks(&collector);
-    runtime.install(apk);
+    if (!classes) {
+      classes = std::make_shared<const dex::DexFile>(dex::load_classes(apk));
+    }
+    runtime.install(apk, classes);
     if (options.driver) {
       options.driver(runtime, run);
     } else {

@@ -3,9 +3,12 @@
 // caller-provided driver (fuzzer, force execution, simple launch), then
 // reassemble the collection files into a new DEX and splice it back into the
 // original APK. The revealed APK is what gets handed to static analysis.
+// Every run of one collect installs the same parse of the APK; the batch
+// pipeline hands each of a job's collects the job's one parse.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "src/core/collector.h"
@@ -56,9 +59,13 @@ class DexLego {
   // trees instead of rebuilding them and leaves out trees that retrace one
   // in full, so merging the result into `known` gives what merging a plain
   // collection would. It must stay unchanged until collect returns.
-  static CollectionOutput collect(const dex::Apk& apk,
-                                  const DexLegoOptions& options,
-                                  const CollectionOutput* known = nullptr);
+  // `classes` is a parse of `apk`'s classes (dex::load_classes) that every
+  // run installs as its image 0; given none, collect parses the APK once,
+  // at the first run's install, and shares that parse with later runs.
+  static CollectionOutput collect(
+      const dex::Apk& apk, const DexLegoOptions& options,
+      const CollectionOutput* known = nullptr,
+      std::shared_ptr<const dex::DexFile> classes = nullptr);
 
   // Offline half only: collection files -> revealed APK (manifest and assets
   // copied from `original`).

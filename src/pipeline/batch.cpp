@@ -1,6 +1,7 @@
 #include "src/pipeline/batch.h"
 
 #include <algorithm>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -27,12 +28,21 @@ struct UnitOutput {
   std::string error;
 };
 
+// The job's one parse of its app's classes: every unit's runtime installs
+// it as image 0, and the coverage report and a force job's engine read it.
+// Throws what dex::load_classes throws.
+std::shared_ptr<const dex::DexFile> parse_classes(const dex::Apk& apk) {
+  return std::make_shared<const dex::DexFile>(dex::load_classes(apk));
+}
+
 // Executes one plan unit through the DexLego collect phase, with a per-unit
 // coverage tracker and — for non-empty plans — the plan's ForceHooks riding
 // along. The baseline unit (empty plan) honors the job's run count; forced
-// units replay the driver once. `known` goes to DexLego::collect. Never
-// throws: a failure lands in `error`.
+// units replay the driver once. Every run installs `classes`, the job's
+// parse; `known` goes to DexLego::collect. Never throws: a failure lands in
+// `error`.
 UnitOutput run_unit(const BatchJob& job, const coverage::PlanUnit& unit,
+                    std::shared_ptr<const dex::DexFile> classes,
                     const core::CollectionOutput* known = nullptr) {
   UnitOutput out;
   try {
@@ -57,7 +67,8 @@ UnitOutput run_unit(const BatchJob& job, const coverage::PlanUnit& unit,
       out.leaks += runtime.leaks().size();
     };
 
-    out.collection = core::DexLego::collect(job.apk, options, known);
+    out.collection =
+        core::DexLego::collect(job.apk, options, known, std::move(classes));
     out.forced = force_hooks.forced();
     out.ok = true;
   } catch (const std::exception& e) {
@@ -97,10 +108,13 @@ void report_coverage(const coverage::CoverageTracker& coverage,
   result.branch_coverage = report.branch_pct();
 }
 
-// A classic job: one natural-execution unit, then the offline half.
+// A classic job: parse the app once, run one natural-execution unit on
+// that parse, then the offline half. An app that does not parse fails
+// with the parser's message, which run_job records.
 void run_classic(const BatchJob& job, DedupStore& store, bool keep_dex,
                  JobResult& result) {
-  UnitOutput out = run_unit(job, coverage::PlanUnit{});
+  std::shared_ptr<const dex::DexFile> original = parse_classes(job.apk);
+  UnitOutput out = run_unit(job, coverage::PlanUnit{}, original);
   if (!out.ok) {
     result.error = std::move(out.error);
     return;
@@ -108,10 +122,11 @@ void run_classic(const BatchJob& job, DedupStore& store, bool keep_dex,
   finish(job, out.collection, store, keep_dex, result);
   result.leaks_observed = out.leaks;
 
-  // Coverage of the *original* image. Meaningless for packed inputs whose
-  // classes.ldex is the shell stub, so a parse failure just leaves 0.
+  // Coverage of the *original* image (meaningless for packed inputs, whose
+  // classes.ldex is the shell stub). A report that cannot be computed over
+  // the image just leaves 0.
   try {
-    report_coverage(out.coverage, dex::load_classes(job.apk), result);
+    report_coverage(out.coverage, *original, result);
   } catch (const std::exception&) {
   }
   result.ok = true;
@@ -125,20 +140,20 @@ void run_classic(const BatchJob& job, DedupStore& store, bool keep_dex,
 // the trees it retraces are already merged and are not rebuilt.
 void run_force(const BatchJob& job, DedupStore& store, bool keep_dex,
                JobResult& result) {
-  UnitOutput baseline = run_unit(job, coverage::PlanUnit{});
-
-  // One parse of the original image serves the engine and the coverage
-  // report. The engine is built before the baseline's outcome is looked at,
-  // so an image that does not parse fails as "force engine: ...".
-  dex::DexFile original;
+  // One parse of the original image serves every unit's install, the engine
+  // and the coverage report. The engine is built before the baseline's
+  // outcome is looked at, so an image that does not parse fails as
+  // "force engine: ...".
+  std::shared_ptr<const dex::DexFile> original;
   std::optional<coverage::ForceEngine> engine;
   try {
-    original = dex::load_classes(job.apk);
-    engine.emplace(original, job.force_options);
+    original = parse_classes(job.apk);
+    engine.emplace(*original, job.force_options);
   } catch (const std::exception& e) {
     result.error = std::string("force engine: ") + e.what();
     return;
   }
+  UnitOutput baseline = run_unit(job, coverage::PlanUnit{}, original);
   if (!baseline.ok) {
     // No baseline collection: the job fails like a classic job would.
     result.error = std::move(baseline.error);
@@ -166,14 +181,14 @@ void run_force(const BatchJob& job, DedupStore& store, bool keep_dex,
   for (std::vector<coverage::PlanUnit> wave = engine->next_wave();
        !wave.empty(); wave = engine->next_wave()) {
     for (const coverage::PlanUnit& unit : wave) {
-      UnitOutput out = run_unit(job, unit, &merged);
+      UnitOutput out = run_unit(job, unit, original, &merged);
       fold(unit, out);
     }
     force_paths += wave.size();
   }
 
   finish(job, merged, store, keep_dex, result);
-  report_coverage(engine->coverage(), original, result);
+  report_coverage(engine->coverage(), *original, result);
   result.leaks_observed = leaks;
   result.forced_branches = forced_branches;
   result.force_paths = force_paths;

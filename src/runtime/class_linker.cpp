@@ -7,15 +7,18 @@
 
 namespace dexlego::rt {
 
-const DexImage& ClassLinker::register_dex(dex::DexFile file, std::string source) {
-  auto image = std::make_unique<DexImage>();
-  image->id = static_cast<int>(images_.size());
-  image->source = std::move(source);
-  image->file = std::move(file);
-  images_.push_back(std::move(image));
+const DexImage& ClassLinker::register_dex(std::shared_ptr<const dex::DexFile> file,
+                                          std::string source) {
+  images_.push_back(std::make_unique<DexImage>(static_cast<int>(images_.size()),
+                                               std::move(source), std::move(file)));
   const DexImage& ref = *images_.back();
   runtime_.hook_chain().dispatch_dex_loaded(ref);
   return ref;
+}
+
+const DexImage& ClassLinker::register_dex(dex::DexFile file, std::string source) {
+  return register_dex(std::make_shared<const dex::DexFile>(std::move(file)),
+                      std::move(source));
 }
 
 bool ClassLinker::is_framework_descriptor(std::string_view descriptor) const {

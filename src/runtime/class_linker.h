@@ -3,7 +3,8 @@
 // value collection (paper Fig. 2 "Initialization in class linker"). Its pool
 // resolvers keep no memo: the interpreter calls them on every execution of
 // a field or invoke instruction, so a newly registered image is seen at the
-// next resolution.
+// next resolution. Images only read their DexFile, so one parse can be
+// registered with many linkers; each linked method copies its code item.
 #pragma once
 
 #include <map>
@@ -24,7 +25,12 @@ class ClassLinker {
   explicit ClassLinker(Runtime& runtime) : runtime_(runtime) {}
 
   // Registers a DEX file. Classes load lazily on first resolution. The image
-  // id reflects load order (dynamic loading appends).
+  // id reflects load order (dynamic loading appends). `file` must be
+  // non-null; the image shares it with its other holders and keeps it alive
+  // for as long as the image lives.
+  const DexImage& register_dex(std::shared_ptr<const dex::DexFile> file,
+                               std::string source);
+  // Registers a parse this linker alone will own.
   const DexImage& register_dex(dex::DexFile file, std::string source);
 
   const std::vector<std::unique_ptr<DexImage>>& images() const { return images_; }

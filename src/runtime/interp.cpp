@@ -567,14 +567,24 @@ Interpreter::CallResult Interpreter::call_builtin(const std::string& class_descr
                                                   uint32_t caller_pc,
                                                   std::vector<Value>& args) {
   CallResult out;
-  const NativeFn* fn = rt_.find_builtin(class_descriptor, name);
-  if (fn == nullptr) {
+  const Builtin* builtin = rt_.find_builtin(class_descriptor, name);
+  if (builtin == nullptr) {
     out.exception = make_exception("Ljava/lang/NoSuchMethodError;",
                                    class_descriptor + "->" + name + " (framework)");
     return out;
   }
+  // invoke-static reaches here with whatever registers the caller named; a
+  // body must not read past them.
+  if (args.size() < builtin->arity) {
+    out.exception = make_exception(
+        "Ljava/lang/NoSuchMethodError;",
+        class_descriptor + "->" + name + " (framework) takes " +
+            std::to_string(builtin->arity) + " argument(s), got " +
+            std::to_string(args.size()));
+    return out;
+  }
   NativeContext ctx{rt_, *this, caller, caller_pc, nullptr};
-  Value ret = (*fn)(ctx, std::span<Value>(args));
+  Value ret = builtin->fn(ctx, std::span<Value>(args));
   if (ctx.pending_exception != nullptr) {
     out.exception = ctx.pending_exception;
   } else {

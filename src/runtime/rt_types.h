@@ -3,7 +3,9 @@
 // item: self-modifying native code patches these arrays at runtime, which is
 // precisely the behaviour DexLego's instruction-level collection defends
 // against (paper Section IV-A, Code 1-3). Nothing derived from the array is
-// kept: the interpreter decodes it afresh at every step.
+// kept: the interpreter decodes it afresh at every step. The DexImage a
+// method was linked from is never written, so one parse of an app can back
+// every runtime a job builds (DexImage below).
 #pragma once
 
 #include <cstdint>
@@ -26,10 +28,19 @@ struct Frame;
 
 // A DEX file registered with the class linker. `id` orders images by load
 // time (0 = the APK's classes.ldex; dynamically loaded files follow).
+// The parse is immutable and may be shared: the runtimes of one batch job
+// all register the job's one DexFile as image 0 (Runtime::install), and the
+// last holder to drop it frees it. Linking copies what may change
+// (RtMethod::code), so nothing writes `file`.
 struct DexImage {
+  DexImage(int id, std::string source, std::shared_ptr<const dex::DexFile> parse)
+      : id(id), source(std::move(source)), parse(std::move(parse)),
+        file(*this->parse) {}
+
   int id = 0;
   std::string source;  // "classes.ldex", "dynamic:<name>", ...
-  dex::DexFile file;
+  std::shared_ptr<const dex::DexFile> parse;
+  const dex::DexFile& file;  // *parse
 };
 
 struct RtMethod;

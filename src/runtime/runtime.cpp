@@ -7,9 +7,7 @@
 namespace dexlego::rt {
 
 Runtime::Runtime(RuntimeConfig cfg)
-    : cfg_(cfg), linker_(*this), interp_(*this) {
-  install_framework_builtins(*this);
-}
+    : cfg_(cfg), linker_(*this), interp_(*this) {}
 
 void Runtime::register_native(std::string full_name, NativeFn fn) {
   natives_[std::move(full_name)] = std::move(fn);
@@ -20,27 +18,28 @@ const NativeFn* Runtime::find_native(const std::string& full_name) const {
   return it == natives_.end() ? nullptr : &it->second;
 }
 
-void Runtime::register_builtin(std::string key, NativeFn fn) {
-  builtins_[std::move(key)] = std::move(fn);
-}
-
-const NativeFn* Runtime::find_builtin(const std::string& class_descriptor,
-                                      const std::string& name) const {
-  auto it = builtins_.find(class_descriptor + "->" + name);
-  if (it != builtins_.end()) return &it->second;
-  it = builtins_.find("*->" + name);
-  return it == builtins_.end() ? nullptr : &it->second;
+const Builtin* Runtime::find_builtin(const std::string& class_descriptor,
+                                     const std::string& name) const {
+  const BuiltinTable& builtins = framework_builtins();
+  auto it = builtins.find(class_descriptor + "->" + name);
+  if (it != builtins.end()) return &it->second;
+  it = builtins.find("*->" + name);
+  return it == builtins.end() ? nullptr : &it->second;
 }
 
 void Runtime::install(dex::Apk apk) {
-  apk_ = std::move(apk);
   // Whichever container the app ships — classes.ldex or real classes.dex
   // (multidex parts merged) — the linker sees one in-memory model.
-  dex::DexFile file = dex::load_classes(*apk_);
+  auto classes = std::make_shared<const dex::DexFile>(dex::load_classes(apk));
+  install(std::move(apk), std::move(classes));
+}
+
+void Runtime::install(dex::Apk apk, std::shared_ptr<const dex::DexFile> classes) {
+  apk_ = std::move(apk);
   const char* entry = apk_->has_entry(dex::Apk::kClassesEntry)
                           ? dex::Apk::kClassesEntry
                           : "classes.dex";
-  linker_.register_dex(std::move(file), entry);
+  linker_.register_dex(std::move(classes), entry);
 }
 
 ExecOutcome Runtime::launch() {

@@ -1,8 +1,10 @@
 // Runtime — the modified-Android-Runtime facade. Owns the heap, class
-// linker and interpreter; hosts the native-method and framework-builtin
-// registries, the app services (activity lifecycle, UI event routing,
-// intents, virtual files) and the sink/leak log consumed by the dynamic
-// taint presets.
+// linker and interpreter; hosts the native-method registry, the app
+// services (activity lifecycle, UI event routing, intents, virtual files)
+// and the sink/leak log consumed by the dynamic taint presets. What every
+// runtime would rebuild identically is shared instead: framework builtins
+// come from one process-wide read-only table (framework_builtins), and
+// install can register an app parse that other runtimes also use.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,23 @@
 namespace dexlego::rt {
 
 enum class DeviceProfile { kPhone, kTablet, kEmulator };
+
+// A framework builtin: its body, and how many leading arguments the body
+// reads on every call. The interpreter refuses a call with fewer arguments
+// (Ljava/lang/NoSuchMethodError;) before the body runs.
+struct Builtin {
+  NativeFn fn;
+  size_t arity = 0;
+};
+// Keys: "Lclass;-><method>" exact or "*-><method>" fallback.
+using BuiltinTable = std::map<std::string, Builtin, std::less<>>;
+
+// The framework builtin library (strings, reflection, UI, intents,
+// sources/sinks, crypto, dynamic loading). Built on first use, once per
+// process, and read-only after that: every runtime on every thread looks
+// its builtins up here. Bodies reach runtime state only through their
+// NativeContext.
+const BuiltinTable& framework_builtins();
 
 struct RuntimeConfig {
   DeviceProfile device = DeviceProfile::kPhone;
@@ -62,13 +81,19 @@ class Runtime {
   // --- native methods (JNI analog) & framework builtins ---
   void register_native(std::string full_name, NativeFn fn);
   const NativeFn* find_native(const std::string& full_name) const;
-  // Builtin keys: "Lclass;-><method>" exact or "*-><method>" fallback.
-  void register_builtin(std::string key, NativeFn fn);
-  const NativeFn* find_builtin(const std::string& class_descriptor,
-                               const std::string& name) const;
+  // The framework_builtins() entry for class->name, else for *->name.
+  const Builtin* find_builtin(const std::string& class_descriptor,
+                              const std::string& name) const;
 
   // --- app installation & lifecycle ---
+  // Parses the app's classes (classes.ldex, or real classes.dex with its
+  // multidex parts merged) and registers them as image 0.
   void install(dex::Apk apk);
+  // Registers `classes`, a non-null parse of `apk`'s classes, as image 0
+  // without parsing again. The parse is shared, not copied: runtimes that
+  // install the same one link from the same DexFile, and it lives as long
+  // as the last of their images.
+  void install(dex::Apk apk, std::shared_ptr<const dex::DexFile> classes);
   const dex::Apk* apk() const { return apk_ ? &*apk_ : nullptr; }
   // Launches the manifest entry activity: <init>, onCreate, onStart, onResume.
   ExecOutcome launch();
@@ -120,7 +145,6 @@ class Runtime {
   Interpreter interp_;
   HookChain chain_;
   std::map<std::string, NativeFn> natives_;
-  std::map<std::string, NativeFn> builtins_;
   std::optional<dex::Apk> apk_;
   Object* activity_ = nullptr;
   Object* current_intent_ = nullptr;
@@ -130,11 +154,6 @@ class Runtime {
   std::map<std::string, std::string> files_;
   std::vector<SinkEvent> sink_events_;
 };
-
-// Registers the framework builtin library (strings, reflection, UI,
-// intents, sources/sinks, crypto, dynamic loading). Called by the Runtime
-// constructor; exposed for tests that build bare runtimes.
-void install_framework_builtins(Runtime& rt);
 
 // Renders a value for sink logs and diagnostics.
 std::string render_value(const Value& v);

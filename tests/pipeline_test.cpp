@@ -7,6 +7,7 @@
 // changes nothing.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <thread>
@@ -536,10 +537,19 @@ dex::Apk frame_underflow_apk() {
   return apk;
 }
 
-TEST(BatchPipeline, WorkerFailureIsIsolated) {
+// An apk whose classes.ldex is not an LDEX image, and one with no
+// classes at all, each with the parser's message for it.
+std::vector<std::pair<dex::Apk, std::string>> unparseable_apks() {
   dex::Apk not_ldex;
-  not_ldex.set_classes({0xde, 0xad, 0xbe, 0xef});  // not an LDEX image
-  for (const dex::Apk& apk : {not_ldex, frame_underflow_apk()}) {
+  not_ldex.set_classes({0xde, 0xad, 0xbe, 0xef});
+  return {{not_ldex, "unexpected end of data"},
+          {dex::Apk{}, "APK carries no executable payload"}};
+}
+
+TEST(BatchPipeline, WorkerFailureIsIsolated) {
+  std::vector<std::pair<dex::Apk, std::string>> cases = unparseable_apks();
+  cases.emplace_back(frame_underflow_apk(), "ins exceed registers in code item");
+  for (const auto& [apk, error] : cases) {
     std::vector<pipeline::BatchJob> jobs = pipeline::generated_jobs(2);
     pipeline::BatchJob broken;
     broken.name = "broken";
@@ -550,9 +560,54 @@ TEST(BatchPipeline, WorkerFailureIsIsolated) {
     ASSERT_EQ(report.jobs.size(), 3u);
     EXPECT_TRUE(report.jobs[0].ok);
     EXPECT_FALSE(report.jobs[1].ok);
-    EXPECT_FALSE(report.jobs[1].error.empty());
+    EXPECT_EQ(report.jobs[1].error, error);
     EXPECT_TRUE(report.jobs[2].ok);
     EXPECT_EQ(report.fleet.ok, 2u);
+  }
+}
+
+// A one-instruction onCreate: invoke-static of String.length() with no
+// arguments. The builtin reads its receiver, args[0], so before builtins
+// declared their arity this read past the argument span.
+dex::Apk short_builtin_call_apk() {
+  dex::DexBuilder b;
+  uint32_t length = b.intern_method("Ljava/lang/String;", "length", "I", {});
+  b.start_class("Lhostile/Short;", "Landroid/app/Activity;");
+  bc::MethodAssembler as(1, 1);
+  as.invoke(bc::Op::kInvokeStatic, static_cast<uint16_t>(length), {});
+  b.add_virtual_method("onCreate", "V", {}, as.finish());
+  dex::Manifest manifest;
+  manifest.package = "hostile.short";
+  manifest.entry_class = "Lhostile/Short;";
+  dex::Apk apk;
+  apk.set_manifest(manifest);
+  apk.set_classes(dex::write_dex(std::move(b).build()));
+  return apk;
+}
+
+TEST(BatchPipeline, ShortBuiltinCallFailsOnlyInsideItsApp) {
+  // The call raises NoSuchMethodError inside the app, as a classic and as a
+  // force job; the worker and the apps around it are untouched.
+  for (bool force : {false, true}) {
+    SCOPED_TRACE(force ? "force" : "classic");
+    std::vector<pipeline::BatchJob> clean = pipeline::generated_jobs(2);
+    std::vector<pipeline::BatchJob> jobs = clean;
+    pipeline::BatchJob hostile;
+    hostile.name = "short-builtin-call";
+    hostile.apk = short_builtin_call_apk();
+    jobs.insert(jobs.begin() + 1, std::move(hostile));
+    if (force) {
+      pipeline::enable_force(clean, {});
+      pipeline::enable_force(jobs, {});
+    }
+
+    pipeline::BatchReport alone = pipeline::run_batch(clean, {});
+    pipeline::BatchReport report = pipeline::run_batch(jobs, {});
+    ASSERT_EQ(report.jobs.size(), 3u);
+    EXPECT_TRUE(report.jobs[1].ok) << report.jobs[1].error;
+    ASSERT_TRUE(report.jobs[0].ok && report.jobs[2].ok);
+    EXPECT_EQ(report.jobs[0].dex_fingerprint, alone.jobs[0].dex_fingerprint);
+    EXPECT_EQ(report.jobs[2].dex_fingerprint, alone.jobs[1].dex_fingerprint);
   }
 }
 
@@ -944,20 +999,73 @@ TEST(ForcePipeline, ForceRaisesBranchCoverageOverNaturalBatch) {
 }
 
 TEST(ForcePipeline, FailedForceJobIsIsolated) {
-  std::vector<pipeline::BatchJob> jobs = pipeline::generated_jobs(2);
-  pipeline::BatchJob broken;
-  broken.name = "broken";
-  broken.apk.set_classes({0xde, 0xad, 0xbe, 0xef});
-  jobs.insert(jobs.begin() + 1, std::move(broken));
+  for (const auto& [apk, error] : unparseable_apks()) {
+    std::vector<pipeline::BatchJob> jobs = pipeline::generated_jobs(2);
+    pipeline::BatchJob broken;
+    broken.name = "broken";
+    broken.apk = apk;
+    jobs.insert(jobs.begin() + 1, std::move(broken));
+    pipeline::enable_force(jobs, {});
+
+    pipeline::BatchReport report = pipeline::run_batch(jobs, {});
+    ASSERT_EQ(report.jobs.size(), 3u);
+    EXPECT_TRUE(report.jobs[0].ok);
+    EXPECT_FALSE(report.jobs[1].ok);
+    EXPECT_EQ(report.jobs[1].error, "force engine: " + error);
+    EXPECT_TRUE(report.jobs[2].ok);
+    EXPECT_EQ(report.fleet.ok, 2u);
+  }
+}
+
+// Records, for every runtime a job builds, the DexFile its image 0 links
+// from, and whether that parse still serializes to its bytes from before
+// the job when the runtime registers it. Holding each parse keeps its
+// address from being reused by a later one.
+struct ImageZeroProbe : rt::RuntimeHooks {
+  std::vector<uint8_t> pristine;
+  std::vector<std::shared_ptr<const dex::DexFile>> files;
+  size_t written = 0;
+
+  void on_dex_loaded(const rt::DexImage& image) override {
+    if (image.id != 0) return;
+    files.push_back(image.parse);
+    if (dex::write_dex(image.file) != pristine) ++written;
+  }
+};
+
+TEST(ForcePipeline, EveryUnitLinksTheJobsOneParse) {
+  // Self-modifying natives patch the code of the methods they run. Those
+  // are each runtime's own copies: the parse every unit of the job shares
+  // stays as it was parsed.
+  std::vector<pipeline::BatchJob> jobs;
+  for (pipeline::BatchJob& job : pipeline::droidbench_jobs()) {
+    if (job.name.rfind("SelfMod", 0) == 0) jobs.push_back(std::move(job));
+  }
+  ASSERT_EQ(jobs.size(), 4u);
+  jobs.push_back(pipeline::guarded_jobs(1)[0]);
   pipeline::enable_force(jobs, {});
 
-  pipeline::BatchReport report = pipeline::run_batch(jobs, {});
-  ASSERT_EQ(report.jobs.size(), 3u);
-  EXPECT_TRUE(report.jobs[0].ok);
-  EXPECT_FALSE(report.jobs[1].ok);
-  EXPECT_FALSE(report.jobs[1].error.empty());
-  EXPECT_TRUE(report.jobs[2].ok);
-  EXPECT_EQ(report.fleet.ok, 2u);
+  size_t force_paths = 0;
+  for (pipeline::BatchJob& job : jobs) {
+    SCOPED_TRACE(job.name);
+    ImageZeroProbe probe;
+    probe.pristine = dex::write_dex(dex::load_classes(job.apk));
+    auto base_configure = job.configure_runtime;
+    job.configure_runtime = [&probe, base_configure](rt::Runtime& runtime) {
+      if (base_configure) base_configure(runtime);
+      runtime.add_hooks(&probe, rt::hook_mask(rt::HookEvent::kDexLoaded));
+    };
+    pipeline::DedupStore store;
+    pipeline::JobResult result = pipeline::run_job(job, store, false);
+    ASSERT_TRUE(result.ok) << result.error;
+    ASSERT_GE(probe.files.size(), result.force_paths + 1);
+    for (const auto& file : probe.files) {
+      EXPECT_EQ(file.get(), probe.files.front().get());
+    }
+    EXPECT_EQ(probe.written, 0u);
+    force_paths += result.force_paths;
+  }
+  EXPECT_GT(force_paths, 0u);  // forced units ran, not just baselines
 }
 
 // --- forced units collected against the fold ------------------------------

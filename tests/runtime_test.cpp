@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/bytecode/assembler.h"
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
+#include "src/dex/real/real_dex.h"
 #include "src/runtime/runtime.h"
 #include "src/runtime/source_sink.h"
 #include "tests/harness/diff_fixture.h"
@@ -1046,6 +1051,178 @@ TEST(ResolveMethodOverloads, UniqueNameFallbackStillResolves) {
   Runtime runtime;
   runtime.install(make_apk(std::move(b).build(), "Lt/Solo;"));
   EXPECT_TRUE(runtime.launch().completed);
+}
+
+// --- framework builtins: one shared table ---------------------------------
+
+TEST(FrameworkBuiltins, EveryRuntimeReadsTheOneTable) {
+  Runtime a;
+  Runtime b;
+  const Builtin* length = a.find_builtin("Ljava/lang/String;", "length");
+  ASSERT_NE(length, nullptr);
+  EXPECT_EQ(b.find_builtin("Ljava/lang/String;", "length"), length);
+  EXPECT_EQ(length, &framework_builtins().at("Ljava/lang/String;->length"));
+  // The wildcard fallback resolves to the same shared entry as well.
+  EXPECT_EQ(a.find_builtin("Lt/Any;", "toString"),
+            &framework_builtins().at("*->toString"));
+  EXPECT_EQ(b.find_builtin("Lt/Any;", "toString"),
+            a.find_builtin("Lt/Any;", "toString"));
+}
+
+// Every key of the table through invoke-static, with 0-4 arguments, each an
+// int, a string literal, a null reference or a framework object. A call
+// with fewer arguments than the builtin reads is refused with
+// NoSuchMethodError; every other call completes or raises a Java
+// exception, so no builtin reads past its arguments or dereferences a
+// non-reference.
+TEST(FrameworkBuiltins, HostileArgumentSweepFailsOnlyTheCall) {
+  constexpr size_t kMaxArgs = 4;
+  constexpr size_t kKinds = 4;  // int, string literal, null, framework object
+  size_t calls = 0;
+  size_t refused = 0;
+  for (const auto& [key, builtin] : framework_builtins()) {
+    SCOPED_TRACE(key);
+    size_t arrow = key.find("->");
+    std::string cls = key.substr(0, arrow);
+    if (cls == "*") cls = "Lt/AnyFramework;";
+    std::string name = key.substr(arrow + 2);
+
+    dex::DexBuilder b;
+    std::vector<uint16_t> refs;
+    for (size_t n = 0; n <= kMaxArgs; ++n) {
+      std::vector<std::string> params(n, "Ljava/lang/Object;");
+      refs.push_back(static_cast<uint16_t>(b.intern_method(cls, name, "V", params)));
+    }
+    auto literal = static_cast<uint16_t>(b.intern_string("sweep"));
+    auto view = static_cast<uint16_t>(b.intern_type("Landroid/view/View;"));
+    b.start_class("Lt/Sweep;", "Landroid/app/Activity;");
+    std::vector<std::pair<std::string, size_t>> probes;  // method, arg count
+    for (size_t n = 0; n <= kMaxArgs; ++n) {
+      size_t patterns = 1;
+      for (size_t i = 0; i < n; ++i) patterns *= kKinds;
+      for (size_t pattern = 0; pattern < patterns; ++pattern) {
+        MethodAssembler as(kMaxArgs, 0);
+        std::vector<uint8_t> regs;
+        for (size_t i = 0, p = pattern; i < n; ++i, p /= kKinds) {
+          auto reg = static_cast<uint8_t>(i);
+          switch (p % kKinds) {
+            case 0: as.const16(reg, 7); break;
+            case 1: as.const_string(reg, literal); break;
+            case 2: as.const_null(reg); break;
+            default: as.new_instance(reg, view); break;
+          }
+          regs.push_back(reg);
+        }
+        as.invoke(Op::kInvokeStatic, refs[n], regs);
+        as.return_void();
+        std::string method = "p" + std::to_string(n) + "_" + std::to_string(pattern);
+        b.add_direct_method(method, "V", {}, as.finish());
+        probes.emplace_back(method, n);
+      }
+    }
+    Runtime runtime;
+    runtime.install(make_apk(std::move(b).build(), "Lt/Sweep;"));
+    RtClass* sweep = runtime.linker().ensure_initialized("Lt/Sweep;");
+    ASSERT_NE(sweep, nullptr);
+    for (const auto& [method, n] : probes) {
+      SCOPED_TRACE(method);
+      ExecOutcome out = runtime.interp().invoke(*sweep->find_declared(method), {});
+      ++calls;
+      if (n < builtin.arity) {
+        ++refused;
+        ASSERT_TRUE(out.uncaught);
+        EXPECT_EQ(out.exception_type, "Ljava/lang/NoSuchMethodError;");
+        EXPECT_EQ(out.exception_message,
+                  cls + "->" + name + " (framework) takes " +
+                      std::to_string(builtin.arity) + " argument(s), got " +
+                      std::to_string(n));
+        continue;
+      }
+      bool exited = out.aborted && key == "Ljava/lang/System;->exit";
+      EXPECT_TRUE(out.completed || out.uncaught || exited)
+          << out.abort_reason << out.exception_type;
+    }
+  }
+  EXPECT_EQ(calls, framework_builtins().size() * 341);  // 1+4+16+64+256
+  EXPECT_GT(refused, 0u);
+}
+
+TEST(FrameworkBuiltins, NonReferenceArgumentTakesTheNullPath) {
+  // An int where newInstance dereferences its Class receiver raises what a
+  // null receiver raises.
+  dex::DexBuilder b;
+  uint32_t new_instance = b.intern_method("Ljava/lang/Class;", "newInstance",
+                                          "Ljava/lang/Object;", {});
+  b.start_class("Lt/A;");
+  MethodAssembler as(1, 0);
+  as.const16(0, 0);
+  as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(new_instance), {0});
+  as.return_void();
+  b.add_direct_method("f", "V", {}, as.finish());
+  auto rt = runtime_with(std::move(b).build());
+  ExecOutcome out = rt->interp().invoke(*find_method(*rt, "Lt/A;", "f"), {});
+  ASSERT_TRUE(out.uncaught);
+  EXPECT_EQ(out.exception_type, "Ljava/lang/NullPointerException;");
+  EXPECT_EQ(out.exception_message, "newInstance on null");
+}
+
+// --- one parse, many runtimes ----------------------------------------------
+
+TEST(SharedParse, InstallRegistersTheGivenParse) {
+  dex::DexBuilder b;
+  b.start_class("Lt/Main;", "Landroid/app/Activity;");
+  MethodAssembler as(1, 1);
+  as.return_void();
+  b.add_virtual_method("onCreate", "V", {}, as.finish());
+  dex::Apk apk = make_apk(std::move(b).build(), "Lt/Main;");
+
+  auto parse = std::make_shared<const dex::DexFile>(dex::load_classes(apk));
+  std::weak_ptr<const dex::DexFile> weak = parse;
+  {
+    Runtime a;
+    Runtime b2;
+    a.install(apk, parse);
+    b2.install(apk, parse);
+    for (Runtime* rt : {&a, &b2}) {
+      ASSERT_EQ(rt->linker().images().size(), 1u);
+      const DexImage& image = *rt->linker().images()[0];
+      EXPECT_EQ(&image.file, parse.get());
+      EXPECT_EQ(image.source, dex::Apk::kClassesEntry);
+    }
+    // The runtimes own the parse with the caller: dropping the caller's
+    // reference leaves it alive until the last runtime goes.
+    parse.reset();
+    EXPECT_FALSE(weak.expired());
+    EXPECT_TRUE(a.launch().completed);
+    EXPECT_TRUE(b2.launch().completed);
+  }
+  EXPECT_TRUE(weak.expired());
+}
+
+TEST(SharedParse, DynamicallyLoadedImageOwnsItsFile) {
+  dex::DexBuilder payload;
+  payload.start_class("Lhidden/P;");
+  MethodAssembler as(1, 0);
+  as.const16(0, 1);
+  as.return_value(0);
+  payload.add_direct_method("value", "I", {}, as.finish());
+  std::vector<uint8_t> bytes = dex::write_dex(std::move(payload).build());
+
+  dex::DexBuilder shell;
+  shell.start_class("Lt/Main;", "Landroid/app/Activity;");
+  MethodAssembler ret(1, 1);
+  ret.return_void();
+  shell.add_virtual_method("onCreate", "V", {}, ret.finish());
+  dex::Apk apk = make_apk(std::move(shell).build(), "Lt/Main;");
+  auto parse = std::make_shared<const dex::DexFile>(dex::load_classes(apk));
+
+  Runtime runtime;
+  runtime.install(apk, parse);
+  const DexImage& image = runtime.load_dex_buffer(bytes, "dynamic:payload");
+  EXPECT_EQ(image.id, 1);
+  EXPECT_EQ(image.parse.use_count(), 1);  // its own parse, shared with no one
+  EXPECT_NE(&image.file, parse.get());
+  EXPECT_NE(image.file.find_class("Lhidden/P;"), nullptr);
 }
 
 }  // namespace
