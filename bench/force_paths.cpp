@@ -2,10 +2,9 @@
 // Table VII force workload) through pipeline::run_batch with ForceEngine
 // exploration, asking for 1, 2, 4 and 8 threads, and reports forced
 // paths/sec — the fleet-level metric for the worklist engine — plus the
-// branch coverage it buys over the natural batch and over the legacy
-// single-plan replay. Each worker explores whole apps, so run_batch caps the
-// pool at the app count; every row reports the workers that actually ran
-// (FleetStats::threads).
+// branch coverage it buys over the natural batch. Each worker explores whole
+// apps, so run_batch caps the pool at the app count; every row reports the
+// workers that actually ran (FleetStats::threads).
 //
 // Each line prefixed BENCH_JSON is machine-readable (one JSON object per
 // thread count) so paths/sec trajectories can be tracked across commits.
@@ -19,12 +18,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/dexlego.h"
-#include "src/coverage/force.h"
-#include "src/dex/io.h"
 #include "src/pipeline/batch.h"
 #include "src/pipeline/scenarios.h"
-#include "src/runtime/runtime.h"
 
 using namespace dexlego;
 
@@ -36,39 +31,15 @@ int main(int argc, char** argv) {
 
   std::vector<pipeline::BatchJob> jobs = pipeline::guarded_jobs(apps, 301, units);
 
-  // Reference points: the natural batch and the legacy single-plan replay.
+  // Reference point: the natural batch.
   pipeline::BatchReport natural = pipeline::run_batch(jobs, {});
-
-  double legacy_branch = 0.0;
-  size_t legacy_paths = 0;
-  double legacy_ms = bench::time_call_ms([&]() {
-    for (const pipeline::BatchJob& job : jobs) {
-      dex::DexFile file = dex::read_dex(job.apk.classes());
-      coverage::CoverageTracker seed;
-      {
-        rt::Runtime runtime;
-        runtime.add_hooks(&seed);
-        runtime.install(job.apk);
-        core::default_driver(runtime, 0);
-      }
-      coverage::ForceOptions options;
-      options.driver = [](rt::Runtime& rt) { core::default_driver(rt, 0); };
-      coverage::ForceResult r =
-          coverage::single_plan_force_execute(job.apk, options, seed);
-      legacy_branch += r.coverage.report(file).branch_pct();
-      legacy_paths += r.paths_executed;
-    }
-  });
-  legacy_branch /= static_cast<double>(jobs.size());
 
   bench::print_header("Force-execution paths/sec (guarded x" +
                       std::to_string(apps) + ", ~" + std::to_string(units) +
                       " units each)");
   std::printf("hardware threads available: %u\n", std::thread::hardware_concurrency());
-  std::printf("natural batch:      branch %.1f%%\n",
+  std::printf("natural batch: branch %.1f%%\n\n",
               natural.fleet.mean_branch_coverage * 100.0);
-  std::printf("single-plan replay: branch %.1f%% (%zu paths, %.1f ms)\n\n",
-              legacy_branch * 100.0, legacy_paths, legacy_ms);
 
   bench::print_row({"Threads", "Wall ms", "Paths", "Paths/sec", "Branch",
                     "Speedup"},
@@ -104,10 +75,10 @@ int main(int argc, char** argv) {
         "BENCH_JSON {\"bench\":\"force_paths\",\"threads\":%zu,\"jobs\":%zu,"
         "\"wall_ms\":%.2f,\"forced_paths\":%zu,\"paths_per_sec\":%.2f,"
         "\"mean_branch_coverage\":%.4f,\"natural_branch_coverage\":%.4f,"
-        "\"single_plan_branch_coverage\":%.4f,\"speedup_vs_1t\":%.3f}\n",
+        "\"speedup_vs_1t\":%.3f}\n",
         fleet.threads, fleet.jobs, fleet.wall_ms, fleet.forced_paths,
         paths_per_sec, fleet.mean_branch_coverage,
-        natural.fleet.mean_branch_coverage, legacy_branch, speedup);
+        natural.fleet.mean_branch_coverage, speedup);
   }
   std::printf(
       "\n(paths/sec tracks the cores the container actually grants; on a "

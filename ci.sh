@@ -137,6 +137,25 @@ fi
 rm -rf "$service_store"
 echo "service smoke passed"
 
+# --- Tables I-V gate -------------------------------------------------------
+# The packer (Table I), static-tool (II), packed-app (III), dynamic-taint
+# (IV) and real-world (V) reproductions are deterministic, so their stdout
+# is pinned byte for byte. They are the check that the packers, the unpacker
+# baselines and the dynamic presets behave the same run after run. ~1.5 s
+# together. After a deliberate change, refresh a golden with
+#   "$BUILD_DIR"/bench/<table> > bench/<table>.golden
+for table in table1_packers table2_static_tools table3_packed_tools \
+             table4_dynamic table5_realworld; do
+  table_out="$(mktemp)"
+  "$BUILD_DIR/bench/$table" > "$table_out"
+  if ! diff -u "bench/$table.golden" "$table_out"; then
+    echo "$table: output differs from bench/$table.golden" >&2
+    exit 1
+  fi
+  rm -f "$table_out"
+done
+echo "Tables I-V gate passed"
+
 # --- Tables VI/VII gate ----------------------------------------------------
 # The coverage reproduction (Sapienz-style fuzzing, then force execution
 # over the five F-Droid-shaped apps) is single-threaded and deterministic,

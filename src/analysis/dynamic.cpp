@@ -1,5 +1,6 @@
 #include "src/analysis/dynamic.h"
 
+#include "src/runtime/script.h"
 #include "src/runtime/source_sink.h"
 
 namespace dexlego::analysis {
@@ -10,14 +11,7 @@ AnalysisResult run_dynamic_analysis(const DynamicToolConfig& tool,
   rt::Runtime runtime(tool.runtime);
   if (options.configure_runtime) options.configure_runtime(runtime);
   runtime.install(apk);
-  if (options.driver) {
-    options.driver(runtime);
-  } else {
-    runtime.launch();
-    for (int id : runtime.ui_clickable_ids()) runtime.fire_click(id);
-    runtime.call_activity_method("onPause");
-    runtime.call_activity_method("onDestroy");
-  }
+  rt::run_default_script(runtime);
 
   AnalysisResult result;
   for (const rt::Runtime::SinkEvent& ev : runtime.leaks()) {

@@ -37,11 +37,11 @@ inline DynamicToolConfig taintart_config() {
 
 struct DynamicRunOptions {
   std::function<void(rt::Runtime&)> configure_runtime;  // natives etc.
-  std::function<void(rt::Runtime&)> driver;             // default: launch+clicks
 };
 
-// Executes the app under the tool's runtime profile and reports the taint
-// flows observed at sinks.
+// Executes the app under the tool's runtime profile, driven by the default
+// script (rt::run_default_script: launch, every click handler, onPause,
+// onDestroy), and reports the taint flows observed at sinks.
 AnalysisResult run_dynamic_analysis(const DynamicToolConfig& tool,
                                     const dex::Apk& apk,
                                     const DynamicRunOptions& options = {});

@@ -3,20 +3,19 @@
 #include "src/bytecode/verify_code.h"
 #include "src/dex/io.h"
 #include "src/dex/real/real_dex.h"
+#include "src/runtime/script.h"
 #include "src/support/log.h"
 
 namespace dexlego::core {
 
 void default_driver(rt::Runtime& rt, int run_index) {
   (void)run_index;
-  rt::ExecOutcome out = rt.launch();
-  if (!out.completed) {
-    DL_INFO << "launch did not complete: " << out.abort_reason
-            << out.exception_type;
+  std::vector<rt::ScriptStep> steps = rt::run_default_script(rt);
+  const rt::ExecOutcome& launch = steps.front().outcome;
+  if (!launch.completed) {
+    DL_INFO << "launch did not complete: " << launch.abort_reason
+            << launch.exception_type;
   }
-  for (int id : rt.ui_clickable_ids()) rt.fire_click(id);
-  rt.call_activity_method("onPause");
-  rt.call_activity_method("onDestroy");
 }
 
 CollectionOutput DexLego::collect(const dex::Apk& apk,

@@ -26,7 +26,7 @@ struct DexLegoOptions {
   // Called on each fresh runtime before execution — registers the sample's
   // native methods (JNI analog) and any packer natives.
   std::function<void(rt::Runtime&)> configure_runtime;
-  // Exercises the app. Default: launch + fire every registered click handler.
+  // Exercises the app. Default: default_driver, the one default script.
   // Called once per run; `run_index` supports multi-run drivers.
   std::function<void(rt::Runtime&, int run_index)> driver;
   int runs = 1;  // fresh runtime per run; trees accumulate across runs
@@ -77,8 +77,9 @@ class DexLego {
   DexLegoOptions options_;
 };
 
-// The default driver: launch the entry activity, then fire every click
-// handler once, then the remaining lifecycle callbacks.
+// The default driver: runs rt::run_default_script (src/runtime/script.h) —
+// launch, every click handler once, onPause, onDestroy — and logs a launch
+// that did not complete.
 void default_driver(rt::Runtime& rt, int run_index);
 
 }  // namespace dexlego::core

@@ -1,7 +1,6 @@
 #include "src/coverage/force.h"
 
 #include <deque>
-#include <set>
 
 #include "src/bytecode/insn.h"
 #include "src/coverage/force_engine.h"
@@ -102,7 +101,7 @@ bool ForceHooks::force_branch(rt::RtMethod& method, uint32_t dex_pc,
 
 bool ForceHooks::tolerate_exception(rt::RtMethod& method, uint32_t dex_pc) {
   (void)method, (void)dex_pc;
-  if (tolerated_ >= tolerate_cap_) return false;
+  if (tolerated_ >= kTolerateCap) return false;
   ++tolerated_;
   return true;
 }
@@ -163,35 +162,6 @@ bool compute_path(const dex::CodeItem& code, const std::string& method_key,
   return true;
 }
 
-namespace {
-
-// One forced run: fresh runtime, the plan's ForceHooks attached, coverage
-// recorded into `tracker`. Replays options.seed_sequence unless a driver is
-// supplied.
-void run_plan(const dex::Apk& apk, const ForcePlan& plan,
-              const ForceOptions& options, CoverageTracker& tracker) {
-  ForceHooks hooks(plan);
-  if (options.driver) {
-    rt::RuntimeConfig cfg;
-    cfg.step_limit = options.run.steps_per_run;
-    rt::Runtime runtime(cfg);
-    if (options.run.configure_runtime) options.run.configure_runtime(runtime);
-    runtime.add_hooks(&tracker);
-    for (rt::RuntimeHooks* extra : options.run.extra_hooks) {
-      runtime.add_hooks(extra);
-    }
-    runtime.add_hooks(&hooks);
-    runtime.install(apk);
-    options.driver(runtime);
-    return;
-  }
-  FuzzOptions run = options.run;
-  run.extra_hooks.push_back(&hooks);
-  execute_sequence(apk, options.seed_sequence, run, tracker);
-}
-
-}  // namespace
-
 ForceResult force_execute(const dex::Apk& apk, const ForceOptions& options,
                           const CoverageTracker& seed) {
   dex::DexFile app = dex::load_classes(apk);
@@ -204,67 +174,17 @@ ForceResult force_execute(const dex::Apk& apk, const ForceOptions& options,
     if (wave.empty()) break;
     ++result.iterations;
     for (const PlanUnit& unit : wave) {
+      ForceHooks hooks(unit.plan);
+      FuzzOptions run = options.run;
+      run.extra_hooks.push_back(&hooks);
       CoverageTracker tracker;
-      run_plan(apk, unit.plan, options, tracker);
+      execute_sequence(apk, options.seed_sequence, run, tracker);
       engine.observe(unit, tracker);
       ++result.paths_executed;
     }
   }
   result.coverage.merge(engine.coverage());
   result.ucbs_targeted = engine.stats().ucbs_targeted;
-  return result;
-}
-
-ForceResult single_plan_force_execute(const dex::Apk& apk,
-                                      const ForceOptions& options,
-                                      const CoverageTracker& seed) {
-  dex::DexFile app = dex::load_classes(apk);
-  // Static index: method key -> code item.
-  std::map<std::string, const dex::CodeItem*> code_of;
-  for (const dex::ClassDef& cls : app.classes) {
-    for (const auto* methods : {&cls.direct_methods, &cls.virtual_methods}) {
-      for (const dex::MethodDef& m : *methods) {
-        if (m.code) {
-          code_of[CoverageTracker::method_key(app, m.method_ref)] = &*m.code;
-        }
-      }
-    }
-  }
-
-  ForceResult result;
-  result.coverage.merge(seed);
-  std::set<std::tuple<std::string, uint32_t, bool>> attempted;
-
-  for (int iter = 0; iter < options.engine.max_waves; ++iter) {
-    // Branch analysis: find new UCBs in the accumulated coverage.
-    ForcePlan plan;
-    size_t targeted = 0;
-    for (const auto& [key, code] : code_of) {
-      const auto* branch_map = result.coverage.branches(key);
-      if (branch_map == nullptr) continue;
-      for (const auto& [pc, seen] : *branch_map) {
-        if (seen.taken && seen.untaken) continue;
-        bool want = !seen.taken;  // the unseen side
-        auto attempt = std::make_tuple(key, pc, want);
-        if (attempted.contains(attempt)) continue;
-        if (compute_path(*code, key, pc, want, plan)) {
-          attempted.insert(attempt);
-          ++targeted;
-          break;  // one UCB per method per iteration
-        }
-        attempted.insert(attempt);
-      }
-    }
-    if (targeted == 0) break;  // no new UCB: terminate (paper Fig. 4)
-    result.ucbs_targeted += targeted;
-    ++result.iterations;
-
-    // Next execution follows the one combined path file.
-    CoverageTracker tracker;
-    run_plan(apk, plan, options, tracker);
-    result.coverage.merge(tracker);
-    ++result.paths_executed;
-  }
   return result;
 }
 

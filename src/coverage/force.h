@@ -11,17 +11,15 @@
 // Iteration stops when no new UCB appears.
 //
 // This header holds the plan-level primitives (ForcePlan, ForceHooks,
-// compute_path) and the app-level drivers. Exploration itself is the
+// compute_path) and the serial app-level driver. Exploration itself is the
 // worklist-driven ForceEngine in src/coverage/force_engine.h: every UCB gets
 // its own independently-runnable plan (a branch-decision prefix + the path
 // to the UCB). force_execute() runs the engine's waves serially in-process,
-// as pipeline::run_job does for force jobs; single_plan_force_execute() keeps
-// the pre-engine algorithm (one combined plan re-run per iteration) as the
-// comparison baseline for bench/force_paths and the coverage tests.
+// each forced run replaying one event sequence; pipeline::run_job drives the
+// same engine under the collect phase's driver for force jobs.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -69,13 +67,15 @@ class ForcePlan {
 };
 
 // Runtime hooks applying a ForcePlan: overrides the planned branches and
-// clears unhandled exceptions (bounded per run to avoid pathological loops).
-// Each activation looks its method's decisions up in the plan once, on its
-// first branch (ActivationSlots, src/coverage/tracker.h).
+// clears unhandled exceptions (at most kTolerateCap per run, to avoid
+// pathological loops). Each activation looks its method's decisions up in
+// the plan once, on its first branch (ActivationSlots,
+// src/coverage/tracker.h).
 class ForceHooks : public rt::RuntimeHooks {
  public:
-  explicit ForceHooks(const ForcePlan& plan, size_t tolerate_cap = 4096)
-      : plan_(plan), tolerate_cap_(tolerate_cap) {}
+  static constexpr size_t kTolerateCap = 4096;
+
+  explicit ForceHooks(const ForcePlan& plan) : plan_(plan) {}
 
   uint32_t subscribed_events() const override {
     return rt::hook_mask(rt::HookEvent::kDexLoaded) |
@@ -107,7 +107,6 @@ class ForceHooks : public rt::RuntimeHooks {
   const ForcePlan::Outcomes* outcomes_of(const rt::RtMethod& method);
 
   const ForcePlan& plan_;
-  size_t tolerate_cap_;
   size_t forced_ = 0;
   size_t tolerated_ = 0;
   ActivationSlots<MethodSlot> frames_;
@@ -122,12 +121,8 @@ struct ForceEngineOptions {
 
 struct ForceOptions {
   ForceEngineOptions engine;   // exploration budgets
-  FuzzOptions run;             // runtime config + natives for each forced run
+  FuzzOptions run;             // natives + extra hooks for each forced run
   EventSequence seed_sequence; // inputs/clicks driving each forced run
-  // When set, forced runs install the APK and call this instead of replaying
-  // seed_sequence — lets callers force-execute under the same driver the
-  // batch pipeline uses (e.g. core::default_driver).
-  std::function<void(rt::Runtime&)> driver;
 };
 
 struct ForceResult {
@@ -146,18 +141,9 @@ bool compute_path(const dex::CodeItem& code, const std::string& method_key,
 // Iterative force execution seeded with previous coverage (typically a fuzz
 // result, per the paper: "our force execution starts from the execution
 // result of the previous execution"). Runs the ForceEngine's waves serially:
-// one fresh runtime per plan unit.
+// one fresh runtime per plan unit, replaying options.seed_sequence
+// (coverage::execute_sequence) under the plan's ForceHooks.
 ForceResult force_execute(const dex::Apk& apk, const ForceOptions& options,
                           const CoverageTracker& seed);
-
-// The pre-engine algorithm: per iteration, ONE combined plan holding at most
-// one UCB path per method, replayed in a single run. Kept as the baseline
-// the ForceEngine is measured against (bench/force_paths, pipeline tests);
-// the engine strictly dominates it because combined plans interfere (forcing
-// method A's path can starve method B's forced branch, which is then never
-// retried) and because plans never inherit the prefix that reached a UCB.
-ForceResult single_plan_force_execute(const dex::Apk& apk,
-                                      const ForceOptions& options,
-                                      const CoverageTracker& seed);
 
 }  // namespace dexlego::coverage

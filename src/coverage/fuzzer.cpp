@@ -18,14 +18,14 @@ std::string random_text(support::Rng& rng) {
 }
 }  // namespace
 
-EventSequence EventSequence::random(support::Rng& rng, int max_clicks) {
+EventSequence EventSequence::random(support::Rng& rng) {
   EventSequence seq;
   int inputs = static_cast<int>(rng.below(6));
   for (int i = 0; i < inputs; ++i) {
     seq.text_inputs[static_cast<int>(rng.below(24))] = random_text(rng);
   }
   seq.click_rounds.assign(1 + rng.below(2), 0);
-  for (int& r : seq.click_rounds) r = static_cast<int>(rng.below(max_clicks)) + 1;
+  for (int& r : seq.click_rounds) r = static_cast<int>(rng.below(kMaxClicks)) + 1;
   seq.lifecycle_cycles = static_cast<int>(rng.below(3)) + 1;
   return seq;
 }
@@ -39,7 +39,7 @@ EventSequence EventSequence::mutate(support::Rng& rng) const {
     case 1:
       if (!out.click_rounds.empty()) {
         out.click_rounds[rng.below(out.click_rounds.size())] =
-            static_cast<int>(rng.below(8)) + 1;
+            static_cast<int>(rng.below(kMaxClicks)) + 1;
       }
       break;
     default:
@@ -63,7 +63,7 @@ EventSequence EventSequence::crossover(const EventSequence& a,
 void execute_sequence(const dex::Apk& apk, const EventSequence& seq,
                       const FuzzOptions& options, CoverageTracker& tracker) {
   rt::RuntimeConfig cfg;
-  cfg.step_limit = options.steps_per_run;
+  cfg.step_limit = kStepsPerRun;
   rt::Runtime runtime(cfg);
   if (options.configure_runtime) options.configure_runtime(runtime);
   runtime.add_hooks(&tracker);
@@ -94,7 +94,7 @@ FuzzResult fuzz_app(const dex::Apk& apk, const FuzzOptions& options) {
 
   std::vector<EventSequence> population;
   for (int i = 0; i < options.population; ++i) {
-    population.push_back(EventSequence::random(rng, options.max_clicks));
+    population.push_back(EventSequence::random(rng));
   }
 
   for (int gen = 0; gen < options.generations; ++gen) {

@@ -16,12 +16,16 @@
 
 namespace dexlego::coverage {
 
+// The most click passes one entry of EventSequence::click_rounds asks for.
+inline constexpr int kMaxClicks = 8;
+// Interpreter step budget of every run execute_sequence makes, fuzzing or
+// forced.
+inline constexpr uint64_t kStepsPerRun = 5'000'000;
+
 struct FuzzOptions {
   int generations = 4;
   int population = 6;
-  int max_clicks = 8;
   uint64_t seed = 0x5a11e42;
-  uint64_t steps_per_run = 5'000'000;
   std::function<void(rt::Runtime&)> configure_runtime;
   // Extra hooks attached to every run (e.g. a DexLego collector).
   std::vector<rt::RuntimeHooks*> extra_hooks;
@@ -33,7 +37,7 @@ struct EventSequence {
   std::vector<int> click_rounds;           // how many click passes
   int lifecycle_cycles = 1;                // onPause/onResume repetitions
 
-  static EventSequence random(support::Rng& rng, int max_clicks);
+  static EventSequence random(support::Rng& rng);
   EventSequence mutate(support::Rng& rng) const;
   static EventSequence crossover(const EventSequence& a, const EventSequence& b,
                                  support::Rng& rng);

@@ -10,6 +10,7 @@
 #include "src/bytecode/verify_code.h"
 #include "src/core/dexlego.h"
 #include "src/dex/real/real_dex.h"
+#include "src/runtime/script.h"
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
 #include "src/support/timer.h"
@@ -45,77 +46,17 @@ std::string first_line(const std::string& text) {
   return nl == std::string::npos ? text : text.substr(0, nl);
 }
 
-// --- tracing (the diff_fixture script, minus gtest) ------------------------
-
-struct Trace {
-  std::vector<std::string> phases;  // "name: exit state"
-  std::vector<std::string> sinks;   // "sink|taint|detail"
-  size_t leaks = 0;
-};
-
-std::string render_outcome(const rt::ExecOutcome& out) {
-  if (out.completed) return "completed";
-  if (out.uncaught) return "uncaught " + out.exception_type;
-  if (out.aborted) return "aborted (" + out.abort_reason + ")";
-  return "no outcome";
-}
-
-Trace trace_app(const dex::Apk& apk,
-                const std::function<void(rt::Runtime&)>& configure,
-                const OracleOptions& options) {
+// The mutant's or a reveal's behaviour under the default script, on a
+// fresh runtime bounded by the oracle's step budget.
+rt::ExecutionTrace trace_app(const dex::Apk& apk,
+                             const std::function<void(rt::Runtime&)>& configure,
+                             const OracleOptions& options) {
   rt::RuntimeConfig cfg;
   cfg.step_limit = options.step_limit;
   rt::Runtime runtime(cfg);
   if (configure) configure(runtime);
   runtime.install(apk);
-
-  Trace trace;
-  trace.phases.push_back("launch: " + render_outcome(runtime.launch()));
-  for (int id : runtime.ui_clickable_ids()) {
-    trace.phases.push_back("click:" + std::to_string(id) + ": " +
-                           render_outcome(runtime.fire_click(id)));
-  }
-  trace.phases.push_back(
-      "onPause: " + render_outcome(runtime.call_activity_method("onPause")));
-  trace.phases.push_back(
-      "onDestroy: " +
-      render_outcome(runtime.call_activity_method("onDestroy")));
-
-  for (const rt::Runtime::SinkEvent& ev : runtime.sink_events()) {
-    trace.sinks.push_back(ev.sink + "|" + std::to_string(ev.taint) + "|" +
-                          ev.detail);
-  }
-  trace.leaks = runtime.leaks().size();
-  return trace;
-}
-
-// First difference between two traces; empty string when equivalent.
-std::string compare_traces(const Trace& a, const Trace& b) {
-  if (a.phases.size() != b.phases.size()) {
-    return "phase count " + std::to_string(a.phases.size()) + " vs " +
-           std::to_string(b.phases.size());
-  }
-  for (size_t i = 0; i < a.phases.size(); ++i) {
-    if (a.phases[i] != b.phases[i]) {
-      return "phase[" + std::to_string(i) + "] '" + a.phases[i] + "' vs '" +
-             b.phases[i] + "'";
-    }
-  }
-  if (a.sinks.size() != b.sinks.size()) {
-    return "sink count " + std::to_string(a.sinks.size()) + " vs " +
-           std::to_string(b.sinks.size());
-  }
-  for (size_t i = 0; i < a.sinks.size(); ++i) {
-    if (a.sinks[i] != b.sinks[i]) {
-      return "sink[" + std::to_string(i) + "] '" + a.sinks[i] + "' vs '" +
-             b.sinks[i] + "'";
-    }
-  }
-  if (a.leaks != b.leaks) {
-    return "leaks " + std::to_string(a.leaks) + " vs " +
-           std::to_string(b.leaks);
-  }
-  return {};
+  return rt::trace_default_script(runtime);
 }
 
 uint64_t detail_fingerprint(Outcome outcome, const std::string& detail) {
@@ -174,7 +115,7 @@ OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
   }
 
   // Stage 2 — trace the mutant itself.
-  Trace original;
+  rt::ExecutionTrace original;
   try {
     original = trace_app(mutant.apk, mutant.configure_runtime, options);
   } catch (const std::exception& e) {
@@ -209,13 +150,13 @@ OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
   }
 
   // Stage 4 — behavioural equivalence of mutant vs revealed.
-  Trace revealed;
+  rt::ExecutionTrace revealed;
   try {
     revealed = trace_app(reveal.revealed_apk, mutant.configure_runtime, options);
   } catch (const std::exception& e) {
     return finish(Outcome::kCrash, "trace(revealed): " + render_exception(e));
   }
-  std::string diff = compare_traces(original, revealed);
+  std::string diff = rt::first_difference(original, revealed);
   if (!diff.empty()) return finish(Outcome::kDivergent, "trace: " + diff);
 
   // Stage 5 — reveal idempotence (decompile/recompile fixed point).
@@ -235,14 +176,14 @@ OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
                     "idempotence: re-reveal not verifier-clean: " +
                         first_line(again.verify_errors));
     }
-    Trace twice;
+    rt::ExecutionTrace twice;
     try {
       twice = trace_app(again.revealed_apk, mutant.configure_runtime, options);
     } catch (const std::exception& e) {
       return finish(Outcome::kCrash,
                     "trace(re-revealed): " + render_exception(e));
     }
-    diff = compare_traces(revealed, twice);
+    diff = rt::first_difference(revealed, twice);
     if (!diff.empty()) {
       return finish(Outcome::kDivergent, "idempotence: " + diff);
     }

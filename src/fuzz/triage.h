@@ -1,9 +1,11 @@
 // Differential oracle, corpus triage and campaign driver for the fuzzer
-// (docs/FUZZING.md). The oracle is the in-library twin of the test harness's
-// diff_fixture round trip (tests/harness/diff_fixture.h): trace the mutant,
-// reveal it through the full collect→reassemble pipeline, trace the revealed
-// APK and demand identical observable behaviour plus verifier cleanliness
-// and reveal idempotence. Every candidate lands in exactly one bucket:
+// (docs/FUZZING.md). The oracle traces the mutant under the default script,
+// reveals it through the full collect→reassemble pipeline, traces the
+// revealed APK and demands identical observable behaviour plus verifier
+// cleanliness and reveal idempotence. Traces and their comparison are
+// rt::trace_default_script and rt::first_difference (src/runtime/script.h),
+// the same oracle the differential test harness asserts with. Every
+// candidate lands in exactly one bucket:
 //
 //   kEquivalent — the round trip held (the expected verdict for valid apps)
 //   kRejected   — the mutant was refused up front with a *clean* error

@@ -14,6 +14,7 @@
 // shorter call before the body runs. A body that dereferences an argument
 // treats a non-reference value like null (is_object), as dispatch_invoke
 // does for receivers: hostile bytecode can pass either.
+#include <algorithm>
 #include <string>
 
 #include "src/dex/io.h"
@@ -190,8 +191,12 @@ void add_object_and_strings(BuiltinTable& t) {
       });
 
   add(t, "Ljava/lang/Math;->abs", 1, [](NativeContext&, std::span<Value> args) {
+    // Java's wrapping negation, done unsigned as kNeg does: signed overflow
+    // is undefined in C++, and abs(Long.MIN_VALUE) is Long.MIN_VALUE.
     int64_t v = args[0].test_value();
-    return Value::Int(v < 0 ? -v : v, value_taint(args[0]));
+    auto bits = static_cast<uint64_t>(v);
+    return Value::Int(static_cast<int64_t>(v < 0 ? 0 - bits : bits),
+                      value_taint(args[0]));
   });
   add(t, "Ljava/lang/Math;->max", 2, [](NativeContext&, std::span<Value> args) {
     return Value::Int(std::max(args[0].test_value(), args[1].test_value()),
@@ -353,9 +358,14 @@ void add_platform(BuiltinTable& t) {
       [](NativeContext&, std::span<Value> args) {
         // Framework init/display stand-in: native-side busy work that
         // instrumentation does not slow down (launch-time model, Table VIII).
+        // k is clamped to [0, 32767], the widest value a const/16 loads and
+        // how apps pass it, so a hostile wide k cannot spin this native loop
+        // past every step budget.
         int64_t k = args.empty() ? 1 : args[0].test_value();
+        k = std::clamp<int64_t>(k, 0, 32767);
         uint64_t x = 88172645463325252ull;
-        for (int64_t i = 0; i < k * 1000; ++i) {
+        const uint64_t rounds = static_cast<uint64_t>(k) * 1000;
+        for (uint64_t i = 0; i < rounds; ++i) {
           x ^= x << 13;
           x ^= x >> 7;
           x ^= x << 17;

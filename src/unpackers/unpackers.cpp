@@ -3,6 +3,7 @@
 #include "src/bytecode/remap.h"
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
+#include "src/runtime/script.h"
 
 namespace dexlego::unpackers {
 
@@ -12,14 +13,7 @@ void run_app(rt::Runtime& runtime, const dex::Apk& apk,
              const UnpackOptions& options) {
   if (options.configure_runtime) options.configure_runtime(runtime);
   runtime.install(apk);
-  if (options.driver) {
-    options.driver(runtime);
-  } else {
-    runtime.launch();
-    for (int id : runtime.ui_clickable_ids()) runtime.fire_click(id);
-    runtime.call_activity_method("onPause");
-    runtime.call_activity_method("onDestroy");
-  }
+  rt::run_default_script(runtime);
 }
 
 }  // namespace

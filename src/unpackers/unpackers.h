@@ -1,5 +1,6 @@
 // Method-level dump-based unpacking baselines (paper Section VI-B and
-// Table III):
+// Table III). Each runs the app under the default script
+// (rt::run_default_script, src/runtime/script.h), then dumps:
 //
 //   DexHunter analog — dumps the *file images* of every DEX registered with
 //   the runtime after execution (the mmapped regions at the "right timing").
@@ -26,7 +27,6 @@ namespace dexlego::unpackers {
 
 struct UnpackOptions {
   std::function<void(rt::Runtime&)> configure_runtime;  // natives etc.
-  std::function<void(rt::Runtime&)> driver;             // default: launch+clicks
 };
 
 struct UnpackResult {

@@ -1,7 +1,9 @@
 // Differential-testing harness (paper Section V-B): run the ORIGINAL app and
-// the REVEALED app side by side under the same scripted driver and assert
+// the REVEALED app side by side under the default script and assert
 // behavioural equivalence — same sink/log output, same leak count, same
 // per-phase exit state — plus verifier cleanliness of the reassembled DEX.
+// The trace and its comparison are rt::ExecutionTrace and
+// rt::first_difference (src/runtime/script.h), the oracle the fuzzer uses.
 //
 // Suites link against dexlego_diff_harness and get the whole round trip from
 // one call:
@@ -20,42 +22,16 @@
 #include "src/core/semantic_check.h"
 #include "src/dex/archive.h"
 #include "src/runtime/runtime.h"
+#include "src/runtime/script.h"
 
 namespace dexlego::harness {
 
 using ConfigureFn = std::function<void(rt::Runtime&)>;
 
-// One scripted execution of an app. The script mirrors core::default_driver
-// (launch, fire every click handler, remaining lifecycle callbacks) but
-// records everything observable about the run.
-struct ExecutionTrace {
-  // Exit state of one driver phase ("launch", "click:7", "onPause", ...).
-  struct Phase {
-    std::string name;
-    bool completed = false;
-    bool uncaught = false;
-    std::string exception_type;
-    bool aborted = false;
-    std::string abort_reason;
-
-    bool operator==(const Phase& other) const;
-    std::string describe() const;
-  };
-
-  std::vector<Phase> phases;
-  // Every sink hit in execution order, rendered "sink|taint|detail". This is
-  // the app's observable output channel (Log.*, sms, net, file sinks).
-  std::vector<std::string> sink_log;
-  size_t leak_count = 0;
-
-  // Multi-line rendering for failure messages.
-  std::string summary() const;
-};
-
-// Installs `apk` in a fresh runtime, runs the default driver script and
-// returns the trace. `configure` registers sample natives before install.
-ExecutionTrace run_and_trace(const dex::Apk& apk,
-                             const ConfigureFn& configure = {});
+// Installs `apk` in a fresh default-config runtime, runs the default script
+// and returns its trace. `configure` registers sample natives before install.
+rt::ExecutionTrace run_and_trace(const dex::Apk& apk,
+                                 const ConfigureFn& configure = {});
 
 struct DiffOptions {
   // Registers natives on every runtime used: collection, original replay and
@@ -71,8 +47,8 @@ struct DiffOptions {
 
 struct DiffResult {
   core::RevealResult reveal;
-  ExecutionTrace original;
-  ExecutionTrace revealed;
+  rt::ExecutionTrace original;
+  rt::ExecutionTrace revealed;
   core::ContainmentReport containment;
   bool containment_checked = false;
 };
@@ -84,10 +60,11 @@ DiffResult run_differential(const dex::Apk& apk,
 
 // --- gtest predicates (use with EXPECT_TRUE for rich failure output) ---
 
-// Phase-by-phase exit states match, sink logs are identical byte for byte,
-// and the leak counts agree.
-::testing::AssertionResult TraceEquivalent(const ExecutionTrace& original,
-                                           const ExecutionTrace& revealed);
+// rt::first_difference finds none: phase-by-phase exit states match, sink
+// logs are identical byte for byte and the leak counts agree. A failure
+// prints the difference and both traces.
+::testing::AssertionResult TraceEquivalent(const rt::ExecutionTrace& original,
+                                           const rt::ExecutionTrace& revealed);
 
 // The reassembled DEX passed structural + instruction-level verification.
 ::testing::AssertionResult VerifierClean(const core::RevealResult& result);

@@ -50,9 +50,9 @@ std::vector<std::string> selfmod_sample_names() {
 TEST(DiffHarness, TraceIsDeterministic) {
   const suite::Sample* sample = db().find("Button1");
   ASSERT_NE(sample, nullptr);
-  harness::ExecutionTrace a =
+  rt::ExecutionTrace a =
       harness::run_and_trace(sample->apk, sample->configure_runtime);
-  harness::ExecutionTrace b =
+  rt::ExecutionTrace b =
       harness::run_and_trace(sample->apk, sample->configure_runtime);
   EXPECT_TRUE(harness::TraceEquivalent(a, b));
 }
@@ -65,13 +65,13 @@ TEST(DiffHarness, TraceSeesGroundTruthLeaks) {
   for (const char* name : {"Button1", "PrivateDataLeak3", "Straight1"}) {
     const suite::Sample* sample = db().find(name);
     ASSERT_NE(sample, nullptr) << name;
-    harness::ExecutionTrace trace =
+    rt::ExecutionTrace trace =
         harness::run_and_trace(sample->apk, sample->configure_runtime);
     EXPECT_GT(trace.leak_count, 0u) << name;
   }
   const suite::Sample* clean = db().find("Clean1");
   ASSERT_NE(clean, nullptr);
-  harness::ExecutionTrace trace =
+  rt::ExecutionTrace trace =
       harness::run_and_trace(clean->apk, clean->configure_runtime);
   EXPECT_EQ(trace.leak_count, 0u);
 }
@@ -108,7 +108,7 @@ TEST_P(DifferentialSelfModSample, RevealDisclosesCovertFlowToStaticAnalysis) {
   ASSERT_NE(sample, nullptr);
 
   // The covert behaviour really happens at runtime...
-  harness::ExecutionTrace original =
+  rt::ExecutionTrace original =
       harness::run_and_trace(sample->apk, sample->configure_runtime);
   EXPECT_GT(original.leak_count, 0u);
 

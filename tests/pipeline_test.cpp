@@ -925,69 +925,6 @@ TEST(ForcePipeline, SchedulesOneTaskPerJob) {
   }
 }
 
-// Runs both force algorithms on one job under the batch driver and adds
-// their branch tallies to the totals. Returns false if the engine ever
-// falls below the single-plan replay on a sample.
-struct ForceComparison {
-  size_t legacy_covered = 0;
-  size_t engine_covered = 0;
-  size_t total = 0;
-
-  void add(const pipeline::BatchJob& job) {
-    dex::DexFile file = dex::read_dex(job.apk.classes());
-
-    coverage::CoverageTracker seed;
-    {
-      rt::Runtime runtime;
-      if (job.configure_runtime) job.configure_runtime(runtime);
-      runtime.add_hooks(&seed);
-      runtime.install(job.apk);
-      core::default_driver(runtime, 0);
-    }
-
-    coverage::ForceOptions options;
-    options.run.configure_runtime = job.configure_runtime;
-    options.driver = [](rt::Runtime& runtime) {
-      core::default_driver(runtime, 0);
-    };
-    coverage::ForceResult legacy =
-        coverage::single_plan_force_execute(job.apk, options, seed);
-    coverage::ForceResult engine =
-        coverage::force_execute(job.apk, options, seed);
-
-    coverage::CoverageTracker::Report lr = legacy.coverage.report(file);
-    coverage::CoverageTracker::Report er = engine.coverage.report(file);
-    EXPECT_GE(er.branches_covered, lr.branches_covered) << job.name;
-    legacy_covered += lr.branches_covered;
-    engine_covered += er.branches_covered;
-    total += er.branches_total;
-  }
-};
-
-TEST(ForcePipeline, EngineStrictlyExceedsSinglePlanReplay) {
-  // The worklist engine must beat the pre-engine algorithm (one combined
-  // plan replayed per iteration) on branch coverage: per-target plans cannot
-  // interfere across methods, and prefixes chain through interprocedural
-  // guards that the single plan loses forever (a forced branch that starves
-  // another method's target marks it attempted with no retry).
-  //
-  // On the DroidBench samples the single plan already reaches the ceiling —
-  // every sample has at most one reachable conditional, so the engine must
-  // only never fall below it there. The strict gap comes from the guarded
-  // population (the Table VII force-execution workload), whose magic-string
-  // guards hide classes with internal branch structure.
-  ForceComparison cmp;
-  for (const pipeline::BatchJob& job : pipeline::droidbench_jobs()) cmp.add(job);
-  size_t droidbench_legacy = cmp.legacy_covered;
-  size_t droidbench_engine = cmp.engine_covered;
-  EXPECT_GE(droidbench_engine, droidbench_legacy);
-
-  for (const pipeline::BatchJob& job : pipeline::guarded_jobs(3)) cmp.add(job);
-  EXPECT_GT(cmp.engine_covered, cmp.legacy_covered)
-      << "engine " << cmp.engine_covered << " vs single-plan "
-      << cmp.legacy_covered << " of " << cmp.total << " branch sides";
-}
-
 TEST(ForcePipeline, ForceRaisesBranchCoverageOverNaturalBatch) {
   std::vector<pipeline::BatchJob> jobs = pipeline::droidbench_jobs();
   pipeline::BatchReport natural = pipeline::run_batch(jobs, {});

@@ -11,6 +11,7 @@
 #include "src/dex/io.h"
 #include "src/dex/real/real_dex.h"
 #include "src/runtime/runtime.h"
+#include "src/runtime/script.h"
 #include "src/runtime/source_sink.h"
 #include "tests/harness/diff_fixture.h"
 
@@ -895,7 +896,7 @@ dex::Apk literal_identity_app() {
 }
 
 TEST(StringInterning, RepeatedConstStringIsReferenceEqual) {
-  harness::ExecutionTrace trace = harness::run_and_trace(literal_identity_app());
+  ExecutionTrace trace = harness::run_and_trace(literal_identity_app());
   ASSERT_EQ(trace.sink_log.size(), 1u);
   EXPECT_NE(trace.sink_log[0].find("same"), std::string::npos)
       << "two executions of the same literal must be reference-equal "
@@ -933,7 +934,7 @@ TEST(StringInterning, HostileStringBuilderAppendCannotMutateLiterals) {
     as.return_void();
     b.add_virtual_method("onCreate", "V", {}, as.finish());
   }
-  harness::ExecutionTrace trace =
+  ExecutionTrace trace =
       harness::run_and_trace(make_apk(std::move(b).build(), "Lt/Sb;"));
   ASSERT_EQ(trace.sink_log.size(), 1u);
   EXPECT_EQ(trace.sink_log[0].substr(trace.sink_log[0].rfind('|') + 1),
@@ -1164,6 +1165,150 @@ TEST(FrameworkBuiltins, NonReferenceArgumentTakesTheNullPath) {
   ASSERT_TRUE(out.uncaught);
   EXPECT_EQ(out.exception_type, "Ljava/lang/NullPointerException;");
   EXPECT_EQ(out.exception_message, "newInstance on null");
+}
+
+// --- framework builtins on hostile wide values ------------------------------
+
+// Calls the framework method cls->name with one const-wide argument from a
+// one-method app; the builtin's result is in the outcome's ret.
+ExecOutcome call_with_wide(const char* cls, const char* name, int64_t arg) {
+  dex::DexBuilder b;
+  uint32_t ref = b.intern_method(cls, name, "J", {"J"});
+  b.start_class("Lt/Wide;");
+  MethodAssembler as(1, 0);
+  as.const_wide(0, arg);
+  as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(ref), {0});
+  as.move_result(0);
+  as.return_value(0);
+  b.add_direct_method("f", "J", {}, as.finish());
+  auto rt = runtime_with(std::move(b).build());
+  return rt->interp().invoke(*find_method(*rt, "Lt/Wide;", "f"), {});
+}
+
+TEST(FrameworkBuiltins, MathAbsWrapsLikeJava) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::pair<int64_t, int64_t> cases[] = {
+      {kMin, kMin}, {kMax, kMax}, {-7, 7}};
+  for (const auto& [arg, expected] : cases) {
+    SCOPED_TRACE(arg);
+    ExecOutcome out = call_with_wide("Ljava/lang/Math;", "abs", arg);
+    ASSERT_TRUE(out.completed) << out.abort_reason << out.exception_type;
+    EXPECT_EQ(out.ret.i, expected);
+  }
+}
+
+TEST(FrameworkBuiltins, RenderFramesBoundsItsNativeLoop) {
+  const char* kChoreographer = "Landroid/view/Choreographer;";
+  // A launch-sized k (the launch apps pass 125-575) is not clamped.
+  ExecOutcome launch = call_with_wide(kChoreographer, "renderFrames", 575);
+  ASSERT_TRUE(launch.completed);
+  EXPECT_EQ(launch.ret.i, 1875209836);
+  // A hostile wide k renders the 32767 frames a const/16 can ask for.
+  ExecOutcome widest = call_with_wide(kChoreographer, "renderFrames",
+                                      std::numeric_limits<int64_t>::max());
+  ASSERT_TRUE(widest.completed);
+  ExecOutcome trillion =
+      call_with_wide(kChoreographer, "renderFrames", 1'000'000'000'000);
+  ASSERT_TRUE(trillion.completed);
+  EXPECT_EQ(trillion.ret.i, widest.ret.i);
+  // A negative k renders no frame: the seed comes back unmixed.
+  ExecOutcome negative = call_with_wide(kChoreographer, "renderFrames", -5);
+  ASSERT_TRUE(negative.completed);
+  EXPECT_EQ(negative.ret.i, int64_t{88172645463325252 & 0x7fffffff});
+}
+
+// --- the default script and its trace --------------------------------------
+
+TEST(DefaultScript, StepsInOrder) {
+  // onCreate registers click handlers for ids 9 then 3; the activity has
+  // onDestroy but no onPause.
+  dex::DexBuilder b;
+  uint32_t find_view = b.intern_method("Landroid/app/Activity;", "findViewById",
+                                       "Landroid/view/View;", {"I"});
+  uint32_t set_click = b.intern_method("Landroid/view/View;", "setOnClickListener",
+                                       "V", {"Ljava/lang/Object;"});
+  b.start_class("Lt/Two;", "Landroid/app/Activity;");
+  {
+    MethodAssembler as(2, 1);  // this in v1
+    for (int16_t id : {9, 3}) {
+      as.const16(0, id);
+      as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(find_view), {1, 0});
+      as.move_result(0);
+      as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(set_click), {0, 1});
+    }
+    as.return_void();
+    b.add_virtual_method("onCreate", "V", {}, as.finish());
+  }
+  {
+    MethodAssembler as(2, 2);  // this in v0, view in v1
+    as.return_void();
+    b.add_virtual_method("onClick", "V", {"Landroid/view/View;"}, as.finish());
+  }
+  {
+    MethodAssembler as(1, 1);
+    as.return_void();
+    b.add_virtual_method("onDestroy", "V", {}, as.finish());
+  }
+  Runtime runtime;
+  runtime.install(make_apk(std::move(b).build(), "Lt/Two;"));
+
+  std::vector<ScriptStep> steps = run_default_script(runtime);
+  std::vector<std::string> names;
+  for (const ScriptStep& step : steps) names.push_back(step.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"launch", "click:3", "click:9",
+                                             "onPause", "onDestroy"}));
+  ASSERT_EQ(steps.size(), 5u);
+  for (size_t i : {0u, 1u, 2u, 4u}) {
+    EXPECT_TRUE(steps[i].outcome.completed) << steps[i].name;
+  }
+  EXPECT_TRUE(steps[3].outcome.aborted);
+  EXPECT_EQ(steps[3].outcome.abort_reason, "no such activity method: onPause");
+}
+
+// Each case pins the exact text: fuzz finding fingerprints hash it.
+TEST(ExecutionTrace, FirstDifferenceText) {
+  using Phase = ExecutionTrace::Phase;
+  ExecutionTrace base;
+  base.phases = {Phase{"launch", true, false, "", false, ""},
+                 Phase{"click:3", true, false, "", false, ""},
+                 Phase{"onPause", false, false, "", true,
+                       "no such activity method: onPause"},
+                 Phase{"onDestroy", false, true, "Ljava/lang/RuntimeException;",
+                       false, ""}};
+  base.sink_log = {"log|0|hello", "sms|1|secret"};
+  base.leak_count = 1;
+
+  EXPECT_EQ(first_difference(base, base), "");
+
+  ExecutionTrace fewer = base;
+  fewer.phases.pop_back();
+  EXPECT_EQ(first_difference(base, fewer), "phase count 4 vs 3");
+
+  ExecutionTrace exit_state = base;
+  exit_state.phases[2] = Phase{"onPause", false, true,
+                               "Ljava/lang/IllegalStateException;", false, ""};
+  EXPECT_EQ(first_difference(base, exit_state),
+            "phase[2] 'onPause: aborted (no such activity method: onPause)' vs "
+            "'onPause: uncaught Ljava/lang/IllegalStateException;'");
+  exit_state = base;
+  exit_state.phases[3] = Phase{"onDestroy", true, false, "", false, ""};
+  EXPECT_EQ(first_difference(base, exit_state),
+            "phase[3] 'onDestroy: uncaught Ljava/lang/RuntimeException;' vs "
+            "'onDestroy: completed'");
+
+  ExecutionTrace more_sinks = base;
+  more_sinks.sink_log.push_back("net|0|x");
+  EXPECT_EQ(first_difference(base, more_sinks), "sink count 2 vs 3");
+
+  ExecutionTrace other_sink = base;
+  other_sink.sink_log[1] = "sms|0|secret";
+  EXPECT_EQ(first_difference(base, other_sink),
+            "sink[1] 'sms|1|secret' vs 'sms|0|secret'");
+
+  ExecutionTrace more_leaks = base;
+  more_leaks.leak_count = 2;
+  EXPECT_EQ(first_difference(base, more_leaks), "leaks 1 vs 2");
 }
 
 // --- one parse, many runtimes ----------------------------------------------
