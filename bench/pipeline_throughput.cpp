@@ -1,6 +1,6 @@
-// Batch-pipeline throughput: runs a corpus through pipeline::run_batch over
-// a (threads x dedup-store shards) config matrix and reports apps/sec, the
-// speedup over the sequential baseline and the dedup store's hit rate. Not
+// Batch-pipeline throughput: runs a corpus through pipeline::run_batch at
+// each worker count of a list and reports apps/sec, the speedup over the
+// sequential baseline and the dedup store's hit rate. Not
 // a paper table — this measures the fleet capability the ROADMAP asks for,
 // and (gated via ci.sh) proves the multi-core speedup is real on the
 // 10k-app large_corpus scenario.
@@ -8,12 +8,12 @@
 // Each line prefixed BENCH_JSON is machine-readable (one JSON object per
 // config) so throughput trajectories can be tracked across commits. Every
 // config's per-app dex fingerprints are compared against the first config's
-// — any divergence across thread or shard counts is an immediate exit 1
-// (the pipeline's byte-identity invariant, docs/ARCHITECTURE.md).
+// — any divergence across thread counts is an immediate exit 1 (the
+// pipeline's byte-identity invariant, docs/ARCHITECTURE.md).
 //
 // Usage:
 //   pipeline_throughput [--corpus droidbench|large] [--count N] [--repeat R]
-//                       [--threads CSV] [--shards CSV]
+//                       [--threads CSV]
 //                       [--gate-threads T --min-speedup X]
 //                       [--baseline-apps-per-sec Y] [--max-regression F]
 //
@@ -23,15 +23,14 @@
 //   --repeat    droidbench replication factor (default 3)
 //   --threads   comma list of worker counts (default 1,2,4,8; the first
 //               entry must be 1 — it is the speedup baseline)
-//   --shards    comma list of DedupStore shard counts (default 64)
 //   --gate-threads/--min-speedup
-//               exit 1 unless speedup_vs_1t at that thread count (first
-//               shard config) reaches the bar — ci.sh sets 4/2.0 on hosts
-//               with >= 4 hardware threads, reporting-only elsewhere
+//               exit 1 unless speedup_vs_1t at that thread count reaches
+//               the bar — ci.sh sets 4/2.0 on hosts with >= 4 hardware
+//               threads, reporting-only elsewhere
 //   --baseline-apps-per-sec/--max-regression
-//               exit 1 if the 1-thread apps/sec of the first shard config
-//               falls more than the fraction (default 0.10) below the
-//               recorded baseline (ci.sh reads bench/pipeline_baseline.json)
+//               exit 1 if the 1-thread apps/sec falls more than the
+//               fraction (default 0.10) below the recorded baseline
+//               (ci.sh reads bench/pipeline_baseline.json)
 //
 // A bare positional number is accepted as the legacy droidbench repeat.
 #include <cstdio>
@@ -79,7 +78,6 @@ int main(int argc, char** argv) {
   size_t count = 10000;
   int repeat = 3;
   std::vector<size_t> thread_list = {1, 2, 4, 8};
-  std::vector<size_t> shard_list = {64};
   size_t gate_threads = 0;
   double min_speedup = 0.0;
   double baseline_apps_per_sec = 0.0;
@@ -102,8 +100,6 @@ int main(int argc, char** argv) {
       repeat = std::atoi(next());
     } else if (arg == "--threads") {
       thread_list = parse_csv(next(), 1, 256);
-    } else if (arg == "--shards") {
-      shard_list = parse_csv(next(), 1, 256);
     } else if (arg == "--gate-threads") {
       gate_threads = static_cast<size_t>(std::atol(next()));
     } else if (arg == "--min-speedup") {
@@ -145,80 +141,72 @@ int main(int argc, char** argv) {
                       std::to_string(jobs.size()) + " jobs)");
   std::printf("hardware threads available: %u\n\n",
               std::thread::hardware_concurrency());
-  bench::print_row({"Threads", "Shards", "Wall ms", "Apps/sec", "Speedup",
-                    "Dedup hit", "Verified"},
-                   {10, 8, 12, 12, 10, 12, 10});
+  bench::print_row(
+      {"Threads", "Wall ms", "Apps/sec", "Speedup", "Dedup hit", "Verified"},
+      {10, 12, 12, 10, 12, 10});
 
   // Per-app fingerprints of the first config: every other config must
-  // reproduce them bit for bit, whatever its thread or shard count.
+  // reproduce them bit for bit, whatever its thread count.
   std::vector<uint64_t> reference;
   size_t identity_mismatches = 0;
-  double sequential_ms = 0.0;       // 1-thread wall of the FIRST shard config
-  double sequential_rate = 0.0;     // its apps/sec
-  double gate_speedup = -1.0;       // speedup at the gate config, if run
+  double sequential_ms = 0.0;    // 1-thread wall
+  double sequential_rate = 0.0;  // its apps/sec
+  double gate_speedup = -1.0;    // speedup at the gate config, if run
 
-  for (size_t si = 0; si < shard_list.size(); ++si) {
-    for (size_t threads : thread_list) {
-      pipeline::BatchOptions options;
-      options.threads = threads;
-      options.store_shards = shard_list[si];
-      options.keep_dex = false;  // throughput run; don't hold every DEX
-      pipeline::BatchReport report = pipeline::run_batch(jobs, options);
-      const pipeline::FleetStats& fleet = report.fleet;
+  for (size_t threads : thread_list) {
+    pipeline::BatchOptions options;
+    options.threads = threads;
+    options.keep_dex = false;  // throughput run; don't hold every DEX
+    pipeline::BatchReport report = pipeline::run_batch(jobs, options);
+    const pipeline::FleetStats& fleet = report.fleet;
 
-      if (reference.empty()) {
-        reference.reserve(report.jobs.size());
-        for (const pipeline::JobResult& job : report.jobs) {
-          reference.push_back(job.dex_fingerprint);
-        }
-      } else {
-        for (size_t j = 0; j < report.jobs.size(); ++j) {
-          if (report.jobs[j].dex_fingerprint != reference[j]) {
-            ++identity_mismatches;
-            std::fprintf(stderr,
-                         "IDENTITY MISMATCH at threads=%zu shards=%zu: %s\n",
-                         threads, shard_list[si],
-                         report.jobs[j].name.c_str());
-          }
+    if (reference.empty()) {
+      reference.reserve(report.jobs.size());
+      for (const pipeline::JobResult& job : report.jobs) {
+        reference.push_back(job.dex_fingerprint);
+      }
+    } else {
+      for (size_t j = 0; j < report.jobs.size(); ++j) {
+        if (report.jobs[j].dex_fingerprint != reference[j]) {
+          ++identity_mismatches;
+          std::fprintf(stderr, "IDENTITY MISMATCH at threads=%zu: %s\n",
+                       threads, report.jobs[j].name.c_str());
         }
       }
-
-      if (si == 0 && threads == 1) {
-        sequential_ms = fleet.wall_ms;
-        sequential_rate = fleet.apps_per_sec;
-      }
-      double speedup =
-          fleet.wall_ms > 0.0 ? sequential_ms / fleet.wall_ms : 0.0;
-      if (si == 0 && threads == gate_threads) gate_speedup = speedup;
-
-      char wall_s[24], rate_s[24], speed_s[16], hit_s[16], ver_s[16];
-      std::snprintf(wall_s, sizeof(wall_s), "%.1f", fleet.wall_ms);
-      std::snprintf(rate_s, sizeof(rate_s), "%.1f", fleet.apps_per_sec);
-      std::snprintf(speed_s, sizeof(speed_s), "%.2fx", speedup);
-      std::snprintf(hit_s, sizeof(hit_s), "%.1f%%",
-                    fleet.dedup_hit_rate * 100.0);
-      std::snprintf(ver_s, sizeof(ver_s), "%zu/%zu", fleet.verified,
-                    fleet.jobs);
-      bench::print_row({std::to_string(threads),
-                        std::to_string(shard_list[si]), wall_s, rate_s,
-                        speed_s, hit_s, ver_s},
-                       {10, 8, 12, 12, 10, 12, 10});
-
-      std::printf(
-          "BENCH_JSON {\"bench\":\"pipeline_throughput\",\"corpus\":\"%s\","
-          "\"threads\":%zu,\"shards\":%zu,\"jobs\":%zu,\"wall_ms\":%.2f,"
-          "\"apps_per_sec\":%.2f,\"speedup_vs_1t\":%.3f,"
-          "\"dedup_hit_rate\":%.4f,\"store_entries\":%zu,"
-          "\"bytes_deduped\":%llu,\"verified\":%zu,\"queue_pops\":%llu,"
-          "\"queue_tasks\":%llu,\"max_chunk\":%zu}\n",
-          corpus.c_str(), threads, shard_list[si], fleet.jobs, fleet.wall_ms,
-          fleet.apps_per_sec, speedup, fleet.dedup_hit_rate,
-          fleet.store.entries,
-          static_cast<unsigned long long>(fleet.store.bytes_deduped),
-          fleet.verified, static_cast<unsigned long long>(fleet.queue_pops),
-          static_cast<unsigned long long>(fleet.queue_tasks),
-          fleet.max_chunk);
     }
+
+    if (threads == 1) {
+      sequential_ms = fleet.wall_ms;
+      sequential_rate = fleet.apps_per_sec;
+    }
+    double speedup = fleet.wall_ms > 0.0 ? sequential_ms / fleet.wall_ms : 0.0;
+    if (threads == gate_threads) gate_speedup = speedup;
+
+    char wall_s[24], rate_s[24], speed_s[16], hit_s[16], ver_s[16];
+    std::snprintf(wall_s, sizeof(wall_s), "%.1f", fleet.wall_ms);
+    std::snprintf(rate_s, sizeof(rate_s), "%.1f", fleet.apps_per_sec);
+    std::snprintf(speed_s, sizeof(speed_s), "%.2fx", speedup);
+    std::snprintf(hit_s, sizeof(hit_s), "%.1f%%",
+                  fleet.dedup_hit_rate * 100.0);
+    std::snprintf(ver_s, sizeof(ver_s), "%zu/%zu", fleet.verified,
+                  fleet.jobs);
+    bench::print_row(
+        {std::to_string(threads), wall_s, rate_s, speed_s, hit_s, ver_s},
+        {10, 12, 12, 10, 12, 10});
+
+    std::printf(
+        "BENCH_JSON {\"bench\":\"pipeline_throughput\",\"corpus\":\"%s\","
+        "\"threads\":%zu,\"jobs\":%zu,\"wall_ms\":%.2f,"
+        "\"apps_per_sec\":%.2f,\"speedup_vs_1t\":%.3f,"
+        "\"dedup_hit_rate\":%.4f,\"store_entries\":%zu,"
+        "\"bytes_deduped\":%llu,\"verified\":%zu,\"queue_pops\":%llu,"
+        "\"queue_tasks\":%llu,\"max_chunk\":%zu}\n",
+        corpus.c_str(), threads, fleet.jobs, fleet.wall_ms,
+        fleet.apps_per_sec, speedup, fleet.dedup_hit_rate,
+        fleet.store.entries,
+        static_cast<unsigned long long>(fleet.store.bytes_deduped),
+        fleet.verified, static_cast<unsigned long long>(fleet.queue_pops),
+        static_cast<unsigned long long>(fleet.queue_tasks), fleet.max_chunk);
   }
 
   bool failed = false;

@@ -6,14 +6,12 @@
 //
 //   dexlego_batch [--scenario droidbench|generated|guarded|packed|unpacked|realdex|fuzz|large|all]
 //                 [--threads N | --jobs N] [--count N] [--repeat R]
-//                 [--shards S] [--force] [--force-depth D] [--force-iters I]
+//                 [--force] [--force-depth D] [--force-iters I]
 //                 [--compare-sequential] [--json] [--quiet]
 //
 //   --threads 0 (default) = one worker per hardware thread
 //   --jobs             alias for --threads (make-style worker count)
 //   --count            generated-scenario app count (default 8)
-//   --shards           DedupStore shard count (0 = store default; outputs
-//                      are byte-identical at any value)
 //   --repeat           replicate the job list R times (workload scaling)
 //   --force            explore every app with the worklist ForceEngine:
 //                      each worker runs an app's baseline and every plan
@@ -100,7 +98,6 @@ void print_json(const pipeline::FleetStats& fleet, const std::string& scenario) 
 int main(int argc, char** argv) {
   std::string scenario = "droidbench";
   size_t threads = 0;
-  size_t shards = 0;
   size_t count = 8;
   int repeat = 1;
   bool force = false;
@@ -135,8 +132,6 @@ int main(int argc, char** argv) {
       scenario = next();
     } else if (arg == "--threads" || arg == "--jobs") {
       threads = static_cast<size_t>(next_number(0, 4096));
-    } else if (arg == "--shards") {
-      shards = static_cast<size_t>(next_number(0, 256));
     } else if (arg == "--force") {
       force = true;
     } else if (arg == "--force-depth") {
@@ -165,7 +160,6 @@ int main(int argc, char** argv) {
 
   pipeline::BatchOptions options;
   options.threads = threads;
-  options.store_shards = shards;
   pipeline::BatchReport report = pipeline::run_batch(jobs, options);
 
   if (!quiet) {

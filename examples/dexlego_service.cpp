@@ -6,7 +6,7 @@
 // replays the logs and re-extracts nothing that did not change.
 //
 //   dexlego_service --store DIR [--corpus large|generated] [--count N]
-//                   [--threads N] [--shards S] [--mutate-pct P]
+//                   [--threads N] [--mutate-pct P]
 //                   [--tenant NAME] [--quota-jobs N] [--quota-bytes B]
 //                   [--compare-cold] [--expect-incremental] [--json] [--quiet]
 //
@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
   std::string tenant = "default";
   size_t count = 24;
   size_t threads = 0;
-  size_t shards = 16;
   long mutate_pct = 0;
   service::TenantQuota quota;
   bool compare_cold = false;
@@ -88,8 +87,6 @@ int main(int argc, char** argv) {
       count = static_cast<size_t>(next_number(1, 100000));
     } else if (arg == "--threads") {
       threads = static_cast<size_t>(next_number(0, 4096));
-    } else if (arg == "--shards") {
-      shards = static_cast<size_t>(next_number(1, 256));
     } else if (arg == "--mutate-pct") {
       mutate_pct = next_number(1, 100);
     } else if (arg == "--quota-jobs") {
@@ -138,7 +135,6 @@ int main(int argc, char** argv) {
 
   service::ServiceOptions options;
   options.threads = threads;
-  options.store_shards = shards;
   service::ExtractionService svc(store_dir, options);
   if (quota.max_in_flight || quota.max_in_flight_bytes) {
     svc.set_quota(tenant, quota);

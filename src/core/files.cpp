@@ -21,6 +21,7 @@ SymRef read_sym_ref(ByteReader& r) {
   SymRef ref;
   ref.kind = static_cast<bc::RefKind>(r.u8());
   uint32_t n = r.u32();
+  r.check_count(n, 4, "symbolic reference part");  // each part is a str
   ref.parts.reserve(n);
   for (uint32_t i = 0; i < n; ++i) ref.parts.push_back(r.str());
   return ref;
@@ -52,6 +53,8 @@ std::unique_ptr<TreeNode> read_tree(ByteReader& r, TreeNode* parent) {
   auto node = std::make_unique<TreeNode>();
   node->parent = parent;
   uint32_t n_il = r.u32();
+  // pc, unit count and the two presence flags: 6 bytes at least.
+  r.check_count(n_il, 6, "IL entry");
   node->il.reserve(n_il);
   for (uint32_t i = 0; i < n_il; ++i) {
     ILEntry e;
@@ -216,6 +219,7 @@ CollectionOutput decode_collection(const CollectionFiles& files) {
   {
     ByteReader r(files.class_data);
     uint32_t n = r.u32();
+    r.check_count(n, 12, "class");  // two strs and the access flags
     out.classes.resize(n);
     for (uint32_t i = 0; i < n; ++i) {
       out.classes[i].descriptor = r.str();

@@ -32,7 +32,9 @@ struct CollectionFiles {
 };
 
 // Round-trippable encoding: decode(encode(x)) preserves every field the
-// reassembler consumes (property-tested).
+// reassembler consumes (property-tested). decode_collection throws
+// support::ParseError on truncated files and on counts their bytes cannot
+// hold, before sizing any container from such a count.
 CollectionFiles encode_collection(const CollectionOutput& output);
 CollectionOutput decode_collection(const CollectionFiles& files);
 

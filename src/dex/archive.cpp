@@ -95,10 +95,8 @@ Apk Apk::read(std::span<const uint8_t> data) {
   Apk apk;
   uint32_t count = r.u32();
   // Each entry needs at least its two length prefixes plus the trailing
-  // digest; a larger count is hostile (the dex::io check_count pattern).
-  if (count > r.remaining() / 8) {
-    throw ParseError("implausible LAPK entry count");
-  }
+  // digest; a larger count is hostile.
+  r.check_count(count, 8, "LAPK entry");
   support::Fnv1a combined;
   for (uint32_t i = 0; i < count; ++i) {
     std::string name = r.str();

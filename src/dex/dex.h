@@ -125,13 +125,6 @@ struct DexFile {
   const std::string& method_name(uint32_t method_idx) const {
     return strings.at(methods.at(method_idx).name);
   }
-  // Declaring-class descriptor of a method/field reference.
-  const std::string& method_class(uint32_t method_idx) const {
-    return type_descriptor(methods.at(method_idx).class_type);
-  }
-  const std::string& field_class(uint32_t field_idx) const {
-    return type_descriptor(fields.at(field_idx).class_type);
-  }
 
   // Human-readable signature "Lcom/Foo;->bar(II)V" for diagnostics.
   std::string pretty_method(uint32_t method_idx) const;

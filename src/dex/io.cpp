@@ -13,18 +13,6 @@ using support::ParseError;
 
 namespace {
 
-// Hostile counts: a count field may not promise more elements than the
-// remaining bytes can possibly encode (the ByteReader::need subtraction
-// pattern lifted to element counts). Checking *before* vector::reserve keeps
-// count bombs from turning into bad_alloc/OOM instead of a clean ParseError
-// — found by the structural fuzzer (tests/data/fuzz/).
-void check_count(const ByteReader& r, uint64_t n, size_t min_elem_bytes,
-                 const char* what) {
-  if (n > r.remaining() / min_elem_bytes) {
-    throw ParseError(std::string("implausible ") + what + " count");
-  }
-}
-
 void write_encoded_value(ByteWriter& w, const EncodedValue& v) {
   w.u8(static_cast<uint8_t>(v.kind));
   w.i64(v.i);
@@ -72,11 +60,11 @@ CodeItem read_code_item(ByteReader& r) {
   // Collected and reassembled pcs are 16-bit; the real-DEX loader has the
   // same bound.
   if (n_insns > 0xffff) throw ParseError("code longer than 65535 units");
-  check_count(r, n_insns, 2, "insns");
+  r.check_count(n_insns, 2, "insns");
   code.insns.reserve(n_insns);
   for (uint32_t i = 0; i < n_insns; ++i) code.insns.push_back(r.u16());
   uint32_t n_tries = r.u32();
-  check_count(r, n_tries, 6, "tries");
+  r.check_count(n_tries, 6, "tries");
   for (uint32_t i = 0; i < n_tries; ++i) {
     TryItem t;
     t.start_pc = r.u16();
@@ -85,7 +73,7 @@ CodeItem read_code_item(ByteReader& r) {
     code.tries.push_back(t);
   }
   uint32_t n_lines = r.u32();
-  check_count(r, n_lines, 6, "lines");
+  r.check_count(n_lines, 6, "lines");
   for (uint32_t i = 0; i < n_lines; ++i) {
     LineEntry e;
     e.pc = r.u16();
@@ -199,12 +187,12 @@ DexFile read_dex(std::span<const uint8_t> data) {
 
   // Minimal encoded sizes per element; a count promising more than the
   // remaining bytes could hold is hostile, not merely truncated.
-  check_count(r, n_strings, 4, "string");
-  check_count(r, n_types, 4, "type");
-  check_count(r, n_protos, 8, "proto");
-  check_count(r, n_fields, 12, "field");
-  check_count(r, n_methods, 12, "method");
-  check_count(r, n_classes, 28, "class");
+  r.check_count(n_strings, 4, "string");
+  r.check_count(n_types, 4, "type");
+  r.check_count(n_protos, 8, "proto");
+  r.check_count(n_fields, 12, "field");
+  r.check_count(n_methods, 12, "method");
+  r.check_count(n_classes, 28, "class");
 
   file.strings.reserve(n_strings);
   for (uint32_t i = 0; i < n_strings; ++i) file.strings.push_back(r.str());
@@ -215,7 +203,7 @@ DexFile read_dex(std::span<const uint8_t> data) {
     Proto p;
     p.return_type = r.u32();
     uint32_t n_params = r.u32();
-    check_count(r, n_params, 4, "proto param");
+    r.check_count(n_params, 4, "proto param");
     p.param_types.reserve(n_params);
     for (uint32_t j = 0; j < n_params; ++j) p.param_types.push_back(r.u32());
     file.protos.push_back(std::move(p));

@@ -2,8 +2,8 @@
 // sleb128 and uleb128p1 exactly as the Dalvik Executable spec defines them.
 // Readers are hardened against length bombs — the format caps every value at
 // 32 bits, so a fifth continuation byte is hostile input and raises a clean
-// support::ParseError instead of silently wrapping (the leb128 analog of the
-// LDEX reader's check_count discipline).
+// support::ParseError instead of silently wrapping (the leb128 analog of
+// support::ByteReader::check_count).
 #pragma once
 
 #include <cstdint>

@@ -73,15 +73,6 @@ constexpr uint8_t kValueString = 0x17;
 constexpr uint8_t kValueNull = 0x1e;
 constexpr uint8_t kValueBoolean = 0x1f;
 
-// The check_count discipline from src/dex/io.cpp: a count field may not
-// promise more elements than the remaining bytes can possibly encode.
-void check_count(const ByteReader& r, uint64_t n, size_t min_elem_bytes,
-                 const char* what) {
-  if (n > r.remaining() / min_elem_bytes) {
-    throw ParseError(std::string("implausible ") + what + " count");
-  }
-}
-
 uint32_t mapped(const std::vector<uint32_t>& table, uint32_t idx,
                 const char* what) {
   if (idx >= table.size()) {
@@ -357,7 +348,7 @@ void write_string_data(ByteWriter& w, const std::string& s) {
 
 std::string read_string_data(ByteReader& r) {
   uint32_t utf16 = read_uleb128(r);
-  check_count(r, utf16, 1, "string utf16");
+  r.check_count(utf16, 1, "string utf16");
   std::string s;
   uint32_t units = 0;
   for (;;) {
@@ -414,7 +405,7 @@ void write_debug_info(ByteWriter& w, const std::vector<LineEntry>& lines) {
 std::vector<LineEntry> read_debug_info(ByteReader& r, size_t insns_units) {
   int64_t line = read_uleb128(r);
   uint32_t params = read_uleb128(r);
-  check_count(r, params, 1, "debug parameter");
+  r.check_count(params, 1, "debug parameter");
   for (uint32_t i = 0; i < params; ++i) read_uleb128p1(r);
   uint64_t addr = 0;
   std::vector<LineEntry> lines;
@@ -647,14 +638,14 @@ CodeItem read_code_item(std::span<const uint8_t> data, uint32_t off) {
     throw ParseError("ins exceed registers in code item");
   }
   if (insns_size > 0xffff) throw ParseError("code longer than 65535 units");
-  check_count(r, insns_size, 2, "insns");
+  r.check_count(insns_size, 2, "insns");
   std::vector<uint16_t> dalvik;
   dalvik.reserve(insns_size);
   for (uint32_t i = 0; i < insns_size; ++i) dalvik.push_back(r.u16());
   code.insns = bc::transcode_from_dalvik(dalvik);
   if (tries_size > 0) {
     if (insns_size % 2 != 0) r.u16();  // alignment padding
-    check_count(r, tries_size, 8, "tries");
+    r.check_count(tries_size, 8, "tries");
     struct RawTry {
       uint32_t start;
       uint16_t count;
@@ -673,7 +664,7 @@ CodeItem read_code_item(std::span<const uint8_t> data, uint32_t off) {
     size_t handlers_start = r.pos();
     {
       uint32_t list_size = read_uleb128(r);
-      check_count(r, list_size, 2, "catch handler");
+      r.check_count(list_size, 2, "catch handler");
     }
     for (const RawTry& t : raw) {
       ByteReader hr(data);
@@ -1214,7 +1205,7 @@ DexFile parse_real(std::span<const uint8_t> data) {
         ByteReader tl(data);
         tl.seek(params_off);
         uint32_t n = tl.u32();
-        check_count(tl, n, 2, "type_list");
+        tl.check_count(n, 2, "type_list");
         p.param_types.reserve(n);
         for (uint32_t j = 0; j < n; ++j) {
           uint16_t t = tl.u16();
@@ -1299,7 +1290,7 @@ DexFile parse_real(std::span<const uint8_t> data) {
         ByteReader tl(data);
         tl.seek(interfaces_off);
         uint32_t n = tl.u32();
-        check_count(tl, n, 2, "interface list");
+        tl.check_count(n, 2, "interface list");
         for (uint32_t j = 0; j < n; ++j) {
           if (tl.u16() >= n_types) throw ParseError("interface type out of range");
         }
@@ -1314,10 +1305,10 @@ DexFile parse_real(std::span<const uint8_t> data) {
         uint32_t n_instance = read_uleb128(cd);
         uint32_t n_direct = read_uleb128(cd);
         uint32_t n_virtual = read_uleb128(cd);
-        check_count(cd, n_static, 2, "static field");
-        check_count(cd, n_instance, 2, "instance field");
-        check_count(cd, n_direct, 3, "direct method");
-        check_count(cd, n_virtual, 3, "virtual method");
+        cd.check_count(n_static, 2, "static field");
+        cd.check_count(n_instance, 2, "instance field");
+        cd.check_count(n_direct, 3, "direct method");
+        cd.check_count(n_virtual, 3, "virtual method");
         auto read_fields = [&](uint32_t n, std::vector<FieldDef>& out_list) {
           uint64_t idx = 0;
           for (uint32_t j = 0; j < n; ++j) {
@@ -1372,7 +1363,7 @@ DexFile parse_real(std::span<const uint8_t> data) {
         if (n > cls.static_fields.size()) {
           throw ParseError("static values exceed static fields");
         }
-        check_count(ev, n, 1, "static value");
+        ev.check_count(n, 1, "static value");
         for (uint32_t j = 0; j < n; ++j) {
           cls.static_fields[j].static_init = read_encoded_value(ev, n_strings);
         }
@@ -1389,7 +1380,7 @@ DexFile parse_real(std::span<const uint8_t> data) {
     ByteReader mr(data);
     mr.seek(map_off);
     uint32_t n = mr.u32();
-    check_count(mr, n, 12, "map entry");
+    mr.check_count(n, 12, "map entry");
     for (uint32_t i = 0; i < n; ++i) {
       mr.u16();  // type
       mr.u16();  // unused

@@ -234,11 +234,7 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
   // an empty batch starts none.
   threads = std::min(threads, jobs.size());
 
-  DedupStore local_store{DedupStore::Options{
-      options.store_shards == 0 ? DedupStore::kDefaultShards
-                                : options.store_shards,
-      DedupStore::HashFn{}}};
-  DedupStore& store = options.store != nullptr ? *options.store : local_store;
+  DedupStore store;
 
   BatchReport report;
   report.jobs.resize(jobs.size());

@@ -131,21 +131,16 @@ struct BatchOptions {
   // pool never exceeds the job count, so an empty batch starts no worker
   // (FleetStats::threads reports it).
   size_t threads = 0;
-  // Shared store to intern into; batches sharing one store dedup across
-  // batches too. nullptr = a private store per run_batch call.
-  DedupStore* store = nullptr;
-  // Shard count for that private store (DedupStore::Options::shards; 0 =
-  // the store's default). Ignored when `store` is provided — the provided
-  // store's own shard count wins. Outputs are byte-identical at any value.
-  size_t store_shards = 0;
   // Keep the reassembled DEX bytes in each JobResult (fingerprints are
   // always kept). Turn off for huge fleets to bound memory.
   bool keep_dex = true;
 };
 
 // Runs every job and returns per-job results in input order plus fleet
-// stats. Never throws for job failures: a worker exception — std:: or not —
-// lands in JobResult::{ok,error} and the remaining jobs still run.
+// stats. Each call interns into a fresh DedupStore of its own; a caller
+// that needs another store (the service's persistent one) calls run_job.
+// Never throws for job failures: a worker exception — std:: or not — lands
+// in JobResult::{ok,error} and the remaining jobs still run.
 BatchReport run_batch(const std::vector<BatchJob>& jobs,
                       const BatchOptions& options = {});
 

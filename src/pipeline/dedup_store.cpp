@@ -23,24 +23,10 @@ DedupStore::Id default_hash(std::span<const uint8_t> content, uint64_t salt) {
   return h.digest();
 }
 
-size_t normalize_shards(size_t requested) {
-  if (requested < 1) requested = 1;
-  if (requested > 256) requested = 256;
-  size_t shards = 1;
-  while (shards < requested) shards <<= 1;
-  return shards;
-}
-
 }  // namespace
 
-DedupStore::DedupStore() : DedupStore(Options{}) {}
-
 DedupStore::DedupStore(HashFn hash)
-    : DedupStore(Options{kDefaultShards, std::move(hash)}) {}
-
-DedupStore::DedupStore(Options options)
-    : hash_(options.hash ? std::move(options.hash) : HashFn(default_hash)),
-      shards_(normalize_shards(options.shards)) {}
+    : hash_(hash ? std::move(hash) : HashFn(default_hash)) {}
 
 DedupStore::InternResult DedupStore::intern(std::span<const uint8_t> content) {
   return intern(std::vector<uint8_t>(content.begin(), content.end()));
@@ -157,15 +143,13 @@ InternedCollection intern_collection(const core::CollectionOutput& output,
                                      DedupStore& store) {
   InternedCollection interned;
   std::unordered_set<DedupStore::Id> seen;
-  for (const auto& [key, rec] : output.methods) {
-    std::vector<DedupStore::Id>& ids = interned.tree_ids[key];
-    for (const auto& tree : rec.trees) {
+  for (const auto& method : output.methods) {
+    for (const auto& tree : method.second.trees) {
       // serialize_tree returns a fresh buffer, so this binds the
       // ownership-taking overload: a miss moves instead of copying inside
       // the shard lock.
       DedupStore::InternResult result =
           store.intern(core::serialize_tree(*tree));
-      ids.push_back(result.id);
       ++interned.interns;
       if (seen.insert(result.id).second) ++interned.unique_trees;
       if (result.inserted) {

@@ -8,25 +8,25 @@
 // once, no matter which worker thread gets there first.
 //
 // Ids are the 64-bit content hash itself, so they are stable across runs,
-// thread counts, insertion orders AND shard counts — the property
-// tests/pipeline_test.cpp asserts under concurrent insert.
+// thread counts and insertion orders — the property tests/pipeline_test.cpp
+// asserts under concurrent insert. No output depends on how the store lays
+// its entries out, so the layout is fixed rather than configurable.
 //
-// Concurrency shape: the store is sharded by fingerprint prefix (the top
-// bits of the id pick the shard), each shard owning its own map, lock and
-// stat counters. Workers interning unrelated contents therefore touch
-// disjoint locks, and the common steady-state case — a dedup *hit* — takes
-// only a shared (reader) lock plus relaxed atomic counter bumps, so hits
-// from many threads proceed in parallel. Serialization, hashing and the
-// copy of the incoming buffer all happen before any lock is taken; a miss
-// holds its shard's exclusive lock only for the map insert itself.
+// Concurrency shape: the store is split into kShards shards by fingerprint
+// prefix (the id's top byte picks the shard), each shard owning its own
+// map, lock and stat counters. Workers interning unrelated contents
+// therefore touch disjoint locks, and the common steady-state case — a
+// dedup *hit* — takes only a shared (reader) lock plus relaxed atomic
+// counter bumps, so hits from many threads proceed in parallel.
+// Serialization, hashing and the copy of the incoming buffer all happen
+// before any lock is taken; a miss holds its shard's exclusive lock only
+// for the map insert itself.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <shared_mutex>
 #include <span>
 #include <unordered_map>
@@ -47,27 +47,17 @@ class DedupStore {
   // by brute force); production always uses the default.
   using HashFn = std::function<Id(std::span<const uint8_t>, uint64_t salt)>;
 
-  struct Options {
-    // Shard count; rounded up to a power of two and clamped to [1, 256].
-    // 1 reproduces the historical single-map store (forced-collision and
-    // determinism tests use it); the default spreads contention well past
-    // any worker count run_batch produces.
-    size_t shards = kDefaultShards;
-    // Null falls back to the default salted FNV-1a.
-    HashFn hash;
-  };
-  static constexpr size_t kDefaultShards = 64;
+  // Shard count, a power of two: the layout the persistent store's segment
+  // logs use (one log per shard), and enough shards that concurrent workers
+  // seldom share a lock. Changing it changes the service's on-disk layout.
+  static constexpr size_t kShards = 16;
 
-  // Default-constructed stores use the salted FNV-1a and kDefaultShards.
-  DedupStore();
+  // A null `hash` (and the default constructor) uses the salted FNV-1a.
+  DedupStore() : DedupStore(HashFn{}) {}
   explicit DedupStore(HashFn hash);
-  explicit DedupStore(Options options);
   virtual ~DedupStore() = default;
   DedupStore(const DedupStore&) = delete;
   DedupStore& operator=(const DedupStore&) = delete;
-
-  // Power-of-two shard count this store actually runs with.
-  size_t shard_count() const { return shards_.size(); }
 
   struct InternResult {
     Id id = 0;
@@ -104,16 +94,9 @@ class DedupStore {
     uint64_t bytes_deduped = 0;  // bytes NOT stored thanks to hits
     uint64_t collisions = 0;     // re-hash chain links created (pathological);
                                  // counted once at discovery, not per re-walk
-
-    double hit_rate() const {
-      uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) /
-                                    static_cast<double>(total);
-    }
   };
-  // Folded totals across all shards. Every field is shard- and thread-count
-  // invariant for a given input population (asserted by pipeline_test);
-  // only the per-shard split varies with the shard count.
+  // Folded totals across all shards. Every field is thread-count invariant
+  // for a given input population (asserted by pipeline_test).
   Stats stats() const;
 
   // Zeroes the intern counters (hits, misses, bytes_deduped, collisions)
@@ -136,11 +119,13 @@ class DedupStore {
     (void)content;
   }
 
-  // Shard index for an id — the same mapping shard_for uses, exposed so a
-  // persistence subclass can mirror the memory sharding with one log file
-  // per shard (persist then runs under that shard's exclusive lock, making
-  // per-log append ordering free).
-  size_t shard_index(Id id) const { return (id >> 56) & (shards_.size() - 1); }
+  // Shard index for an id. Fingerprint-prefix sharding: the top byte of the
+  // id picks the shard, which keeps the mapping disjoint from any low-bit
+  // structure the map's own bucketing keys on. Exposed so a persistence
+  // subclass can mirror the memory sharding with one log file per shard
+  // (persist then runs under that shard's exclusive lock, making per-log
+  // append ordering free).
+  static size_t shard_index(Id id) { return (id >> 56) & (kShards - 1); }
 
  private:
   // One shard: its slice of the id space plus its own stat counters. The
@@ -157,31 +142,22 @@ class DedupStore {
     std::atomic<uint64_t> collisions{0};
   };
 
-  Shard& shard_for(Id id) const {
-    // Fingerprint-prefix sharding: the top byte of the id picks the shard
-    // (shards_.size() is a power of two <= 256, so the mask keeps a slice
-    // of that prefix). Using high bits keeps the mapping disjoint from any
-    // low-bit structure the map's own bucketing keys on.
-    return shards_[(id >> 56) & (shards_.size() - 1)];
-  }
+  Shard& shard_for(Id id) const { return shards_[shard_index(id)]; }
 
   HashFn hash_;  // never null; defaults to the salted FNV-1a
-  // unique_ptr-free stable storage: sized once in the constructor, never
-  // resized, so Shard references stay valid without further indirection.
-  mutable std::vector<Shard> shards_;
+  mutable std::array<Shard, kShards> shards_;
 };
 
-// Result of interning one app's collection output: the tree ids per method,
-// plus this call's attribution counters. `interns` (total trees offered) and
-// `unique_trees` (distinct content ids within THIS collection) are pure
-// functions of the collection and therefore deterministic across thread
-// counts and schedules. `hits`/`misses` split the interns by whether the
-// shared store already held the content — advisory first-insert attribution:
-// when two concurrent jobs share a body, which one pays the miss depends on
-// scheduling. Fleet totals (hits + misses, store entries/bytes) stay
-// deterministic; see docs/PIPELINE.md "Dedup store semantics".
+// Result of interning one app's collection output: this call's attribution
+// counters. `interns` (total trees offered) and `unique_trees` (distinct
+// content ids within THIS collection) are pure functions of the collection
+// and therefore deterministic across thread counts and schedules.
+// `hits`/`misses` split the interns by whether the shared store already held
+// the content — advisory first-insert attribution: when two concurrent jobs
+// share a body, which one pays the miss depends on scheduling. Fleet totals
+// (hits + misses, store entries/bytes) stay deterministic; see
+// docs/PIPELINE.md "Dedup store semantics".
 struct InternedCollection {
-  std::map<core::MethodKey, std::vector<DedupStore::Id>> tree_ids;
   uint64_t interns = 0;       // deterministic: trees offered to the store
   uint64_t unique_trees = 0;  // deterministic: distinct ids in this collection
   uint64_t hits = 0;          // advisory: content already present

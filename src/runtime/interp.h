@@ -54,7 +54,6 @@ class Interpreter {
   // Cumulative executed-instruction counter (performance metric for Fig. 6;
   // budget for fuzzing runs).
   uint64_t steps() const { return steps_; }
-  void reset_steps() { steps_ = 0; }
 
   // Stops execution as soon as possible (System.exit, harness timeouts).
   void request_abort(std::string reason);

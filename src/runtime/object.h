@@ -57,8 +57,6 @@ class Heap {
   // must not rewrite every use site's copy).
   Object* intern_string(const std::string& s);
 
-  size_t object_count() const { return objects_.size(); }
-
  private:
   std::vector<std::unique_ptr<Object>> objects_;
   std::map<std::string, Object*, std::less<>> interned_;

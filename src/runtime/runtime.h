@@ -122,7 +122,6 @@ class Runtime {
   void record_sink(const std::string& sink, std::span<const Value> args);
   const std::vector<SinkEvent>& sink_events() const { return sink_events_; }
   std::vector<SinkEvent> leaks() const;
-  void clear_sink_events() { sink_events_.clear(); }
 
   // --- virtual filesystem (external-storage flows, PrivateDataLeak3) ---
   void fs_write(const std::string& path, std::string data);

@@ -15,7 +15,7 @@ namespace dexlego::service {
 namespace fs = std::filesystem;
 
 PersistentDedupStore::PersistentDedupStore(std::string dir, Options options)
-    : DedupStore({options.shards, options.hash}), dir_(std::move(dir)) {
+    : DedupStore(std::move(options.hash)), dir_(std::move(dir)) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec && !fs::is_directory(dir_)) {
@@ -42,9 +42,10 @@ PersistentDedupStore::PersistentDedupStore(std::string dir, Options options)
                                   .message()));
   }
 
-  // Replay every segment present, whatever shard count wrote it: ids are
-  // content hashes, so each replayed payload re-interns into whichever
-  // memory shard the CURRENT layout maps it to.
+  // Replay every segment present, including those of a layout with more
+  // shards than kShards: ids are content hashes, so each replayed payload
+  // re-interns into the memory shard its id maps to. Replayed records stay
+  // where they are; only new misses are appended.
   for (size_t i = 0; i < 256; ++i) {
     const std::string path = segment_path(i);
     if (!fs::exists(path)) continue;
@@ -62,12 +63,11 @@ PersistentDedupStore::PersistentDedupStore(std::string dir, Options options)
   // hit or miss; a reopened store should report only post-open activity.
   reset_intern_counters();
 
-  // Append logs for the current layout's segments, opened after replay cut
-  // any torn tail, so appends land right after the last valid record.
-  segments_.reserve(shard_count());
-  for (size_t s = 0; s < shard_count(); ++s) {
-    segments_.push_back(std::make_unique<RecordLog>(
-        segment_path(s), kSegmentMagic, kFormatVersion, options.fsync));
+  // Append logs, opened after replay cut any torn tail, so appends land
+  // right after the last valid record.
+  for (size_t s = 0; s < kShards; ++s) {
+    segments_[s] = std::make_unique<RecordLog>(segment_path(s), kSegmentMagic,
+                                               kFormatVersion, options.fsync);
   }
   replaying_ = false;
 }

@@ -12,9 +12,14 @@
 //                  from before replay until its logs are closed, so two
 //                  stores (in one process or two) never share a directory.
 //   shard-<i>.log  append-only record logs (record_log.h), header magic
-//                  "DLOG" version 1. The logs are the whole store: every
-//                  open validates every record, and a torn tail (crash mid-
-//                  append) ends the valid prefix and is truncated away.
+//                  "DLOG" version 1, one per memory shard: shard-0.log ...
+//                  shard-15.log (DedupStore::kShards). The logs are the
+//                  whole store: every open validates every record, and a
+//                  torn tail (crash mid-append) ends the valid prefix and
+//                  is truncated away. A directory written by a build that
+//                  let callers pick more shards (up to shard-255.log)
+//                  reopens too: replay reads every shard-<i>.log present,
+//                  and new entries go to the 16 current logs.
 //
 // Crash contract: every entry visible in memory was appended to its log
 // first (fflush, plus fsync when configured; a failed sync fails the
@@ -24,10 +29,10 @@
 // its own writes on top (revealed-DEX bytes before the manifest record).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/pipeline/dedup_store.h"
 #include "src/service/record_log.h"
@@ -43,11 +48,7 @@ class PersistentDedupStore : public pipeline::DedupStore {
   static constexpr uint32_t kFormatVersion = 1;
 
   struct Options {
-    // Shard count for BOTH the in-memory store and the log segments (one
-    // segment per memory shard, so persist() runs under the shard lock that
-    // already serializes it). A directory written with a different shard
-    // count reopens fine: replay reads every shard-*.log present.
-    size_t shards = 16;
+    // Null = the default salted FNV-1a; tests inject ids to pick the shard.
     pipeline::DedupStore::HashFn hash;
     // fsync(2) each appended record and each flush(). Default off: the
     // crash model is process death, which loses only libc buffers we fflush
@@ -112,8 +113,9 @@ class PersistentDedupStore : public pipeline::DedupStore {
   LockFile lock_;  // declared before segments_: released after they close
   bool replaying_ = true;  // suppress persist() during constructor replay
   OpenStats open_stats_;
-  // One append log per CURRENT shard; segment i maps to memory shard i.
-  std::vector<std::unique_ptr<RecordLog>> segments_;
+  // One append log per memory shard; persist() appends under that shard's
+  // exclusive lock, which already orders the log's records.
+  std::array<std::unique_ptr<RecordLog>, kShards> segments_;
 };
 
 }  // namespace dexlego::service

@@ -55,7 +55,6 @@ ExtractionService::ExtractionService(std::string store_dir,
                                      ServiceOptions options)
     : dir_(std::move(store_dir)), options_(options) {
   PersistentDedupStore::Options store_options;
-  store_options.shards = options_.store_shards;
   store_options.fsync = options_.fsync;
   store_ = std::make_unique<PersistentDedupStore>(dir_, store_options);
   open_stats_ = store_->open_stats();

@@ -73,9 +73,8 @@ struct JobStatus {
 };
 
 struct ServiceOptions {
-  size_t threads = 0;       // 0 = one worker per hardware thread
-  size_t store_shards = 16; // PersistentDedupStore segment/shard count
-  bool keep_dex = true;     // keep revealed dex bytes in JobStatus::result
+  size_t threads = 0;    // 0 = one worker per hardware thread
+  bool keep_dex = true;  // keep revealed dex bytes in JobStatus::result
   TenantQuota default_quota;  // applies to tenants without a set_quota entry
   bool fsync = false;  // fsync store and manifest appends (RecordLog)
 };

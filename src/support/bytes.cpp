@@ -45,6 +45,13 @@ void ByteReader::need(size_t n) const {
   if (n > data_.size() - pos_) throw ParseError("unexpected end of data");
 }
 
+void ByteReader::check_count(uint64_t n, size_t min_elem_bytes,
+                             const char* what) const {
+  if (n > remaining() / min_elem_bytes) {
+    throw ParseError(std::string("implausible ") + what + " count");
+  }
+}
+
 uint8_t ByteReader::u8() {
   need(1);
   return data_[pos_++];

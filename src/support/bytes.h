@@ -68,6 +68,14 @@ class ByteReader {
   size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return pos_ == data_.size(); }
 
+  // Hostile counts: a count field may not promise more elements than the
+  // remaining bytes can encode at `min_elem_bytes` each (need()'s
+  // subtraction pattern lifted to element counts). Throws
+  // ParseError("implausible <what> count"). Call it before sizing a
+  // container from `n`, so a count bomb is a clean ParseError instead of
+  // bad_alloc or OOM.
+  void check_count(uint64_t n, size_t min_elem_bytes, const char* what) const;
+
  private:
   void need(size_t n) const;
   std::span<const uint8_t> data_;

@@ -10,6 +10,7 @@
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
 #include "src/runtime/runtime.h"
+#include "src/support/bytes.h"
 
 namespace dexlego::core {
 namespace {
@@ -801,6 +802,48 @@ TEST(CollectionFiles, EncodeDecodeRoundTrip) {
   EXPECT_EQ(brec->trees[0]->il[0].switch_payload->target_pcs.size(), 2u);
   ASSERT_EQ(brec->reflection_targets.size(), 1u);
   EXPECT_EQ(back.total_instructions_observed, 42u);
+}
+
+// Collection files come back from disk (CollectionFiles::load), so their
+// counts are hostile input: a count the remaining bytes cannot hold must be
+// a ParseError naming it, never an allocation sized from it.
+void expect_count_bomb(const CollectionFiles& files, const std::string& what) {
+  try {
+    decode_collection(files);
+    ADD_FAILURE() << "decoded a " << what << " count bomb";
+  } catch (const support::ParseError& e) {
+    EXPECT_EQ(std::string(e.what()), "implausible " + what + " count");
+  }
+}
+
+TEST(CollectionFiles, ClassCountBombIsAParseError) {
+  CollectionFiles files = encode_collection(CollectionOutput{});
+  support::ByteWriter w;
+  w.u32(0xFFFFFFFFu);
+  w.str("Lx/Y;");
+  w.str("Ljava/lang/Object;");
+  w.u32(dex::kAccPublic);
+  files.class_data = w.take();
+  expect_count_bomb(files, "class");
+}
+
+TEST(CollectionFiles, ILCountBombIsAParseError) {
+  CollectionFiles files = encode_collection(CollectionOutput{});
+  support::ByteWriter w;
+  w.u64(0);  // instructions observed
+  w.u64(0);  // divergences
+  w.u64(0);  // reflection sites
+  w.u32(1);  // one method...
+  w.str("Lx/Y;");
+  w.str("go");
+  w.str("()V");
+  w.u32(1);            // ...with one tree...
+  w.u32(0xFFFFFFFFu);  // ...claiming 2^32 - 1 IL entries
+  w.u16(0);
+  w.u16(1);
+  w.u16(0x000e);
+  files.bytecode = w.take();
+  expect_count_bomb(files, "IL entry");
 }
 
 // --- end-to-end reveal scenarios ---

@@ -21,6 +21,7 @@
 #include "src/service/record_log.h"
 #include "src/service/service.h"
 #include "src/support/bytes.h"
+#include "src/support/hash.h"
 
 namespace dexlego {
 namespace {
@@ -47,9 +48,16 @@ std::vector<uint8_t> payload(uint8_t tag, size_t len) {
   return bytes;
 }
 
+// Ids with the top byte cleared, so every record lands in shard-0.log and
+// record boundaries are computable.
 PersistentDedupStore::Options crashy_options() {
   PersistentDedupStore::Options options;
-  options.shards = 1;  // everything in shard-0.log: boundaries are computable
+  options.hash = [](std::span<const uint8_t> content, uint64_t salt) {
+    support::Fnv1a h;
+    h.add(salt);
+    h.add_bytes(content);
+    return h.digest() & 0x00FFFFFFFFFFFFFFull;
+  };
   return options;
 }
 
@@ -308,6 +316,58 @@ TEST(PersistentStore, FailedFsyncFailsTheIntern) {
   EXPECT_EQ(store.stats().entries, 0u);
   EXPECT_EQ(store.stats().misses, 0u);
   EXPECT_THROW(store.flush(), std::runtime_error);
+}
+
+TEST(PersistentStore, ForeignShardLayoutReopens) {
+  // A directory written by a build that let callers pick 64 shards holds
+  // shard-16.log ... shard-63.log too. Here shard-40.log carries records
+  // whose ids a 64-shard layout routes there: reopening must restore each
+  // of them, re-intern each as a hit, leave that log as it is, and append a
+  // new miss to the log of its shard among shard-0.log ... shard-15.log.
+  const std::string dir = fresh_dir("foreign_layout");
+  fs::create_directories(dir);
+  std::vector<std::vector<uint8_t>> contents;
+  for (uint8_t tag = 0; contents.size() < 3; ++tag) {
+    for (size_t len = 8; len < 64 && contents.size() < 3; ++len) {
+      std::vector<uint8_t> c = payload(tag, len);
+      if (((support::fnv1a(c) >> 56) & 63) == 40) contents.push_back(c);
+    }
+  }
+  const std::string foreign = dir + "/shard-40.log";
+  {
+    RecordLog log(foreign, PersistentDedupStore::kSegmentMagic,
+                  PersistentDedupStore::kFormatVersion, /*fsync=*/false);
+    for (const auto& c : contents) log.append(c);
+  }
+  const std::vector<uint8_t> foreign_bytes = support::read_file(foreign);
+
+  PersistentDedupStore store(dir);
+  EXPECT_EQ(store.open_stats().segments, 1u);
+  EXPECT_EQ(store.open_stats().restored_entries, contents.size());
+  EXPECT_EQ(store.stats().entries, contents.size());
+  for (const auto& c : contents) {
+    const PersistentDedupStore::InternResult r = store.intern(c);
+    EXPECT_FALSE(r.inserted);
+    EXPECT_EQ(r.id, support::fnv1a(c));
+    const std::vector<uint8_t>* stored = store.lookup(r.id);
+    ASSERT_NE(stored, nullptr);
+    EXPECT_EQ(*stored, c);
+  }
+
+  const std::vector<uint8_t> fresh = payload(250, 33);
+  const PersistentDedupStore::InternResult miss = store.intern(fresh);
+  ASSERT_TRUE(miss.inserted);
+  const size_t home = (miss.id >> 56) & (PersistentDedupStore::kShards - 1);
+  EXPECT_EQ(support::read_file(foreign), foreign_bytes);
+  for (size_t s = 0; s < PersistentDedupStore::kShards; ++s) {
+    const std::string path = dir + "/shard-" + std::to_string(s) + ".log";
+    EXPECT_EQ(fs::file_size(path),
+              PersistentDedupStore::kSegmentHeaderBytes +
+                  (s == home ? PersistentDedupStore::kRecordHeaderBytes +
+                                   fresh.size()
+                             : 0))
+        << path;
+  }
 }
 
 // --- concurrency (also under TSan via ci.sh) --------------------------------
@@ -594,7 +654,6 @@ constexpr size_t kManifestRecordBytes = RecordLog::kRecordHeaderBytes + 72;
 service::ServiceOptions one_worker() {
   service::ServiceOptions options;
   options.threads = 1;  // jobs finish, and append to apps.log, in order
-  options.store_shards = 1;
   return options;
 }
 
@@ -652,9 +711,10 @@ TEST(Service, ManifestTruncationAtEveryByteRecoversCompleteRecords) {
 }
 
 TEST(Service, ManifestRecordWithoutItsDexRunsCold) {
-  // Cut the store log just before the last app's revealed-DEX blob and
-  // keep apps.log whole: that app's manifest record no longer resolves, so
-  // it is dropped at load and the app runs cold, with the cold fingerprint.
+  // Cut the store log that holds the last app's revealed-DEX blob just
+  // before that blob and keep apps.log whole: that app's manifest record no
+  // longer resolves, so it is dropped at load and the app runs cold, with
+  // the cold fingerprint.
   constexpr size_t kApps = 3;
   const std::vector<pipeline::BatchJob> jobs = pipeline::generated_jobs(kApps);
   const pipeline::BatchReport cold = pipeline::run_batch(jobs, {});
@@ -669,21 +729,28 @@ TEST(Service, ManifestRecordWithoutItsDexRunsCold) {
       last_dex = status.result.dex;
     }
   }
-  const std::string log_path = dir + "/shard-0.log";
-  const std::vector<uint8_t> log = support::read_file(log_path);
+  std::string log_path;
+  std::vector<uint8_t> log;
   size_t blob = 0;
-  for (size_t offset = PersistentDedupStore::kSegmentHeaderBytes;
-       offset < log.size();) {
-    uint32_t len;
-    std::memcpy(&len, log.data() + offset + 4, sizeof len);
-    const auto body =
-        log.begin() + static_cast<std::ptrdiff_t>(
-                          offset + PersistentDedupStore::kRecordHeaderBytes);
-    if (len == last_dex.size() &&
-        std::equal(last_dex.begin(), last_dex.end(), body)) {
-      blob = offset;
+  for (const fs::directory_entry& file : fs::directory_iterator(dir)) {
+    const std::string name = file.path().filename().string();
+    if (name.rfind("shard-", 0) != 0) continue;
+    const std::vector<uint8_t> bytes = support::read_file(file.path().string());
+    for (size_t offset = PersistentDedupStore::kSegmentHeaderBytes;
+         offset < bytes.size();) {
+      uint32_t len;
+      std::memcpy(&len, bytes.data() + offset + 4, sizeof len);
+      const auto body =
+          bytes.begin() + static_cast<std::ptrdiff_t>(
+                              offset + PersistentDedupStore::kRecordHeaderBytes);
+      if (len == last_dex.size() &&
+          std::equal(last_dex.begin(), last_dex.end(), body)) {
+        log_path = file.path().string();
+        log = bytes;
+        blob = offset;
+      }
+      offset += PersistentDedupStore::kRecordHeaderBytes + len;
     }
-    offset += PersistentDedupStore::kRecordHeaderBytes + len;
   }
   ASSERT_NE(blob, 0u);
   support::write_file(log_path, std::span<const uint8_t>(log.data(), blob));
