@@ -108,9 +108,6 @@ int main(int argc, char** argv) {
       baseline_apps_per_sec = std::atof(next());
     } else if (arg == "--max-regression") {
       max_regression = std::atof(next());
-    } else if (arg.find_first_not_of("0123456789") == std::string::npos &&
-               !arg.empty()) {
-      repeat = std::atoi(arg.c_str());  // legacy positional droidbench repeat
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
       return 2;

@@ -93,7 +93,7 @@ fi
 "$BUILD_DIR"/examples/dexlego_batch --scenario generated --count 4 \
   --threads 2 --compare-sequential --quiet
 "$BUILD_DIR"/examples/dexlego_batch --scenario guarded --count 2 --force \
-  --jobs 2 --compare-sequential --quiet
+  --threads 2 --compare-sequential --quiet
 # DroidBench under force: its self-modifying and reflection samples send
 # forced units that walk the fold into divergences and reflective calls.
 "$BUILD_DIR"/examples/dexlego_batch --scenario droidbench --force \

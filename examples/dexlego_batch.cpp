@@ -5,12 +5,11 @@
 // dedup hit rate, apps/sec).
 //
 //   dexlego_batch [--scenario droidbench|generated|guarded|packed|unpacked|realdex|fuzz|large|all]
-//                 [--threads N | --jobs N] [--count N] [--repeat R]
+//                 [--threads N] [--count N] [--repeat R]
 //                 [--force] [--force-depth D] [--force-iters I]
 //                 [--compare-sequential] [--json] [--quiet]
 //
 //   --threads 0 (default) = one worker per hardware thread
-//   --jobs             alias for --threads (make-style worker count)
 //   --count            generated-scenario app count (default 8)
 //   --repeat           replicate the job list R times (workload scaling)
 //   --force            explore every app with the worklist ForceEngine:
@@ -130,7 +129,7 @@ int main(int argc, char** argv) {
     };
     if (arg == "--scenario") {
       scenario = next();
-    } else if (arg == "--threads" || arg == "--jobs") {
+    } else if (arg == "--threads") {
       threads = static_cast<size_t>(next_number(0, 4096));
     } else if (arg == "--force") {
       force = true;

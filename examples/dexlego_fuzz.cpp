@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
       options.seed = static_cast<uint64_t>(next_number(0, 1L << 62));
     } else if (arg == "--iters") {
       options.iters = static_cast<size_t>(next_number(1, 10000000));
-    } else if (arg == "--threads" || arg == "--jobs") {
+    } else if (arg == "--threads") {
       options.threads = static_cast<size_t>(next_number(0, 4096));
     } else if (arg == "--max-ops") {
       options.max_ops = static_cast<int>(next_number(1, 64));

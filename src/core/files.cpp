@@ -1,6 +1,9 @@
 #include "src/core/files.h"
 
 #include <filesystem>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "src/support/bytes.h"
 
@@ -49,7 +52,12 @@ void write_tree(ByteWriter& w, const TreeNode& node) {
   for (const auto& child : node.children) write_tree(w, *child);
 }
 
-std::unique_ptr<TreeNode> read_tree(ByteReader& r, TreeNode* parent) {
+std::unique_ptr<TreeNode> read_tree(ByteReader& r, TreeNode* parent,
+                                    size_t depth) {
+  if (depth > kMaxTreeDepth) {
+    throw support::ParseError("collection tree nested deeper than " +
+                              std::to_string(kMaxTreeDepth) + " levels");
+  }
   auto node = std::make_unique<TreeNode>();
   node->parent = parent;
   uint32_t n_il = r.u32();
@@ -77,7 +85,7 @@ std::unique_ptr<TreeNode> read_tree(ByteReader& r, TreeNode* parent) {
   if (r.u8()) node->sm_end = r.u16();
   uint32_t n_children = r.u32();
   for (uint32_t i = 0; i < n_children; ++i) {
-    node->children.push_back(read_tree(r, node.get()));
+    node->children.push_back(read_tree(r, node.get(), depth + 1));
   }
   return node;
 }
@@ -227,15 +235,21 @@ CollectionOutput decode_collection(const CollectionFiles& files) {
       out.classes[i].access_flags = r.u32();
     }
   }
+  // Field-data and static-value records name their class by descriptor.
+  // With duplicate descriptors the last class wins.
+  std::unordered_map<std::string_view, size_t> class_index;
+  for (size_t i = 0; i < out.classes.size(); ++i) {
+    class_index[out.classes[i].descriptor] = i;
+  }
+  auto find_class = [&](const std::string& descriptor) -> CollectedClass* {
+    auto it = class_index.find(descriptor);
+    return it == class_index.end() ? nullptr : &out.classes[it->second];
+  };
   {
     ByteReader r(files.field_data);
     uint32_t n = r.u32();
     for (uint32_t i = 0; i < n; ++i) {
-      std::string descriptor = r.str();
-      CollectedClass* cls = nullptr;
-      for (CollectedClass& c : out.classes) {
-        if (c.descriptor == descriptor) cls = &c;
-      }
+      CollectedClass* cls = find_class(r.str());
       uint32_t n_inst = r.u32();
       for (uint32_t j = 0; j < n_inst; ++j) {
         CollectedField f;
@@ -255,23 +269,27 @@ CollectionOutput decode_collection(const CollectionFiles& files) {
     }
   }
   {
+    // Each class's static fields by name, indexed on the class's first
+    // record. A value goes to every static field of its name.
+    std::vector<std::unordered_multimap<std::string_view, CollectedField*>>
+        statics(out.classes.size());
     ByteReader r(files.static_values);
     uint32_t n = r.u32();
     for (uint32_t i = 0; i < n; ++i) {
-      std::string descriptor = r.str();
-      CollectedClass* cls = nullptr;
-      for (CollectedClass& c : out.classes) {
-        if (c.descriptor == descriptor) cls = &c;
-      }
+      CollectedClass* cls = find_class(r.str());
       uint32_t n_vals = r.u32();
       for (uint32_t j = 0; j < n_vals; ++j) {
         std::string name = r.str();
         CollectedValue v = read_value(r);
-        if (cls != nullptr) {
+        if (cls == nullptr) continue;
+        auto& by_name = statics[cls - out.classes.data()];
+        if (by_name.empty()) {
           for (CollectedField& f : cls->static_fields) {
-            if (f.name == name) f.static_value = v;
+            by_name.emplace(f.name, &f);
           }
         }
+        auto [first, last] = by_name.equal_range(name);
+        for (auto it = first; it != last; ++it) it->second->static_value = v;
       }
     }
   }
@@ -325,7 +343,7 @@ CollectionOutput decode_collection(const CollectionFiles& files) {
       uint32_t n_trees = r.u32();
       auto it = out.methods.find(key);
       for (uint32_t j = 0; j < n_trees; ++j) {
-        auto tree = read_tree(r, nullptr);
+        auto tree = read_tree(r, nullptr, 1);
         if (it != out.methods.end()) it->second.trees.push_back(std::move(tree));
       }
     }

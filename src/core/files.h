@@ -33,10 +33,17 @@ struct CollectionFiles {
 
 // Round-trippable encoding: decode(encode(x)) preserves every field the
 // reassembler consumes (property-tested). decode_collection throws
-// support::ParseError on truncated files and on counts their bytes cannot
-// hold, before sizing any container from such a count.
+// support::ParseError on truncated files, on counts their bytes cannot
+// hold, before sizing any container from such a count, and on a tree
+// nested deeper than kMaxTreeDepth levels. It runs in time linear in the
+// files' size.
 CollectionFiles encode_collection(const CollectionOutput& output);
 CollectionOutput decode_collection(const CollectionFiles& files);
+
+// The deepest collection tree decode_collection accepts, counting the root
+// as level 1. Decoding recurses once per level, so the cap keeps a hostile
+// bytecode file from exhausting the stack.
+inline constexpr size_t kMaxTreeDepth = 1024;
 
 // Canonical byte form of one collection tree — the same encoding the
 // bytecode file uses per tree. This is the content the batch pipeline's

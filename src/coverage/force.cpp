@@ -48,36 +48,6 @@ std::vector<uint8_t> ForcePlan::serialize() const {
   return w.take();
 }
 
-ForcePlan ForcePlan::deserialize(std::span<const uint8_t> data) {
-  support::ByteReader r(data);
-  ForcePlan plan;
-  uint32_t n = r.u32();
-  // Every entry needs >= 9 bytes (string length + pc + outcome); a count the
-  // payload can't possibly hold is rejected up front instead of looping into
-  // a guaranteed truncation (or an attacker-sized allocation).
-  if (n > r.remaining() / 9) {
-    throw support::ParseError("force plan count exceeds payload");
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string key = r.str();
-    uint32_t pc = r.u32();
-    plan.outcomes_[std::move(key)][pc] = r.u8() != 0;
-  }
-  if (!r.at_end()) {
-    throw support::ParseError("trailing bytes after force plan");
-  }
-  return plan;
-}
-
-std::optional<ForcePlan> ForcePlan::try_deserialize(
-    std::span<const uint8_t> data) {
-  try {
-    return deserialize(data);
-  } catch (const support::ParseError&) {
-    return std::nullopt;
-  }
-}
-
 const ForcePlan::Outcomes* ForceHooks::outcomes_of(const rt::RtMethod& method) {
   MethodSlot* slot = frames_.top(method);
   if (slot == nullptr) return plan_.find(CoverageTracker::method_key(method));

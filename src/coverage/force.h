@@ -4,10 +4,10 @@
 //      the accumulated coverage of previous executions,
 //   2. path analysis computes, per UCB, the chain of branch outcomes that
 //      steers control flow from the method entry to the UCB,
-//   3. the paths are written to path files which drive the next execution:
-//      the interpreter's force_branch hook overrides the corresponding
-//      conditional outcomes, and unhandled exceptions raised on infeasible
-//      paths are tolerated by clearing them.
+//   3. the paths (the paper's path files; ForcePlans here) drive the next
+//      execution: the interpreter's force_branch hook overrides the
+//      corresponding conditional outcomes, and unhandled exceptions raised
+//      on infeasible paths are tolerated by clearing them.
 // Iteration stops when no new UCB appears.
 //
 // This header holds the plan-level primitives (ForcePlan, ForceHooks,
@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,12 +51,9 @@ class ForcePlan {
   // ForceEngine's visited-path set keys on.
   uint64_t fingerprint() const;
 
-  // Path-file round trip (the paper stores paths in files between runs).
-  // deserialize throws support::ParseError on truncated, oversized or
-  // trailing-garbage input; try_deserialize returns nullopt instead.
+  // The canonical byte form fingerprint() hashes: every decision in method
+  // key and pc order. Plans travel between runs in memory, not as files.
   std::vector<uint8_t> serialize() const;
-  static ForcePlan deserialize(std::span<const uint8_t> data);
-  static std::optional<ForcePlan> try_deserialize(std::span<const uint8_t> data);
 
   bool operator==(const ForcePlan&) const = default;
 

@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "src/core/files.h"
@@ -17,8 +18,8 @@ namespace dexlego::pipeline {
 
 namespace {
 
-// What one collection run hands back: a classic job's whole collect phase,
-// or one plan unit (baseline or forced) of a force job.
+// What one collection run hands back: one plan unit of a job, its baseline
+// (natural execution) or a forced run.
 struct UnitOutput {
   core::CollectionOutput collection;
   coverage::CoverageTracker coverage;
@@ -27,13 +28,6 @@ struct UnitOutput {
   bool ok = false;
   std::string error;
 };
-
-// The job's one parse of its app's classes: every unit's runtime installs
-// it as image 0, and the coverage report and a force job's engine read it.
-// Throws what dex::load_classes throws.
-std::shared_ptr<const dex::DexFile> parse_classes(const dex::Apk& apk) {
-  return std::make_shared<const dex::DexFile>(dex::load_classes(apk));
-}
 
 // Executes one plan unit through the DexLego collect phase, with a per-unit
 // coverage tracker and — for non-empty plans — the plan's ForceHooks riding
@@ -101,101 +95,6 @@ void finish(const BatchJob& job, const core::CollectionOutput& collection,
   if (keep_dex) result.dex = dex_bytes;
 }
 
-void report_coverage(const coverage::CoverageTracker& coverage,
-                     const dex::DexFile& original, JobResult& result) {
-  coverage::CoverageTracker::Report report = coverage.report(original);
-  result.instruction_coverage = report.instruction_pct();
-  result.branch_coverage = report.branch_pct();
-}
-
-// A classic job: parse the app once, run one natural-execution unit on
-// that parse, then the offline half. An app that does not parse fails
-// with the parser's message, which run_job records.
-void run_classic(const BatchJob& job, DedupStore& store, bool keep_dex,
-                 JobResult& result) {
-  std::shared_ptr<const dex::DexFile> original = parse_classes(job.apk);
-  UnitOutput out = run_unit(job, coverage::PlanUnit{}, original);
-  if (!out.ok) {
-    result.error = std::move(out.error);
-    return;
-  }
-  finish(job, out.collection, store, keep_dex, result);
-  result.leaks_observed = out.leaks;
-
-  // Coverage of the *original* image (meaningless for packed inputs, whose
-  // classes.ldex is the shell stub). A report that cannot be computed over
-  // the image just leaves 0.
-  try {
-    report_coverage(out.coverage, *original, result);
-  } catch (const std::exception&) {
-  }
-  result.ok = true;
-}
-
-// A force job (docs/FORCE_EXECUTION.md): the baseline unit, then every plan
-// the ForceEngine issues, wave by wave. Each unit is folded — merged into
-// the app's collection and observed by the engine — as soon as it finishes,
-// in plan order, so no unit's output outlives its own fold. A forced unit
-// collects against the fold so far, which does not change while it runs:
-// the trees it retraces are already merged and are not rebuilt.
-void run_force(const BatchJob& job, DedupStore& store, bool keep_dex,
-               JobResult& result) {
-  // One parse of the original image serves every unit's install, the engine
-  // and the coverage report. The engine is built before the baseline's
-  // outcome is looked at, so an image that does not parse fails as
-  // "force engine: ...".
-  std::shared_ptr<const dex::DexFile> original;
-  std::optional<coverage::ForceEngine> engine;
-  try {
-    original = parse_classes(job.apk);
-    engine.emplace(*original, job.force_options);
-  } catch (const std::exception& e) {
-    result.error = std::string("force engine: ") + e.what();
-    return;
-  }
-  UnitOutput baseline = run_unit(job, coverage::PlanUnit{}, original);
-  if (!baseline.ok) {
-    // No baseline collection: the job fails like a classic job would.
-    result.error = std::move(baseline.error);
-    return;
-  }
-
-  core::CollectionOutput merged;
-  size_t leaks = 0;
-  size_t forced_branches = 0;
-  size_t force_paths = 0;
-  // A failed forced path loses only that path. Observing whatever coverage
-  // it recorded before dying keeps the observation sequence — and thus the
-  // frontier — a function of the plans alone, since the failure itself is
-  // deterministic for a given plan.
-  auto fold = [&](const coverage::PlanUnit& unit, UnitOutput& out) {
-    if (out.ok) {
-      leaks += out.leaks;
-      forced_branches += out.forced;
-      core::merge_collection(merged, std::move(out.collection),
-                             job.reveal.collector.max_variants);
-    }
-    engine->observe(unit, out.coverage);
-  };
-  fold(coverage::PlanUnit{}, baseline);
-  for (std::vector<coverage::PlanUnit> wave = engine->next_wave();
-       !wave.empty(); wave = engine->next_wave()) {
-    for (const coverage::PlanUnit& unit : wave) {
-      UnitOutput out = run_unit(job, unit, original, &merged);
-      fold(unit, out);
-    }
-    force_paths += wave.size();
-  }
-
-  finish(job, merged, store, keep_dex, result);
-  report_coverage(engine->coverage(), *original, result);
-  result.leaks_observed = leaks;
-  result.forced_branches = forced_branches;
-  result.force_paths = force_paths;
-  result.force_waves = engine->stats().waves;
-  result.ok = true;
-}
-
 }  // namespace
 
 JobResult run_job(const BatchJob& job, DedupStore& store, bool keep_dex) {
@@ -207,11 +106,66 @@ JobResult run_job(const BatchJob& job, DedupStore& store, bool keep_dex) {
   support::Stopwatch wall;
   double cpu_start = support::thread_cpu_ms();
   try {
-    if (job.force) {
-      run_force(job, store, keep_dex, result);
-    } else {
-      run_classic(job, store, keep_dex, result);
+    // One parse of the app's classes serves every unit's install, the
+    // engine and the coverage report. An app that does not parse fails
+    // with the parser's message. The engine is built before the baseline
+    // runs, so an app it cannot take fails before any execution.
+    auto original =
+        std::make_shared<const dex::DexFile>(dex::load_classes(job.apk));
+    std::optional<coverage::ForceEngine> engine;
+    if (job.force) engine.emplace(*original, job.force_options);
+
+    // A job whose baseline fails has no collection: it fails with the
+    // baseline's error.
+    UnitOutput baseline = run_unit(job, coverage::PlanUnit{}, original);
+    if (!baseline.ok) throw std::runtime_error(baseline.error);
+    // The baseline's collection is the fold: a Collector's output already
+    // has unique class descriptors and a reflection_sites equal to its
+    // per-method map sizes, so merging it into an empty collection would
+    // change nothing.
+    core::CollectionOutput fold = std::move(baseline.collection);
+    size_t leaks = baseline.leaks;
+    size_t forced_branches = 0;
+    size_t force_paths = 0;
+    if (engine) {
+      // Each forced unit collects against the fold so far, which does not
+      // change while it runs, then is folded in plan order. A failed
+      // forced path loses only that path; observing whatever coverage it
+      // recorded before dying keeps the frontier a function of the plans
+      // alone, since the failure itself is deterministic for a given plan.
+      engine->observe(coverage::PlanUnit{}, baseline.coverage);
+      for (std::vector<coverage::PlanUnit> wave = engine->next_wave();
+           !wave.empty(); wave = engine->next_wave()) {
+        for (const coverage::PlanUnit& unit : wave) {
+          UnitOutput out = run_unit(job, unit, original, &fold);
+          if (out.ok) {
+            leaks += out.leaks;
+            forced_branches += out.forced;
+            core::merge_collection(fold, std::move(out.collection),
+                                   job.reveal.collector.max_variants);
+          }
+          engine->observe(unit, out.coverage);
+        }
+        force_paths += wave.size();
+      }
     }
+
+    finish(job, fold, store, keep_dex, result);
+    // Coverage of the *original* image (meaningless for packed inputs, whose
+    // classes.ldex is the shell stub). A report that cannot be computed over
+    // the image just leaves 0.
+    try {
+      coverage::CoverageTracker::Report report =
+          (engine ? engine->coverage() : baseline.coverage).report(*original);
+      result.instruction_coverage = report.instruction_pct();
+      result.branch_coverage = report.branch_pct();
+    } catch (const std::exception&) {
+    }
+    result.leaks_observed = leaks;
+    result.forced_branches = forced_branches;
+    result.force_paths = force_paths;
+    if (engine) result.force_waves = engine->stats().waves;
+    result.ok = true;
   } catch (const std::exception& e) {
     result.error = e.what();
   } catch (...) {

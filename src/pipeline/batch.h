@@ -7,18 +7,20 @@
 //   -> verify (structural + instruction-level DEX verification)
 //
 // The unit of work is the job: a worker claims it and runs it start to
-// finish through run_job. A plain job is one natural-execution collection.
-// A job with force execution enabled runs a baseline collection and then
-// every plan its ForceEngine issues, wave by wave, on that same worker,
-// folding each unit's collection (core::merge_collection) and coverage
-// (ForceEngine::observe) in plan order as soon as it finishes. Nothing a
-// job computes depends on which worker runs it or what runs beside it, so
-// the per-app output is byte-identical whether the batch runs on 1 thread
-// or 16 (asserted by tests/pipeline_test.cpp). The only shared state is the
-// content-addressed DedupStore and the job cursor. Per-app and fleet-wide
-// stats (coverage, leak counts, forced paths, dedup hit rate, wall/CPU
-// time) ride along in the report; bench/pipeline_throughput.cpp and
-// bench/force_paths.cpp turn them into throughput trajectories.
+// finish through run_job, the one job path. A job parses its app once, runs
+// a baseline (natural-execution) collection and takes that collection as
+// its fold. A job with force execution enabled then runs every plan its
+// ForceEngine hands out, wave by wave, on that same worker, folding each
+// unit's collection (core::merge_collection) and coverage
+// (ForceEngine::observe) in plan order as soon as it finishes; a plain job
+// is a force job with no waves. Nothing a job computes depends on which
+// worker runs it or what runs beside it, so the per-app output is
+// byte-identical whether the batch runs on 1 thread or 16 (asserted by
+// tests/pipeline_test.cpp). The only shared state is the content-addressed
+// DedupStore and the job cursor. Per-app and fleet-wide stats (coverage,
+// leak counts, forced paths, dedup hit rate, wall/CPU time) ride along in
+// the report; bench/pipeline_throughput.cpp and bench/force_paths.cpp turn
+// them into throughput trajectories.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +46,8 @@ struct BatchJob {
   core::DexLegoOptions reveal;
   bool expect_leak = false;  // ground truth when the scenario knows it
   // Force-execution exploration (docs/FORCE_EXECUTION.md): when true the job
-  // runs a baseline collection plus one forced collection per ForceEngine
-  // plan, explored wave by wave under these budgets, instead of the single
-  // natural-execution collection.
+  // runs one forced collection per ForceEngine plan after its baseline
+  // collection, explored wave by wave under these budgets.
   bool force = false;
   coverage::ForceEngineOptions force_options;
 };
@@ -146,11 +147,11 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
 
 // Runs ONE job start-to-finish on the calling thread, interning into
 // `store`: the path each of run_batch's workers runs for every job it
-// claims (classic jobs through one natural-execution collection; force
-// jobs through the baseline and then every plan, each folded in plan order
-// as it finishes). The extraction service's workers use this to multiplex
-// many tenants' jobs onto one queue while reusing the batch semantics bit
-// for bit. Fail-closed like run_batch: never throws for job failures.
+// claims (the baseline collection, then, for a force job, every plan, each
+// folded in plan order as it finishes). The extraction service's workers
+// use this to multiplex many tenants' jobs onto one queue while reusing the
+// batch semantics bit for bit. Fail-closed like run_batch: never throws for
+// job failures; an app that does not parse fails with the parser's message.
 JobResult run_job(const BatchJob& job, DedupStore& store, bool keep_dex = true);
 
 }  // namespace dexlego::pipeline

@@ -1,11 +1,11 @@
 // Composable hook chain — the runtime's observation bus. Members register
-// with a capability mask (RuntimeHooks::subscribed_events, overridable at
-// add() time) and the chain maintains one flat, pre-filtered callback list
-// per HookEvent. Dispatch sites (interpreter, class linker, reflection
-// builtin) iterate exactly the hooks subscribed to that event, so a
-// collector that never looks at branches costs the branch path nothing and
-// an empty list is a two-word load + compare. Within one event list,
-// registration order is dispatch order.
+// with their capability mask (RuntimeHooks::subscribed_events) and the
+// chain maintains one flat, pre-filtered callback list per HookEvent.
+// Dispatch sites (interpreter, class linker, reflection builtin) iterate
+// exactly the hooks subscribed to that event, so a collector that never
+// looks at branches costs the branch path nothing and an empty list is a
+// two-word load + compare. Within one event list, registration order is
+// dispatch order.
 #pragma once
 
 #include <array>
@@ -22,15 +22,8 @@ class HookChain {
   // Registers `hooks` on every event list selected by its
   // subscribed_events() mask. Re-adding a member re-registers it at the end
   // of the order (remove + add).
-  void add(RuntimeHooks* hooks) { add(hooks, hooks->subscribed_events()); }
-  // Same, with an explicit mask overriding the hook's own declaration
-  // (narrowing a general-purpose hook to the events a caller cares about).
-  void add(RuntimeHooks* hooks, uint32_t event_mask);
+  void add(RuntimeHooks* hooks);
   void remove(RuntimeHooks* hooks);
-
-  // All members in registration order (the legacy Runtime::hooks() view).
-  std::span<RuntimeHooks* const> members() const { return members_; }
-  size_t size() const { return members_.size(); }
 
   // The pre-filtered callback list for one event, registration-ordered.
   std::span<RuntimeHooks* const> list(HookEvent e) const {
@@ -94,7 +87,6 @@ class HookChain {
 
  private:
   std::array<std::vector<RuntimeHooks*>, kHookEventCount> lists_;
-  std::vector<RuntimeHooks*> members_;
 };
 
 }  // namespace dexlego::rt

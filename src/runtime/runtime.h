@@ -66,17 +66,10 @@ class Runtime {
   Heap& heap() { return heap_; }
 
   // --- instrumentation ---
-  // Members join the hook chain with their declared capability mask; the
-  // two-arg overload narrows a hook to an explicit event set.
+  // Members join the hook chain with their declared capability mask.
   void add_hooks(RuntimeHooks* hooks) { chain_.add(hooks); }
-  void add_hooks(RuntimeHooks* hooks, uint32_t event_mask) {
-    chain_.add(hooks, event_mask);
-  }
   void remove_hooks(RuntimeHooks* hooks) { chain_.remove(hooks); }
   const HookChain& hook_chain() const { return chain_; }
-  // Registration-ordered member view (diagnostics; dispatch goes through
-  // hook_chain()'s per-event lists).
-  std::span<RuntimeHooks* const> hooks() const { return chain_.members(); }
 
   // --- native methods (JNI analog) & framework builtins ---
   void register_native(std::string full_name, NativeFn fn);

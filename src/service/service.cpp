@@ -63,7 +63,6 @@ ExtractionService::ExtractionService(std::string store_dir,
   size_t threads = options_.threads;
   if (threads == 0) threads = std::thread::hardware_concurrency();
   if (threads < 1) threads = 1;
-  options_.threads = threads;  // fixed before workers read it for chunking
   workers_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -246,7 +245,7 @@ void ExtractionService::release_tenant(const std::string& tenant,
 
 void ExtractionService::worker_loop() {
   for (;;) {
-    std::vector<Record*> chunk;
+    Record* record = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_work_.wait(lock, [&] {
@@ -256,21 +255,14 @@ void ExtractionService::worker_loop() {
         if (stopping_) return;
         continue;
       }
-      // Chunked pop, same shape as run_batch's queue: claim a slice sized
-      // to the backlog so deep queues amortize the lock, shallow queues
-      // still spread across workers.
-      const size_t chunk_size = std::clamp<size_t>(
-          queue_.size() / (2 * options_.threads), size_t{1}, size_t{32});
-      while (chunk.size() < chunk_size && !queue_.empty()) {
-        const JobId id = queue_.front();
-        queue_.pop_front();
-        Record& record = records_.at(id);
-        record.status.state = JobState::kRunning;
-        chunk.push_back(&record);
-      }
-      running_ += chunk.size();
+      // One job per claim: a job reads kRunning only while a worker runs
+      // it, so the jobs behind it stay queued and cancellable.
+      record = &records_.at(queue_.front());
+      queue_.pop_front();
+      record->status.state = JobState::kRunning;
+      ++running_;
     }
-    for (Record* record : chunk) execute(*record);
+    execute(*record);
   }
 }
 

@@ -1,7 +1,7 @@
 // Long-running extraction service: lifts pipeline::run_batch's
 // one-shot fleet into a submit/poll job API over a persistent store
-// (docs/SERVICE.md). Multiple tenants multiplex jobs onto one chunked work
-// queue and one PersistentDedupStore, so method bodies extracted for any
+// (docs/SERVICE.md). Multiple tenants multiplex jobs onto one work queue
+// and one PersistentDedupStore, so method bodies extracted for any
 // tenant dedup against every other's — and against everything extracted by
 // previous incarnations of the service on the same store directory.
 //

@@ -846,6 +846,80 @@ TEST(CollectionFiles, ILCountBombIsAParseError) {
   expect_count_bomb(files, "IL entry");
 }
 
+// A bytecode file holding one tree of `levels` nested one-child nodes for
+// Lx/Y;->go()V, written level by level: write_tree would recurse as deep.
+std::vector<uint8_t> nested_tree_bytecode(size_t levels) {
+  support::ByteWriter w;
+  for (int header = 0; header < 3; ++header) w.u64(0);
+  w.u32(1);  // one method...
+  w.str("Lx/Y;");
+  w.str("go");
+  w.str("()V");
+  w.u32(1);  // ...with one tree
+  for (size_t level = 1; level <= levels; ++level) {
+    w.u32(0);  // no IL entries
+    w.u16(0);  // sm_start
+    w.u8(0);   // no sm_end
+    w.u32(level < levels ? 1 : 0);
+  }
+  return w.take();
+}
+
+TEST(CollectionFiles, DeeplyNestedTreeIsAParseError) {
+  // 200,000 levels in 2.2 MB, far more than one stack frame per level fits.
+  CollectionFiles files = encode_collection(CollectionOutput{});
+  files.bytecode = nested_tree_bytecode(200000);
+  EXPECT_THROW(decode_collection(files), support::ParseError);
+}
+
+TEST(CollectionFiles, TreeAtTheDepthCapDecodes) {
+  CollectionOutput out;
+  MethodKey key{"Lx/Y;", "go", "()V"};
+  out.methods[key].key = key;
+  CollectionFiles files = encode_collection(out);
+  files.bytecode = nested_tree_bytecode(kMaxTreeDepth);
+  CollectionOutput back = decode_collection(files);
+  size_t depth = 0;
+  for (const TreeNode* node = back.methods.at(key).trees.at(0).get();
+       node != nullptr;
+       node = node->children.empty() ? nullptr : node->children[0].get()) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, kMaxTreeDepth);
+  files.bytecode = nested_tree_bytecode(kMaxTreeDepth + 1);
+  EXPECT_THROW(decode_collection(files), support::ParseError);
+}
+
+TEST(CollectionFiles, DuplicateDescriptorsAndStaticNamesAttach) {
+  // Field and static-value records attach to the last class of their
+  // descriptor, and a static value goes to every static field of its name.
+  auto field = [](const char* name, int64_t value) {
+    CollectedField f;
+    f.name = name;
+    f.static_value = {CollectedValue::Kind::kInt, value, ""};
+    return f;
+  };
+  CollectionOutput out;
+  out.classes.resize(2);
+  out.classes[0].descriptor = out.classes[1].descriptor = "Lx/Y;";
+  out.classes[0].instance_fields = {field("i0", 0)};
+  out.classes[0].static_fields = {field("A", 1)};
+  out.classes[1].instance_fields = {field("i1", 0)};
+  out.classes[1].static_fields = {field("K", 5), field("K", 7)};
+
+  CollectionOutput back = decode_collection(encode_collection(out));
+  ASSERT_EQ(back.classes.size(), 2u);
+  EXPECT_TRUE(back.classes[0].instance_fields.empty());
+  EXPECT_TRUE(back.classes[0].static_fields.empty());
+  const CollectedClass& last = back.classes[1];
+  ASSERT_EQ(last.instance_fields.size(), 2u);
+  ASSERT_EQ(last.static_fields.size(), 3u);
+  EXPECT_EQ(last.static_fields[0].static_value.i, 1);
+  // Both fields named K take each K value in turn and end with the last.
+  EXPECT_EQ(last.static_fields[1].static_value.i, 7);
+  EXPECT_EQ(last.static_fields[2].static_value.i, 7);
+}
+
 // --- end-to-end reveal scenarios ---
 
 // Plain app: reveal must preserve behaviour exactly.

@@ -205,17 +205,23 @@ TEST(Fuzzer, RandomInputsRarelyPassSemanticGuards) {
   EXPECT_LT(result.coverage.report(file).method_pct(), 1.0);
 }
 
-TEST(ForcePlan, PathFileRoundTrip) {
+TEST(ForcePlan, SetFindSizeAndFingerprint) {
   ForcePlan plan;
   plan.set("La;->m()V", 10, true);
   plan.set("Lb;->n()V", 4, false);
-  ForcePlan back = ForcePlan::deserialize(plan.serialize());
-  ASSERT_NE(back.find("La;->m()V", 10), nullptr);
-  EXPECT_TRUE(*back.find("La;->m()V", 10));
-  ASSERT_NE(back.find("Lb;->n()V", 4), nullptr);
-  EXPECT_FALSE(*back.find("Lb;->n()V", 4));
-  EXPECT_EQ(back.find("La;->m()V", 11), nullptr);
-  EXPECT_EQ(back.size(), 2u);
+  ASSERT_NE(plan.find("La;->m()V", 10), nullptr);
+  EXPECT_TRUE(*plan.find("La;->m()V", 10));
+  ASSERT_NE(plan.find("Lb;->n()V", 4), nullptr);
+  EXPECT_FALSE(*plan.find("Lb;->n()V", 4));
+  EXPECT_EQ(plan.find("La;->m()V", 11), nullptr);
+  EXPECT_EQ(plan.size(), 2u);
+  // Equal decisions fingerprint equally, whatever order they were set in.
+  ForcePlan same;
+  same.set("Lb;->n()V", 4, false);
+  same.set("La;->m()V", 10, true);
+  EXPECT_EQ(same.fingerprint(), plan.fingerprint());
+  same.set("Lb;->n()V", 4, true);  // replaces the decision
+  EXPECT_NE(same.fingerprint(), plan.fingerprint());
 }
 
 TEST(ForcePath, ComputesBranchDecisions) {

@@ -2,9 +2,7 @@
 // with its own independently-runnable plan, prefixes chain across waves so
 // nested guards are reachable, the attempted/visited sets dedup the
 // frontier, depth/plan budgets cut exploration off deterministically, and
-// identical observation sequences always produce identical waves. Also the
-// malformed-bytes regression suite for the hardened ForcePlan path-file
-// reader.
+// identical observation sequences always produce identical waves.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -16,7 +14,6 @@
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
 #include "src/runtime/runtime.h"
-#include "src/support/bytes.h"
 
 namespace dexlego::coverage {
 namespace {
@@ -201,62 +198,6 @@ TEST(ForceEngine, IdenticalObservationSequencesYieldIdenticalWaves) {
     if (wa.empty()) break;
   }
   EXPECT_EQ(a.stats().plans_issued, b.stats().plans_issued);
-}
-
-// --- hardened path-file reader (malformed-bytes regression suite) ---------
-
-ForcePlan sample_plan() {
-  ForcePlan plan;
-  plan.set("La;->m()V", 10, true);
-  plan.set("Lb;->n()V", 4, false);
-  return plan;
-}
-
-TEST(ForcePlanHardening, RoundTripStillWorks) {
-  ForcePlan plan = sample_plan();
-  ForcePlan back = ForcePlan::deserialize(plan.serialize());
-  EXPECT_EQ(back, plan);
-  EXPECT_EQ(back.fingerprint(), plan.fingerprint());
-}
-
-TEST(ForcePlanHardening, TruncatedInputThrows) {
-  std::vector<uint8_t> bytes = sample_plan().serialize();
-  for (size_t cut : {bytes.size() - 1, bytes.size() / 2, size_t{5}, size_t{1}}) {
-    std::span<const uint8_t> prefix(bytes.data(), cut);
-    EXPECT_THROW(ForcePlan::deserialize(prefix), support::ParseError)
-        << "cut at " << cut;
-    EXPECT_FALSE(ForcePlan::try_deserialize(prefix).has_value());
-  }
-  EXPECT_THROW(ForcePlan::deserialize({}), support::ParseError);
-}
-
-TEST(ForcePlanHardening, HostileCountRejectedBeforeLooping) {
-  // A count field of 4 billion over a 4-byte payload must be rejected up
-  // front, not honored entry by entry.
-  support::ByteWriter w;
-  w.u32(0xffffffffu);
-  std::vector<uint8_t> bytes = w.take();
-  EXPECT_THROW(ForcePlan::deserialize(bytes), support::ParseError);
-  EXPECT_FALSE(ForcePlan::try_deserialize(bytes).has_value());
-}
-
-TEST(ForcePlanHardening, HostileStringLengthRejected) {
-  // Entry whose method-key length claims nearly 4 GB: the bounds check must
-  // fail cleanly instead of wrapping and reading out of bounds.
-  support::ByteWriter w;
-  w.u32(1);            // one entry
-  w.u32(0xfffffff0u);  // string length
-  w.u32(0);
-  w.u8(1);
-  std::vector<uint8_t> bytes = w.take();
-  EXPECT_THROW(ForcePlan::deserialize(bytes), support::ParseError);
-}
-
-TEST(ForcePlanHardening, TrailingGarbageRejected) {
-  std::vector<uint8_t> bytes = sample_plan().serialize();
-  bytes.push_back(0x5a);
-  EXPECT_THROW(ForcePlan::deserialize(bytes), support::ParseError);
-  EXPECT_FALSE(ForcePlan::try_deserialize(bytes).has_value());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <optional>
 #include <span>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -294,7 +295,12 @@ void expect_identical_reports(const pipeline::BatchReport& sequential,
     EXPECT_EQ(seq.leaks_observed, par.leaks_observed) << seq.name;
     EXPECT_EQ(seq.dex_fingerprint, par.dex_fingerprint) << seq.name;
     EXPECT_EQ(seq.dex, par.dex) << "reassembled DEX bytes differ: " << seq.name;
-    EXPECT_EQ(seq.reassemble.output_code_units, par.reassemble.output_code_units)
+    const core::ReassembleStats& a = seq.reassemble;
+    const core::ReassembleStats& b = par.reassemble;
+    EXPECT_EQ(std::tie(a.classes, a.methods, a.variants, a.guards,
+                       a.reflection_replaced, a.pad_edges, a.output_code_units),
+              std::tie(b.classes, b.methods, b.variants, b.guards,
+                       b.reflection_replaced, b.pad_edges, b.output_code_units))
         << seq.name;
     EXPECT_EQ(seq.collection_bytes, par.collection_bytes) << seq.name;
     EXPECT_DOUBLE_EQ(seq.instruction_coverage, par.instruction_coverage)
@@ -695,8 +701,8 @@ TEST(BatchPipeline, CodeItemPastSixteenBitPcsFailsItsJob) {
 
 TEST(BatchPipeline, NonStdExceptionFailsClosed) {
   // Workers must fail closed for ANY throw, not just std::exception — a
-  // hostile native-method shim can throw an arbitrary type. Both the
-  // classic single-unit path and the force-engine wave path are covered.
+  // hostile native-method shim can throw an arbitrary type. Both a plain
+  // job and a force job are covered.
   struct Boom {};
   for (bool force : {false, true}) {
     std::vector<pipeline::BatchJob> jobs = pipeline::generated_jobs(2);
@@ -871,6 +877,22 @@ TEST(ForcePipeline, ForceRaisesBranchCoverageOverNaturalBatch) {
   EXPECT_EQ(forced.fleet.verified, jobs.size());
 }
 
+TEST(ForcePipeline, ClassicJobIsAForceJobWithNoWaves) {
+  // A classic job is a force exploration with nothing left to force. With
+  // a plan budget of 0 the engine yields no wave, and every deterministic
+  // result equals the classic job's.
+  std::vector<pipeline::BatchJob> jobs = pipeline::droidbench_jobs();
+  pipeline::BatchReport classic = pipeline::run_batch(jobs, {});
+  pipeline::enable_force(jobs, {.max_plans = 0});
+  pipeline::BatchReport no_waves = pipeline::run_batch(jobs, {});
+  ASSERT_EQ(classic.fleet.ok, jobs.size());
+  expect_identical_reports(classic, no_waves);
+  for (const pipeline::JobResult& job : no_waves.jobs) {
+    EXPECT_EQ(job.force_paths + job.forced_branches, 0u) << job.name;
+    EXPECT_EQ(job.force_waves, 0) << job.name;
+  }
+}
+
 TEST(ForcePipeline, FailedForceJobIsIsolated) {
   for (const auto& [apk, error] : unparseable_apks()) {
     std::vector<pipeline::BatchJob> jobs = pipeline::generated_jobs(2);
@@ -884,7 +906,7 @@ TEST(ForcePipeline, FailedForceJobIsIsolated) {
     ASSERT_EQ(report.jobs.size(), 3u);
     EXPECT_TRUE(report.jobs[0].ok);
     EXPECT_FALSE(report.jobs[1].ok);
-    EXPECT_EQ(report.jobs[1].error, "force engine: " + error);
+    EXPECT_EQ(report.jobs[1].error, error);
     EXPECT_TRUE(report.jobs[2].ok);
     EXPECT_EQ(report.fleet.ok, 2u);
   }
@@ -899,6 +921,9 @@ struct ImageZeroProbe : rt::RuntimeHooks {
   std::vector<std::shared_ptr<const dex::DexFile>> files;
   size_t written = 0;
 
+  uint32_t subscribed_events() const override {
+    return rt::hook_mask(rt::HookEvent::kDexLoaded);
+  }
   void on_dex_loaded(const rt::DexImage& image) override {
     if (image.id != 0) return;
     files.push_back(image.parse);
@@ -926,7 +951,7 @@ TEST(ForcePipeline, EveryUnitLinksTheJobsOneParse) {
     auto base_configure = job.configure_runtime;
     job.configure_runtime = [&probe, base_configure](rt::Runtime& runtime) {
       if (base_configure) base_configure(runtime);
-      runtime.add_hooks(&probe, rt::hook_mask(rt::HookEvent::kDexLoaded));
+      runtime.add_hooks(&probe);
     };
     pipeline::DedupStore store;
     pipeline::JobResult result = pipeline::run_job(job, store, false);

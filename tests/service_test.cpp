@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -645,6 +646,41 @@ TEST(Service, CancelDequeuesOnlyQueuedJobs) {
   EXPECT_EQ(svc.wait(drop).state, JobState::kCancelled);
   EXPECT_FALSE(svc.cancel(keep));  // terminal jobs cannot be cancelled
   EXPECT_EQ(svc.stats().cancelled, 1u);
+}
+
+TEST(Service, ClaimedOnlyWhenAWorkerStartsIt) {
+  // A job reads kRunning only while a worker runs it: the jobs queued
+  // behind a running one still read kQueued, and cancel still takes them.
+  service::ServiceOptions options;
+  options.threads = 1;
+  ExtractionService svc(fresh_dir("claim"), options);
+  svc.pause();
+  std::promise<void> entered;
+  std::future<void> in_first_job = entered.get_future();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::vector<pipeline::BatchJob> jobs = pipeline::generated_jobs(5);
+  // A classic job of one run builds one runtime, so this runs once.
+  jobs[0].configure_runtime = [&entered, released,
+                               base = jobs[0].configure_runtime](
+                                  rt::Runtime& runtime) {
+    entered.set_value();
+    released.wait();
+    if (base) base(runtime);
+  };
+  std::vector<service::JobId> ids = svc.submit_batch(std::move(jobs));
+
+  svc.resume();
+  in_first_job.wait();
+  EXPECT_EQ(svc.poll(ids[0]).state, JobState::kRunning);
+  for (size_t i = 1; i < ids.size(); ++i) {
+    EXPECT_EQ(svc.poll(ids[i]).state, JobState::kQueued) << "job " << i + 1;
+  }
+  EXPECT_TRUE(svc.cancel(ids[1]));
+  release.set_value();
+  svc.wait_idle();
+  EXPECT_EQ(svc.poll(ids[1]).state, JobState::kCancelled);
+  EXPECT_EQ(svc.stats().completed, 4u);
 }
 
 // --- ExtractionService: the apps.log manifest on disk -----------------------
