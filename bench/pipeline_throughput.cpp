@@ -32,7 +32,7 @@
 //               fraction (default 0.10) below the recorded baseline
 //               (ci.sh reads bench/pipeline_baseline.json)
 //
-// A bare positional number is accepted as the legacy droidbench repeat.
+// Any other argument, a bare number included, is an error (exit 2).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -111,6 +111,11 @@ fi
 # byte-compared against the sequential run.
 "$BUILD_DIR"/examples/dexlego_batch --scenario large --count 8 \
   --threads 2 --compare-sequential --quiet
+# The fuzzer's hostile mutants through the job path, plain and under force.
+"$BUILD_DIR"/examples/dexlego_batch --scenario fuzz --count 60 \
+  --threads 2 --compare-sequential --quiet
+"$BUILD_DIR"/examples/dexlego_batch --scenario fuzz --count 60 --force \
+  --threads 2 --compare-sequential --quiet
 
 # --- extraction service smoke ----------------------------------------------
 # The long-running service on a persistent store (docs/SERVICE.md): a cold

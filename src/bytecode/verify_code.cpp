@@ -1,6 +1,6 @@
 #include "src/bytecode/verify_code.h"
 
-#include <set>
+#include <functional>
 
 #include "src/bytecode/insn.h"
 #include "src/support/bytes.h"
@@ -11,9 +11,14 @@ namespace {
 
 class CodeVerifier {
  public:
+  // `context` names the code in error messages; it runs only when there is
+  // an error to report.
   CodeVerifier(const dex::DexFile& file, const dex::CodeItem& code,
-               const std::string& context, dex::VerifyResult& result)
-      : file_(file), code_(code), context_(context), result_(result) {}
+               std::function<std::string()> context, dex::VerifyResult& result)
+      : file_(file),
+        code_(code),
+        context_fn_(std::move(context)),
+        result_(result) {}
 
   void run() {
     if (code_.insns.empty()) {
@@ -31,12 +36,22 @@ class CodeVerifier {
 
  private:
   void fail(const std::string& msg) {
+    if (context_.empty()) context_ = context_fn_();
     result_.errors.push_back(context_ + ": " + msg);
+  }
+
+  // Flags of one code unit.
+  static constexpr uint8_t kStart = 1;    // an instruction starts here
+  static constexpr uint8_t kPayload = 2;  // ... and it is a switch payload
+  bool has(ptrdiff_t pc, uint8_t flag) const {
+    return pc >= 0 && static_cast<size_t>(pc) < flags_.size() &&
+           (flags_[static_cast<size_t>(pc)] & flag) != 0;
   }
 
   // First pass: decode linearly to learn instruction boundaries.
   bool collect_starts() {
     std::span<const uint16_t> insns(code_.insns);
+    flags_.assign(insns.size(), 0);
     size_t pc = 0;
     while (pc < insns.size()) {
       size_t width;
@@ -50,9 +65,9 @@ class CodeVerifier {
         fail("undecodable instruction at " + std::to_string(pc) + ": " + e.what());
         return false;
       }
-      starts_.insert(pc);
       uint8_t raw = static_cast<uint8_t>(insns[pc] & 0xff);
-      if (static_cast<Op>(raw) == Op::kPayload) payloads_.insert(pc);
+      flags_[pc] = static_cast<Op>(raw) == Op::kPayload ? kStart | kPayload
+                                                        : kStart;
       pc += width;
     }
     return true;
@@ -134,20 +149,20 @@ class CodeVerifier {
   }
 
   void check_branch_target(size_t pc, ptrdiff_t target) {
-    if (target < 0 || static_cast<size_t>(target) >= code_.insns.size() ||
-        !starts_.contains(static_cast<size_t>(target))) {
+    if (!has(target, kStart)) {
       fail("branch target " + std::to_string(target) +
            " from pc " + std::to_string(pc) + " is not an instruction start");
       return;
     }
-    if (payloads_.contains(static_cast<size_t>(target))) {
+    if (has(target, kPayload)) {
       fail("branch into switch payload from pc " + std::to_string(pc));
     }
   }
 
   void check_instructions() {
     std::span<const uint16_t> insns(code_.insns);
-    for (size_t pc : starts_) {
+    for (size_t pc = 0; pc < insns.size(); ++pc) {
+      if ((flags_[pc] & kStart) == 0) continue;
       Insn insn = decode_at(insns, pc);
       check_ref(insn, pc);
       check_regs(insn, pc);
@@ -155,7 +170,7 @@ class CodeVerifier {
         check_branch_target(pc, static_cast<ptrdiff_t>(pc) + insn.off);
       } else if (insn.op == Op::kPackedSwitch) {
         ptrdiff_t ppc = static_cast<ptrdiff_t>(pc) + insn.off;
-        if (ppc < 0 || !payloads_.contains(static_cast<size_t>(ppc))) {
+        if (!has(ppc, kPayload)) {
           fail("switch at pc " + std::to_string(pc) + " has no payload");
           continue;
         }
@@ -166,7 +181,7 @@ class CodeVerifier {
       }
     }
     for (const dex::TryItem& t : code_.tries) {
-      if (!starts_.contains(t.handler_pc)) {
+      if (!has(t.handler_pc, kStart)) {
         fail("try handler not at instruction start");
       }
     }
@@ -175,14 +190,15 @@ class CodeVerifier {
   // Execution must never fall off the end of the array or into a payload.
   void check_flow_termination() {
     std::span<const uint16_t> insns(code_.insns);
-    for (size_t pc : starts_) {
+    for (size_t pc = 0; pc < insns.size(); ++pc) {
+      if ((flags_[pc] & kStart) == 0) continue;
       Insn insn = decode_at(insns, pc);
       if (insn.op == Op::kPayload) continue;
       if (!can_continue(insn.op)) continue;
       size_t next = pc + insn.width;
       if (next >= insns.size()) {
         fail("execution can run off code end at pc " + std::to_string(pc));
-      } else if (payloads_.contains(next)) {
+      } else if ((flags_[next] & kPayload) != 0) {
         fail("execution can fall into switch payload after pc " +
              std::to_string(pc));
       }
@@ -191,10 +207,10 @@ class CodeVerifier {
 
   const dex::DexFile& file_;
   const dex::CodeItem& code_;
-  std::string context_;
+  std::function<std::string()> context_fn_;
+  std::string context_;  // context_fn_'s, from the first error on
   dex::VerifyResult& result_;
-  std::set<size_t> starts_;
-  std::set<size_t> payloads_;
+  std::vector<uint8_t> flags_;  // per code unit: kStart, kPayload
 };
 
 }  // namespace
@@ -202,7 +218,7 @@ class CodeVerifier {
 dex::VerifyResult verify_code(const dex::DexFile& file, const dex::CodeItem& code,
                               const std::string& context) {
   dex::VerifyResult result;
-  CodeVerifier(file, code, context, result).run();
+  CodeVerifier(file, code, [&context] { return context; }, result).run();
   return result;
 }
 
@@ -213,9 +229,10 @@ dex::VerifyResult verify_dex(const dex::DexFile& file) {
     for (const auto* methods : {&cls.direct_methods, &cls.virtual_methods}) {
       for (const dex::MethodDef& m : *methods) {
         if (!m.code) continue;
-        dex::VerifyResult mr =
-            verify_code(file, *m.code, file.pretty_method(m.method_ref));
-        for (std::string& e : mr.errors) result.errors.push_back(std::move(e));
+        CodeVerifier(
+            file, *m.code,
+            [&file, &m] { return file.pretty_method(m.method_ref); }, result)
+            .run();
       }
     }
   }

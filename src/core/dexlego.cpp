@@ -52,15 +52,10 @@ RevealResult DexLego::reassemble_files(const CollectionFiles& files,
   RevealResult result;
   result.files = files;
   result.collection = decode_collection(files);
-  ReassembleResult ra = reassemble(result.collection, options);
-  result.stats = ra.stats;
-
-  dex::VerifyResult verify = bc::verify_dex(ra.file);
-  result.verified = verify.ok();
-  result.verify_errors = verify.message();
-  if (!result.verified) {
-    DL_WARN << "reassembled DEX failed verification:\n" << result.verify_errors;
-  }
+  RevealedDex revealed = reassemble_dex(result.collection, options);
+  result.stats = revealed.stats;
+  result.verified = revealed.verified;
+  result.verify_errors = std::move(revealed.verify_errors);
 
   // Replace the DEX inside the original APK (paper: "we leverage the Android
   // Asset Packaging Tool ... to replace the DEX file in the original APK").
@@ -69,7 +64,26 @@ RevealResult DexLego::reassemble_files(const CollectionFiles& files,
   // input shipped (ARCHITECTURE invariant 12).
   result.revealed_apk = original;
   dex::strip_real_classes(result.revealed_apk);
-  result.revealed_apk.set_classes(dex::write_dex(ra.file));
+  result.revealed_apk.set_classes(std::move(revealed.classes));
+  return result;
+}
+
+RevealedDex DexLego::reassemble_dex(const CollectionOutput& collection,
+                                    const ReassembleOptions& options) {
+  // What decode_collection refuses, this refuses too, before anything
+  // recurses down a tree: the file path and this one reveal the same apps.
+  check_tree_depth(collection);
+  RevealedDex result;
+  ReassembleResult ra = reassemble(collection, options);
+  result.stats = ra.stats;
+
+  dex::VerifyResult verify = bc::verify_dex(ra.file);
+  result.verified = verify.ok();
+  result.verify_errors = verify.message();
+  if (!result.verified) {
+    DL_WARN << "reassembled DEX failed verification:\n" << result.verify_errors;
+  }
+  result.classes = dex::write_dex(ra.file);
   return result;
 }
 

@@ -5,11 +5,19 @@
 // original APK. The revealed APK is what gets handed to static analysis.
 // Every run of one collect installs the same parse of the APK; the batch
 // pipeline hands each of a job's collects the job's one parse.
+//
+// reveal() runs the paper's split: collect, encode the five collection
+// files, then reassemble_files decodes them and reassembles. The batch
+// pipeline's jobs skip the files: they call reassemble_dex on the collection
+// they hold. decode(encode(x)) keeps everything the reassembler reads, so
+// both give the same bytes (ARCHITECTURE invariant 6), and reveal() is the
+// job path's differential oracle.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/collector.h"
 #include "src/core/files.h"
@@ -30,6 +38,14 @@ struct DexLegoOptions {
   // Called once per run; `run_index` supports multi-run drivers.
   std::function<void(rt::Runtime&, int run_index)> driver;
   int runs = 1;  // fresh runtime per run; trees accumulate across runs
+};
+
+// What the in-memory offline step hands back.
+struct RevealedDex {
+  std::vector<uint8_t> classes;  // the revealed classes.ldex
+  ReassembleStats stats;
+  bool verified = false;  // passed the full verifier
+  std::string verify_errors;
 };
 
 struct RevealResult {
@@ -68,10 +84,16 @@ class DexLego {
       std::shared_ptr<const dex::DexFile> classes = nullptr);
 
   // Offline half only: collection files -> revealed APK (manifest and assets
-  // copied from `original`).
+  // copied from `original`). decode_collection, then reassemble_dex.
   static RevealResult reassemble_files(const CollectionFiles& files,
                                        const dex::Apk& original,
                                        const ReassembleOptions& options = {});
+
+  // The offline half's in-memory step: reassemble `collection`, verify the
+  // result and write it as classes.ldex. Like decode_collection, it throws
+  // support::ParseError for a tree nested deeper than kMaxTreeDepth.
+  static RevealedDex reassemble_dex(const CollectionOutput& collection,
+                                    const ReassembleOptions& options = {});
 
  private:
   DexLegoOptions options_;

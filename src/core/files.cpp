@@ -1,9 +1,13 @@
 #include "src/core/files.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/support/bytes.h"
 
@@ -14,7 +18,25 @@ using support::ByteWriter;
 
 namespace {
 
-void write_sym_ref(ByteWriter& w, const SymRef& ref) {
+// A writer that stores nothing: it counts the bytes ByteWriter would hold
+// after the same calls, so the encoder's own writers size the files.
+class ByteCounter {
+ public:
+  void u8(uint8_t) { size_ += 1; }
+  void u16(uint16_t) { size_ += 2; }
+  void u32(uint32_t) { size_ += 4; }
+  void u64(uint64_t) { size_ += 8; }
+  void i32(int32_t) { size_ += 4; }
+  void i64(int64_t) { size_ += 8; }
+  void str(std::string_view s) { size_ += 4 + s.size(); }
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
+};
+
+template <typename Writer>
+void write_sym_ref(Writer& w, const SymRef& ref) {
   w.u8(static_cast<uint8_t>(ref.kind));
   w.u32(static_cast<uint32_t>(ref.parts.size()));
   for (const std::string& p : ref.parts) w.str(p);
@@ -30,7 +52,8 @@ SymRef read_sym_ref(ByteReader& r) {
   return ref;
 }
 
-void write_tree(ByteWriter& w, const TreeNode& node) {
+template <typename Writer>
+void write_tree(Writer& w, const TreeNode& node) {
   w.u32(static_cast<uint32_t>(node.il.size()));
   for (const ILEntry& e : node.il) {
     w.u16(e.pc);
@@ -52,12 +75,14 @@ void write_tree(ByteWriter& w, const TreeNode& node) {
   for (const auto& child : node.children) write_tree(w, *child);
 }
 
+support::ParseError too_deep() {
+  return support::ParseError("collection tree nested deeper than " +
+                             std::to_string(kMaxTreeDepth) + " levels");
+}
+
 std::unique_ptr<TreeNode> read_tree(ByteReader& r, TreeNode* parent,
                                     size_t depth) {
-  if (depth > kMaxTreeDepth) {
-    throw support::ParseError("collection tree nested deeper than " +
-                              std::to_string(kMaxTreeDepth) + " levels");
-  }
+  if (depth > kMaxTreeDepth) throw too_deep();
   auto node = std::make_unique<TreeNode>();
   node->parent = parent;
   uint32_t n_il = r.u32();
@@ -90,7 +115,8 @@ std::unique_ptr<TreeNode> read_tree(ByteReader& r, TreeNode* parent,
   return node;
 }
 
-void write_value(ByteWriter& w, const CollectedValue& v) {
+template <typename Writer>
+void write_value(Writer& w, const CollectedValue& v) {
   w.u8(static_cast<uint8_t>(v.kind));
   w.i64(v.i);
   w.str(v.s);
@@ -104,7 +130,8 @@ CollectedValue read_value(ByteReader& r) {
   return v;
 }
 
-void write_key(ByteWriter& w, const MethodKey& key) {
+template <typename Writer>
+void write_key(Writer& w, const MethodKey& key) {
   w.str(key.class_descriptor);
   w.str(key.name);
   w.str(key.shorty);
@@ -118,29 +145,23 @@ MethodKey read_key(ByteReader& r) {
   return key;
 }
 
-}  // namespace
-
-std::vector<uint8_t> serialize_tree(const TreeNode& tree) {
-  ByteWriter w;
-  write_tree(w, tree);
-  return w.take();
-}
-
-CollectionFiles encode_collection(const CollectionOutput& output) {
-  CollectionFiles files;
-
+// The one writer of the five files, each into its own writer. Encoding
+// passes five ByteWriters; counting passes one ByteCounter five times.
+template <typename Writer>
+void write_files(const CollectionOutput& output, Writer& class_data,
+                 Writer& field_data, Writer& static_values,
+                 Writer& method_data, Writer& bytecode) {
   {  // class data file: descriptor, super, flags
-    ByteWriter w;
+    Writer& w = class_data;
     w.u32(static_cast<uint32_t>(output.classes.size()));
     for (const CollectedClass& c : output.classes) {
       w.str(c.descriptor);
       w.str(c.super_descriptor);
       w.u32(c.access_flags);
     }
-    files.class_data = w.take();
   }
   {  // field data file: per class, instance + static field declarations
-    ByteWriter w;
+    Writer& w = field_data;
     w.u32(static_cast<uint32_t>(output.classes.size()));
     for (const CollectedClass& c : output.classes) {
       w.str(c.descriptor);
@@ -157,10 +178,9 @@ CollectionFiles encode_collection(const CollectionOutput& output) {
         w.u32(f.access_flags);
       }
     }
-    files.field_data = w.take();
   }
   {  // static values file
-    ByteWriter w;
+    Writer& w = static_values;
     w.u32(static_cast<uint32_t>(output.classes.size()));
     for (const CollectedClass& c : output.classes) {
       w.str(c.descriptor);
@@ -170,10 +190,9 @@ CollectionFiles encode_collection(const CollectionOutput& output) {
         write_value(w, f.static_value);
       }
     }
-    files.static_values = w.take();
   }
   {  // method data file: signatures, frames, tries, lines, reflection
-    ByteWriter w;
+    Writer& w = method_data;
     w.u32(static_cast<uint32_t>(output.methods.size()));
     for (const auto& [key, rec] : output.methods) {
       write_key(w, key);
@@ -203,10 +222,9 @@ CollectionFiles encode_collection(const CollectionOutput& output) {
         write_sym_ref(w, ref);
       }
     }
-    files.method_data = w.take();
   }
   {  // bytecode file: collection trees per method
-    ByteWriter w;
+    Writer& w = bytecode;
     w.u64(output.total_instructions_observed);
     w.u64(output.divergences_detected);
     w.u64(output.reflection_sites);
@@ -216,9 +234,49 @@ CollectionFiles encode_collection(const CollectionOutput& output) {
       w.u32(static_cast<uint32_t>(rec.trees.size()));
       for (const auto& tree : rec.trees) write_tree(w, *tree);
     }
-    files.bytecode = w.take();
   }
+}
+
+}  // namespace
+
+std::vector<uint8_t> serialize_tree(const TreeNode& tree) {
+  ByteWriter w;
+  write_tree(w, tree);
+  return w.take();
+}
+
+CollectionFiles encode_collection(const CollectionOutput& output) {
+  ByteWriter class_data, field_data, static_values, method_data, bytecode;
+  write_files(output, class_data, field_data, static_values, method_data,
+              bytecode);
+  CollectionFiles files;
+  files.class_data = class_data.take();
+  files.field_data = field_data.take();
+  files.static_values = static_values.take();
+  files.method_data = method_data.take();
+  files.bytecode = bytecode.take();
   return files;
+}
+
+void check_tree_depth(const CollectionOutput& output) {
+  std::vector<std::pair<const TreeNode*, size_t>> pending;  // node, level
+  for (const auto& [key, rec] : output.methods) {
+    for (const auto& tree : rec.trees) pending.emplace_back(tree.get(), 1);
+  }
+  while (!pending.empty()) {
+    auto [node, depth] = pending.back();
+    pending.pop_back();
+    if (depth > kMaxTreeDepth) throw too_deep();
+    for (const auto& child : node->children) {
+      pending.emplace_back(child.get(), depth + 1);
+    }
+  }
+}
+
+size_t encoded_size(const CollectionOutput& output) {
+  ByteCounter counter;
+  write_files(output, counter, counter, counter, counter, counter);
+  return counter.size();
 }
 
 CollectionOutput decode_collection(const CollectionFiles& files) {
@@ -269,10 +327,17 @@ CollectionOutput decode_collection(const CollectionFiles& files) {
     }
   }
   {
-    // Each class's static fields by name, indexed on the class's first
-    // record. A value goes to every static field of its name.
-    std::vector<std::unordered_multimap<std::string_view, CollectedField*>>
-        statics(out.classes.size());
+    // Each class's static fields by name, in declaration order, indexed on
+    // the class's first record. Within one record, the k-th value of a name
+    // goes to the k-th static field of that name, the field the encoder
+    // took it from, or to the last one when the class has fewer.
+    struct SameName {
+      std::vector<CollectedField*> fields;
+      uint32_t record = UINT32_MAX;  // the record `next` counts in
+      size_t next = 0;
+    };
+    std::vector<std::unordered_map<std::string_view, SameName>> statics(
+        out.classes.size());
     ByteReader r(files.static_values);
     uint32_t n = r.u32();
     for (uint32_t i = 0; i < n; ++i) {
@@ -285,11 +350,18 @@ CollectionOutput decode_collection(const CollectionFiles& files) {
         auto& by_name = statics[cls - out.classes.data()];
         if (by_name.empty()) {
           for (CollectedField& f : cls->static_fields) {
-            by_name.emplace(f.name, &f);
+            by_name[f.name].fields.push_back(&f);
           }
         }
-        auto [first, last] = by_name.equal_range(name);
-        for (auto it = first; it != last; ++it) it->second->static_value = v;
+        auto it = by_name.find(name);
+        if (it == by_name.end()) continue;
+        SameName& same = it->second;
+        if (same.record != i) {
+          same.record = i;
+          same.next = 0;
+        }
+        size_t k = std::min(same.next++, same.fields.size() - 1);
+        same.fields[k]->static_value = std::move(v);
       }
     }
   }

@@ -1,8 +1,11 @@
 // Serialization of the collection output into the five collection files of
 // paper Fig. 2 (class data, field data, static values, method data,
 // bytecode). The files are the interface between the online collection phase
-// and the *offline* reassembling phase; their combined size is the
-// "Dump File Size" column of Table VI.
+// and the *offline* reassembling phase that DexLego::reveal, save/load and
+// Table VI use; their combined size is the "Dump File Size" column of Table
+// VI. The batch pipeline's jobs hold their collection in memory and never
+// write the files: they take the size from encoded_size, which runs the
+// same writers on a sink that only counts.
 #pragma once
 
 #include <cstdint>
@@ -32,18 +35,27 @@ struct CollectionFiles {
 };
 
 // Round-trippable encoding: decode(encode(x)) preserves every field the
-// reassembler consumes (property-tested). decode_collection throws
-// support::ParseError on truncated files, on counts their bytes cannot
-// hold, before sizing any container from such a count, and on a tree
-// nested deeper than kMaxTreeDepth levels. It runs in time linear in the
-// files' size.
+// reassembler consumes (property-tested), including each static field's own
+// value when a class has several statics of one name. decode_collection
+// throws support::ParseError on truncated files, on counts their bytes
+// cannot hold, before sizing any container from such a count, and on a
+// tree nested deeper than kMaxTreeDepth levels. It runs in time linear in
+// the files' size.
 CollectionFiles encode_collection(const CollectionOutput& output);
 CollectionOutput decode_collection(const CollectionFiles& files);
+
+// encode_collection(output).total_size(), counted without writing a byte.
+size_t encoded_size(const CollectionOutput& output);
 
 // The deepest collection tree decode_collection accepts, counting the root
 // as level 1. Decoding recurses once per level, so the cap keeps a hostile
 // bytecode file from exhausting the stack.
 inline constexpr size_t kMaxTreeDepth = 1024;
+
+// Throws the support::ParseError decode_collection throws when a tree of
+// `output` is nested deeper than kMaxTreeDepth levels. Walks the trees
+// without recursing, so any depth is safe to check.
+void check_tree_depth(const CollectionOutput& output);
 
 // Canonical byte form of one collection tree — the same encoding the
 // bytecode file uses per tree. This is the content the batch pipeline's

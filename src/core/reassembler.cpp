@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <functional>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "src/bytecode/assembler.h"
 #include "src/bytecode/insn.h"
@@ -77,7 +79,18 @@ class TreeEmitter {
   size_t guards_used_ = 0;
 
   std::vector<Item> items_;
-  std::map<std::pair<const TreeNode*, uint16_t>, size_t> insn_item_;
+  // The item of each carried-over instruction by owning node and original
+  // pc, sorted once build_node is done.
+  struct InsnKey {
+    const TreeNode* node;
+    uint16_t pc;
+    size_t item;
+  };
+  static bool key_less(const InsnKey& a, const InsnKey& b) {
+    if (a.node != b.node) return std::less<const TreeNode*>{}(a.node, b.node);
+    return a.pc != b.pc ? a.pc < b.pc : a.item < b.item;
+  }
+  std::vector<InsnKey> insn_items_;
   std::map<const TreeNode*, size_t> child_block_start_;
   std::vector<std::pair<const TreeNode*, size_t>> child_guard_items_;
   std::map<const ILEntry*, size_t> payload_item_;
@@ -114,7 +127,7 @@ void TreeEmitter::build_node(const TreeNode& node) {
     item.kind = Item::Kind::kInsn;
     item.node = &node;
     item.il_index = i;
-    insn_item_[{&node, entry.pc}] = items_.size();
+    insn_items_.push_back({&node, entry.pc, items_.size()});
     items_.push_back(item);
 
     // Explicit fallthrough: if the next recorded instruction of this node is
@@ -163,8 +176,12 @@ size_t TreeEmitter::item_width(const Item& item) const {
 }
 
 size_t TreeEmitter::find_in(const TreeNode* node, uint16_t pc) const {
-  auto it = insn_item_.find({node, pc});
-  return it == insn_item_.end() ? SIZE_MAX : it->second;
+  // A node that recorded one pc twice resolves it to its last item.
+  auto it = std::ranges::upper_bound(insn_items_, InsnKey{node, pc, SIZE_MAX},
+                                     key_less);
+  if (it == insn_items_.begin()) return SIZE_MAX;
+  --it;
+  return it->node == node && it->pc == pc ? it->item : SIZE_MAX;
 }
 
 size_t TreeEmitter::resolve(const TreeNode* node, uint16_t pc) {
@@ -235,15 +252,22 @@ void TreeEmitter::emit_insn_units(const Item& item, std::vector<uint16_t>& out) 
       }
       uint32_t idx = new_pool_index(target);
       direct.idx = static_cast<uint16_t>(idx);
-      std::vector<uint16_t> units = bc::encode(direct);
       // Same 4-unit footprint as the original invoke.
-      out.insert(out.end(), units.begin(), units.end());
+      bc::encode_to(direct, out);
       ++stats_.reflection_replaced;
       return;
     }
   }
 
-  std::vector<uint16_t> units = entry.units;
+  // Copy the recorded units into the output, then patch them there.
+  size_t base = out.size();
+  out.insert(out.end(), entry.units.begin(), entry.units.end());
+  auto unit = [&](size_t i) -> uint16_t& {
+    if (i >= entry.units.size()) {
+      throw std::out_of_range("reassembled operand past its instruction");
+    }
+    return out[base + i];
+  };
   // Re-intern the pool operand.
   if (entry.ref) {
     uint32_t idx = new_pool_index(*entry.ref);
@@ -260,7 +284,7 @@ void TreeEmitter::emit_insn_units(const Item& item, std::vector<uint16_t>& out) 
         idx_unit = 1;  // const-string, sget/sput, new-instance, invokes
         break;
     }
-    units.at(idx_unit) = static_cast<uint16_t>(idx);
+    unit(idx_unit) = static_cast<uint16_t>(idx);
   }
 
   // Retarget branches to the new layout.
@@ -274,18 +298,18 @@ void TreeEmitter::emit_insn_units(const Item& item, std::vector<uint16_t>& out) 
   };
   if (insn.op == Op::kGoto) {
     size_t t = resolve(item.node, static_cast<uint16_t>(entry.pc + insn.off));
-    units.at(1) = rel_to(t);
+    unit(1) = rel_to(t);
   } else if (bc::is_conditional_branch(insn.op)) {
     size_t t = resolve(item.node, static_cast<uint16_t>(entry.pc + insn.off));
-    units.at(bc::is_two_reg_if(insn.op) ? 2 : 1) = rel_to(t);
+    unit(bc::is_two_reg_if(insn.op) ? 2 : 1) = rel_to(t);
   } else if (insn.op == Op::kPackedSwitch) {
-    units.at(1) = rel_to(payload_item_.at(&entry));
+    unit(1) = rel_to(payload_item_.at(&entry));
   }
-  out.insert(out.end(), units.begin(), units.end());
 }
 
 dex::CodeItem TreeEmitter::emit() {
   build_node(root_);
+  std::ranges::sort(insn_items_, key_less);
 
   // Patch guard targets now that child blocks are placed.
   for (const auto& [child, guard_index] : child_guard_items_) {
@@ -425,17 +449,11 @@ dex::CodeItem TreeEmitter::emit() {
 
   if (options_.keep_debug_info) {
     // Lines: map each emitted root-context instruction to its original line.
-    auto line_of = [&](uint16_t pc) -> uint32_t {
-      uint32_t line = 0;
-      for (const dex::LineEntry& e : rec_.lines) {
-        if (e.pc <= pc) line = e.line;
-      }
-      return line;
-    };
+    const dex::LineTable line_of(rec_.lines);
     uint32_t last = 0;
     for (const Item& item : items_) {
       if (item.kind != Item::Kind::kInsn) continue;
-      uint32_t line = line_of(item.node->il[item.il_index].pc);
+      uint32_t line = line_of.at(item.node->il[item.il_index].pc);
       if (line != 0 && line != last) {
         out.lines.push_back({static_cast<uint16_t>(item.offset), line});
         last = line;

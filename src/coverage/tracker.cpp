@@ -99,13 +99,8 @@ CoverageTracker::Report CoverageTracker::report(const dex::DexFile& app) const {
         std::span<const uint16_t> insns(m.code->insns);
         std::set<uint32_t> lines_hit;
         std::set<uint32_t> lines_all;
-        auto line_of = [&](uint16_t pc) -> uint32_t {
-          uint32_t line = 0;
-          for (const dex::LineEntry& e : m.code->lines) {
-            if (e.pc <= pc) line = e.line;
-          }
-          return line;
-        };
+        const dex::LineTable line_of(m.code->lines);
+        const auto* branch_map = branches(key);
         size_t pc = 0;
         while (pc < insns.size()) {
           bc::Insn insn;
@@ -116,7 +111,7 @@ CoverageTracker::Report CoverageTracker::report(const dex::DexFile& app) const {
           }
           if (insn.op != bc::Op::kPayload) {
             ++report.instructions_total;
-            uint32_t line = line_of(static_cast<uint16_t>(pc));
+            uint32_t line = line_of.at(pc);
             if (line != 0) lines_all.insert(line);
             bool hit = executed != nullptr &&
                        executed->test(static_cast<uint32_t>(pc));
@@ -126,7 +121,6 @@ CoverageTracker::Report CoverageTracker::report(const dex::DexFile& app) const {
             }
             if (bc::is_conditional_branch(insn.op)) {
               report.branches_total += 2;
-              const auto* branch_map = branches(key);
               if (branch_map != nullptr) {
                 auto bit = branch_map->find(static_cast<uint32_t>(pc));
                 if (bit != branch_map->end()) {

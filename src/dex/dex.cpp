@@ -1,5 +1,6 @@
 #include "src/dex/dex.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace dexlego::dex {
@@ -19,6 +20,27 @@ char shorty_char(const std::string& descriptor) {
   }
 }
 }  // namespace
+
+LineTable::LineTable(std::span<const LineEntry> lines) {
+  if (lines.empty()) return;
+  uint16_t last_pc = std::ranges::max_element(lines, {}, &LineEntry::pc)->pc;
+  // First the 1-based index of the last entry at each pc, then a running
+  // maximum turns it into the last entry at or below each pc.
+  line_.assign(size_t{last_pc} + 1, 0);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    line_[lines[i].pc] = static_cast<uint32_t>(i + 1);
+  }
+  uint32_t best = 0;
+  for (uint32_t& slot : line_) {
+    best = std::max(best, slot);
+    slot = best == 0 ? 0 : lines[best - 1].line;
+  }
+}
+
+uint32_t LineTable::at(size_t pc) const {
+  if (line_.empty()) return 0;
+  return line_[std::min(pc, line_.size() - 1)];
+}
 
 std::string DexFile::pretty_method(uint32_t method_idx) const {
   const MethodRef& ref = methods.at(method_idx);

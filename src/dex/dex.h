@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,6 +55,19 @@ struct TryItem {
 struct LineEntry {
   uint16_t pc = 0;
   uint32_t line = 0;
+};
+
+// The source line of every pc under a line table: the line of the last
+// entry, in table order, whose pc is <= the pc, or 0 when there is none.
+// Tables need not be sorted. Built in one pass over the table, so looking
+// up every instruction of a method costs time linear in its size.
+class LineTable {
+ public:
+  explicit LineTable(std::span<const LineEntry> lines);
+  uint32_t at(size_t pc) const;
+
+ private:
+  std::vector<uint32_t> line_;  // indexed by pc, up to the table's last pc
 };
 
 struct CodeItem {

@@ -73,26 +73,28 @@ UnitOutput run_unit(const BatchJob& job, const coverage::PlanUnit& unit,
   return out;
 }
 
-// The offline half every job ends with: encode the collection, reassemble
-// and verify it, intern the decoded trees and fingerprint the revealed DEX.
-void finish(const BatchJob& job, const core::CollectionOutput& collection,
+// The offline half every job ends with, run on the fold in memory:
+// reassemble, verify and write the revealed DEX, intern the fold's trees and
+// count the bytes its five collection files would take. The revealed bytes
+// equal DexLego::reveal's, which writes and reads the files (ARCHITECTURE
+// invariant 6).
+void finish(const BatchJob& job, const core::CollectionOutput& fold,
             DedupStore& store, bool keep_dex, JobResult& result) {
-  core::RevealResult reveal = core::DexLego::reassemble_files(
-      core::encode_collection(collection), job.apk, job.reveal.reassemble);
+  core::RevealedDex revealed =
+      core::DexLego::reassemble_dex(fold, job.reveal.reassemble);
 
-  InternedCollection interned = intern_collection(reveal.collection, store);
+  InternedCollection interned = intern_collection(fold, store);
   result.dedup_interns = interned.interns;
   result.unique_trees = interned.unique_trees;
   result.dedup_hits = interned.hits;
   result.dedup_misses = interned.misses;
 
-  result.verified = reveal.verified;
-  result.reassemble = reveal.stats;
-  result.collection_bytes = reveal.files.total_size();
+  result.verified = revealed.verified;
+  result.reassemble = revealed.stats;
+  result.collection_bytes = core::encoded_size(fold);
 
-  const std::vector<uint8_t>& dex_bytes = reveal.revealed_apk.classes();
-  result.dex_fingerprint = support::fnv1a(dex_bytes);
-  if (keep_dex) result.dex = dex_bytes;
+  result.dex_fingerprint = support::fnv1a(revealed.classes);
+  if (keep_dex) result.dex = std::move(revealed.classes);
 }
 
 }  // namespace

@@ -2,9 +2,15 @@
 // runs the full DexLego loop (paper Fig. 1) per app:
 //
 //   collect (instrumented execution, Section IV-A)
-//   -> dedup  (intern collected trees into a shared DedupStore)
 //   -> reassemble (offline, Section IV-B)
 //   -> verify (structural + instruction-level DEX verification)
+//   -> dedup  (intern collected trees into a shared DedupStore)
+//
+// The offline half runs on the collection the job holds in memory: the job
+// writes and reads no collection file, and JobResult::collection_bytes is
+// the files' size, counted without writing them. DexLego::reveal, which
+// goes through the files, gives the same bytes and is the job path's
+// differential oracle (ARCHITECTURE invariant 6).
 //
 // The unit of work is the job: a worker claims it and runs it start to
 // finish through run_job, the one job path. A job parses its app once, runs
@@ -74,7 +80,7 @@ struct JobResult {
   size_t force_paths = 0;             // forced plan units executed
   int force_waves = 0;                // frontier rounds the engine issued
   core::ReassembleStats reassemble;
-  size_t collection_bytes = 0;  // five-file total (Table VI metric)
+  size_t collection_bytes = 0;  // five-file total (Table VI), counted
   uint64_t dedup_interns = 0;   // deterministic: trees offered to the store
   uint64_t unique_trees = 0;    // deterministic: distinct tree ids in this job
   uint64_t dedup_hits = 0;      // advisory: content already present

@@ -888,11 +888,20 @@ TEST(CollectionFiles, TreeAtTheDepthCapDecodes) {
   EXPECT_EQ(depth, kMaxTreeDepth);
   files.bytecode = nested_tree_bytecode(kMaxTreeDepth + 1);
   EXPECT_THROW(decode_collection(files), support::ParseError);
+
+  // The in-memory step takes what the files take and refuses the rest.
+  EXPECT_NO_THROW(DexLego::reassemble_dex(back));
+  TreeNode* deepest = back.methods.at(key).trees.at(0).get();
+  while (!deepest->children.empty()) deepest = deepest->children[0].get();
+  deepest->children.push_back(std::make_unique<TreeNode>());
+  deepest->children.back()->parent = deepest;
+  EXPECT_THROW(DexLego::reassemble_dex(back), support::ParseError);
 }
 
 TEST(CollectionFiles, DuplicateDescriptorsAndStaticNamesAttach) {
   // Field and static-value records attach to the last class of their
-  // descriptor, and a static value goes to every static field of its name.
+  // descriptor. Within one record, the k-th value of a name goes to the k-th
+  // static field of that name.
   auto field = [](const char* name, int64_t value) {
     CollectedField f;
     f.name = name;
@@ -915,9 +924,55 @@ TEST(CollectionFiles, DuplicateDescriptorsAndStaticNamesAttach) {
   ASSERT_EQ(last.instance_fields.size(), 2u);
   ASSERT_EQ(last.static_fields.size(), 3u);
   EXPECT_EQ(last.static_fields[0].static_value.i, 1);
-  // Both fields named K take each K value in turn and end with the last.
-  EXPECT_EQ(last.static_fields[1].static_value.i, 7);
+  // Each field named K keeps the value the class held.
+  EXPECT_EQ(last.static_fields[1].static_value.i, 5);
   EXPECT_EQ(last.static_fields[2].static_value.i, 7);
+}
+
+TEST(CollectionFiles, SameNameStaticsOfDifferentTypesKeepTheirValues) {
+  // A class may declare statics that share a name and differ in type; each
+  // must come back with its own value, not the last one of its name.
+  CollectionOutput out;
+  CollectedClass& cls = out.classes.emplace_back();
+  cls.descriptor = "Lx/Y;";
+  cls.static_fields.push_back(
+      {"x", "I", dex::kAccStatic, {CollectedValue::Kind::kInt, 7, ""}});
+  cls.static_fields.push_back({"x",
+                               "Ljava/lang/String;",
+                               dex::kAccStatic,
+                               {CollectedValue::Kind::kString, 0, "hello"}});
+
+  CollectionOutput back = decode_collection(encode_collection(out));
+  ASSERT_EQ(back.classes.size(), 1u);
+  const std::vector<CollectedField>& statics = back.classes[0].static_fields;
+  ASSERT_EQ(statics.size(), 2u);
+  EXPECT_EQ(statics[0].type_descriptor, "I");
+  EXPECT_EQ(statics[0].static_value.kind, CollectedValue::Kind::kInt);
+  EXPECT_EQ(statics[0].static_value.i, 7);
+  EXPECT_EQ(statics[1].type_descriptor, "Ljava/lang/String;");
+  EXPECT_EQ(statics[1].static_value.kind, CollectedValue::Kind::kString);
+  EXPECT_EQ(statics[1].static_value.s, "hello");
+}
+
+TEST(CollectionFiles, ExtraValuesOfANameGoToItsLastField) {
+  // Hostile files may carry more values of a name than the class has
+  // fields of it: the extras land on the last such field.
+  CollectionOutput out;
+  CollectedClass& cls = out.classes.emplace_back();
+  cls.descriptor = "Lx/Y;";
+  for (int64_t v : {1, 2, 3}) {
+    cls.static_fields.push_back(
+        {"k", "I", dex::kAccStatic, {CollectedValue::Kind::kInt, v, ""}});
+  }
+  CollectionFiles files = encode_collection(out);
+  cls.static_fields.pop_back();
+  files.field_data = encode_collection(out).field_data;
+
+  CollectionOutput back = decode_collection(files);
+  ASSERT_EQ(back.classes.size(), 1u);
+  ASSERT_EQ(back.classes[0].static_fields.size(), 2u);
+  EXPECT_EQ(back.classes[0].static_fields[0].static_value.i, 1);
+  EXPECT_EQ(back.classes[0].static_fields[1].static_value.i, 3);
 }
 
 // --- end-to-end reveal scenarios ---

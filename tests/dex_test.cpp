@@ -13,6 +13,7 @@
 #include "src/dex/verify.h"
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
+#include "src/support/rng.h"
 
 namespace dexlego::dex {
 namespace {
@@ -87,6 +88,40 @@ TEST(DexFile, TotalCodeUnits) {
   DexFile f = make_sample_file();
   // Two concrete methods with a single return-void unit each.
   EXPECT_EQ(f.total_code_units(), 2u);
+}
+
+// The line-table rule, scanned the slow way: the last entry, in table
+// order, whose pc is <= `pc`.
+uint32_t scanned_line(const std::vector<LineEntry>& lines, size_t pc) {
+  uint32_t line = 0;
+  for (const LineEntry& e : lines) {
+    if (e.pc <= pc) line = e.line;
+  }
+  return line;
+}
+
+TEST(LineTable, MatchesTheScanOnUnsortedTablesWithRepeatedPcs) {
+  support::Rng rng(23);
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<LineEntry> lines(rng.below(24));
+    // Few distinct pcs, so most tables repeat some and none is sorted.
+    uint16_t max_pc = static_cast<uint16_t>(1 + rng.below(40));
+    for (LineEntry& e : lines) {
+      e.pc = static_cast<uint16_t>(rng.below(max_pc + 1u));
+      e.line = static_cast<uint32_t>(rng.below(5));  // 0 lines too
+    }
+    LineTable table(lines);
+    for (size_t pc = 0; pc <= max_pc + 8u; ++pc) {
+      ASSERT_EQ(table.at(pc), scanned_line(lines, pc)) << "pc " << pc;
+    }
+  }
+}
+
+TEST(LineTable, EmptyTableHasNoLines) {
+  LineTable table({});
+  EXPECT_EQ(table.at(0), 0u);
+  EXPECT_EQ(table.at(65535), 0u);
 }
 
 TEST(DexIo, RoundTrip) {

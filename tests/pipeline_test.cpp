@@ -7,6 +7,7 @@
 // changes nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <span>
@@ -30,6 +31,7 @@
 #include "src/pipeline/batch.h"
 #include "src/pipeline/dedup_store.h"
 #include "src/pipeline/scenarios.h"
+#include "src/support/bytes.h"
 #include "src/support/hash.h"
 #include "tests/harness/diff_fixture.h"
 
@@ -446,6 +448,228 @@ TEST(BatchPipeline, MatchesDirectRevealAndDifferentialHarness) {
     EXPECT_TRUE(harness::BehaviorallyEquivalent(diff)) << samples[i]->name;
     EXPECT_EQ(report.jobs[i].dex, diff.reveal.revealed_apk.classes())
         << "batch output diverged from direct reveal: " << samples[i]->name;
+  }
+}
+
+// DexLego::reveal under the job's own options: the path through the five
+// collection files, the job path's differential oracle (ARCHITECTURE
+// invariant 6).
+core::RevealResult reveal_through_files(const pipeline::BatchJob& job) {
+  core::DexLegoOptions options = job.reveal;
+  options.runs = std::max(1, options.runs);
+  auto base_configure = options.configure_runtime;
+  options.configure_runtime = [&job, base_configure](rt::Runtime& runtime) {
+    if (base_configure) base_configure(runtime);
+    if (job.configure_runtime) job.configure_runtime(runtime);
+  };
+  return core::DexLego(options).reveal(job.apk);
+}
+
+TEST(BatchPipeline, JobPathMatchesRevealOverWholeCorpora) {
+  // run_job reassembles the fold it holds; reveal writes the five files and
+  // reads them back. Every job must come out byte-identical both ways, with
+  // collection_bytes the files' size.
+  std::vector<pipeline::BatchJob> jobs = pipeline::droidbench_jobs();
+  for (std::vector<pipeline::BatchJob> more :
+       {pipeline::packed_jobs(), pipeline::realdex_jobs(8),
+        pipeline::fuzz_jobs(60, 901)}) {
+    for (pipeline::BatchJob& job : more) jobs.push_back(std::move(job));
+  }
+  pipeline::DedupStore store;
+  size_t compared = 0;
+  for (const pipeline::BatchJob& job : jobs) {
+    SCOPED_TRACE(job.scenario + "/" + job.name);
+    ASSERT_FALSE(job.force);
+    pipeline::JobResult result = pipeline::run_job(job, store);
+    if (!result.ok) {
+      EXPECT_ANY_THROW(reveal_through_files(job)) << result.error;
+      continue;
+    }
+    core::RevealResult reveal = reveal_through_files(job);
+    EXPECT_EQ(result.dex, reveal.revealed_apk.classes());
+    EXPECT_EQ(result.collection_bytes, reveal.files.total_size());
+    EXPECT_EQ(result.verified, reveal.verified);
+    ++compared;
+  }
+  EXPECT_GT(compared, jobs.size() * 9 / 10);
+}
+
+// An activity declaring two statics named x: x:I = 7 and
+// x:Ljava/lang/String; = "hello".
+dex::Apk same_name_statics_apk() {
+  dex::DexBuilder b;
+  b.start_class("Lapp/Statics;", "Landroid/app/Activity;");
+  b.add_static_field("x", "I", dex::DexBuilder::int_value(7));
+  b.add_static_field("x", "Ljava/lang/String;", b.string_value("hello"));
+  bc::MethodAssembler as(1, 1);
+  as.return_void();
+  b.add_virtual_method("onCreate", "V", {}, as.finish());
+  dex::Manifest manifest;
+  manifest.package = "app.statics";
+  manifest.entry_class = "Lapp/Statics;";
+  dex::Apk apk;
+  apk.set_manifest(manifest);
+  apk.set_classes(dex::write_dex(std::move(b).build()));
+  return apk;
+}
+
+TEST(BatchPipeline, SameNameStaticsKeepTheirOwnValues) {
+  pipeline::BatchJob job;
+  job.name = "same-name-statics";
+  job.apk = same_name_statics_apk();
+  pipeline::DedupStore store;
+  pipeline::JobResult result = pipeline::run_job(job, store);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_TRUE(result.verified);
+  EXPECT_EQ(result.dex, core::DexLego().reveal(job.apk).revealed_apk.classes());
+
+  dex::DexFile revealed = dex::read_dex(result.dex);
+  const dex::ClassDef* cls = revealed.find_class("Lapp/Statics;");
+  ASSERT_NE(cls, nullptr);
+  size_t int_fields = 0;
+  for (const dex::FieldDef& f : cls->static_fields) {
+    const dex::FieldRef& ref = revealed.fields.at(f.field_ref);
+    if (revealed.string_at(ref.name) != "x" ||
+        revealed.type_descriptor(ref.type) != "I") {
+      continue;
+    }
+    ++int_fields;
+    ASSERT_TRUE(f.static_init.has_value());
+    EXPECT_EQ(f.static_init->kind, dex::EncodedValue::Kind::kInt);
+    EXPECT_EQ(f.static_init->i, 7);
+  }
+  EXPECT_EQ(int_fields, 1u);
+}
+
+// An activity whose loop body, an invoke of a native and the back branch,
+// the native rewrites on every pass until the `passes`-th, which turns the
+// branch into return-void. No pass converges with the one before, so every
+// pass nests the method's collection tree one level deeper.
+pipeline::BatchJob nesting_loop_job(size_t passes) {
+  const std::string cls = "Lapp/Nest;";
+  dex::DexBuilder b;
+  uint32_t flip_a = b.intern_method(cls, "flipA", "V", {});
+  b.intern_method(cls, "flipB", "V", {});
+  b.start_class(cls, "Landroid/app/Activity;");
+  bc::MethodAssembler as(3, 1);
+  auto loop = as.make_label();
+  as.const16(0, 0);
+  as.const16(1, 0);
+  as.bind(loop);
+  size_t invoke_pc = as.current_pc();
+  as.invoke(bc::Op::kInvokeStatic, static_cast<uint16_t>(flip_a), {});
+  size_t branch_pc = as.current_pc();
+  as.if_testz(bc::Op::kIfEqz, 0, loop);  // v0 and v1 are both 0
+  as.return_void();
+  b.add_virtual_method("onCreate", "V", {}, as.finish());
+  b.add_native_method("flipA", "V", {}, dex::kAccStatic);
+  b.add_native_method("flipB", "V", {}, dex::kAccStatic);
+  dex::Manifest manifest;
+  manifest.package = "app.nest";
+  manifest.entry_class = cls;
+  pipeline::BatchJob job;
+  job.name = "nesting-loop";
+  job.apk.set_manifest(manifest);
+  job.apk.set_classes(dex::write_dex(std::move(b).build()));
+  job.configure_runtime = [=](rt::Runtime& runtime) {
+    auto done = std::make_shared<size_t>(0);
+    for (const char* name : {"flipA", "flipB"}) {
+      runtime.register_native(
+          cls + "->" + name,
+          [=](rt::NativeContext& ctx, std::span<rt::Value>) {
+            rt::RtMethod& m = *ctx.caller;
+            if (++*done == passes) {
+              m.patch_code_unit(branch_pc, static_cast<uint16_t>(
+                                               bc::Op::kReturnVoid));
+              m.patch_code_unit(branch_pc + 1,
+                                static_cast<uint16_t>(bc::Op::kNop));
+              return rt::Value::Null();
+            }
+            const dex::DexFile& file = m.image->file;
+            uint32_t a = file.find_method_ref(cls, "flipA");
+            uint32_t other = m.code->insns[invoke_pc + 1] == a
+                                 ? file.find_method_ref(cls, "flipB")
+                                 : a;
+            m.patch_code_unit(invoke_pc + 1, static_cast<uint16_t>(other));
+            // if-eqz v0 <-> if-eqz v1
+            m.patch_code_unit(branch_pc, static_cast<uint16_t>(
+                                             m.code->insns[branch_pc] ^ 0x0100));
+            return rt::Value::Null();
+          });
+    }
+  };
+  return job;
+}
+
+TEST(BatchPipeline, TreeNestedPastTheFileCapFailsLikeReveal) {
+  // The files cap tree depth at kMaxTreeDepth; the job path, which never
+  // decodes them, must refuse the same trees rather than reveal an app
+  // DexLego::reveal cannot.
+  for (size_t passes : {size_t{8}, core::kMaxTreeDepth + 8}) {
+    SCOPED_TRACE("passes=" + std::to_string(passes));
+    pipeline::BatchJob job = nesting_loop_job(passes);
+    pipeline::DedupStore store;
+    pipeline::JobResult result = pipeline::run_job(job, store);
+    if (passes < core::kMaxTreeDepth) {
+      ASSERT_TRUE(result.ok) << result.error;
+      EXPECT_EQ(result.dex, reveal_through_files(job).revealed_apk.classes());
+      continue;
+    }
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.error, "collection tree nested deeper than 1024 levels");
+    EXPECT_THROW(reveal_through_files(job), support::ParseError);
+  }
+}
+
+// onCreate of `count` instructions, each on a line of its own: count - 1
+// nops, then return-void.
+dex::Apk one_line_per_instruction_apk(size_t count) {
+  dex::DexBuilder b;
+  b.start_class("Lapp/Lines;", "Landroid/app/Activity;");
+  bc::MethodAssembler as(1, 1);
+  for (size_t i = 1; i < count; ++i) {
+    as.line(static_cast<uint32_t>(i));
+    as.nop();
+  }
+  as.line(static_cast<uint32_t>(count));
+  as.return_void();
+  b.add_virtual_method("onCreate", "V", {}, as.finish());
+  dex::Manifest manifest;
+  manifest.package = "app.lines";
+  manifest.entry_class = "Lapp/Lines;";
+  dex::Apk apk;
+  apk.set_manifest(manifest);
+  apk.set_classes(dex::write_dex(std::move(b).build()));
+  return apk;
+}
+
+TEST(BatchPipeline, LongLineTableRevealsInFull) {
+  // Every instruction runs and keeps its pc, so the revealed method carries
+  // the original line table entry for entry.
+  constexpr size_t kCount = 32000;
+  pipeline::BatchJob job;
+  job.name = "lines";
+  job.apk = one_line_per_instruction_apk(kCount);
+  pipeline::DedupStore store;
+  pipeline::JobResult result = pipeline::run_job(job, store);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_TRUE(result.verified);
+  EXPECT_DOUBLE_EQ(result.instruction_coverage, 1.0);
+
+  auto lines_of = [](const dex::DexFile& file) {
+    const dex::ClassDef* cls = file.find_class("Lapp/Lines;");
+    EXPECT_NE(cls, nullptr);
+    return cls == nullptr ? std::vector<dex::LineEntry>{}
+                          : cls->virtual_methods.at(0).code->lines;
+  };
+  std::vector<dex::LineEntry> original =
+      lines_of(dex::read_dex(job.apk.classes()));
+  std::vector<dex::LineEntry> revealed = lines_of(dex::read_dex(result.dex));
+  ASSERT_EQ(original.size(), kCount);
+  ASSERT_EQ(revealed.size(), kCount);
+  for (size_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(revealed[i].pc, original[i].pc) << i;
+    ASSERT_EQ(revealed[i].line, original[i].line) << i;
   }
 }
 
@@ -1027,6 +1251,8 @@ TEST(ForcePipeline, CollectingAgainstTheFoldMatchesThePlainFold) {
   // it offers fewer trees; the fold must not notice, at any variant cap.
   std::vector<pipeline::BatchJob> jobs = pipeline::all_jobs();
   pipeline::enable_force(jobs, {});
+  EXPECT_EQ(core::encoded_size(core::CollectionOutput{}),
+            core::encode_collection(core::CollectionOutput{}).total_size());
   size_t folds = 0;
   size_t plain_trees = 0;
   size_t walked_trees = 0;
@@ -1048,6 +1274,9 @@ TEST(ForcePipeline, CollectingAgainstTheFoldMatchesThePlainFold) {
       EXPECT_EQ(a.static_values, b.static_values);
       EXPECT_EQ(a.method_data, b.method_data);
       EXPECT_EQ(a.bytecode, b.bytecode);
+      // The job path counts the files instead of writing them.
+      EXPECT_EQ(core::encoded_size(plain.merged), a.total_size());
+      EXPECT_EQ(core::encoded_size(walked.merged), b.total_size());
       EXPECT_EQ(walked.merged.total_instructions_observed,
                 plain.merged.total_instructions_observed);
       EXPECT_EQ(walked.merged.divergences_detected,
