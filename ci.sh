@@ -186,7 +186,9 @@ echo "Tables VI/VII gate passed"
 # non-zero on any divergence, so byte-identity across thread counts is part
 # of this gate. The >= 2x speedup bar at 4 threads only arms on hosts that
 # actually have >= 4 hardware threads — below that the speedup rows are
-# reporting-only (a 1-core container cannot show a multi-core speedup). The 1-thread run is additionally gated against
+# reporting-only (a 1-core container cannot show a multi-core speedup).
+# Armed, the bench runs the 1- and 4-thread configs twice more, alternating,
+# and gates on the ratio of their median walls. The 1-thread run is additionally gated against
 # the recorded baseline in bench/pipeline_baseline.json: a >10% apps/sec
 # regression fails. Refresh the baseline on a quiet machine with
 #   DEXLEGO_UPDATE_BASELINE=1 ./ci.sh
@@ -317,10 +319,13 @@ rm -rf "$tsan_probe"
 # behaviour is fatal, not just reported) and runs them, then a fixed-seed
 # fuzz smoke. The three hostile-input parsers (LDEX, real DEX, the service's
 # store logs) and an interpreter running self-modifying code are where a
-# silent out-of-bounds write would hide. Skipped where the sanitizers can't
+# silent out-of-bounds write would hide. _GLIBCXX_ASSERTIONS makes an
+# out-of-range std::array/std::vector index fatal too: ASan misses one that
+# stays inside its enclosing object. Skipped where the sanitizers can't
 # compile, link or execute.
 ASAN_DIR="${ASAN_DIR:-${BUILD_DIR}-asan}"
 asan_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+asan_flags+=" -D_GLIBCXX_ASSERTIONS"
 asan_probe="$(mktemp -d)"
 cat > "$asan_probe/probe.cpp" <<'EOF'
 #include <vector>

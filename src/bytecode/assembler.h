@@ -2,10 +2,15 @@
 // programs, the synthetic app generators, the packer stubs and DexLego's
 // reassembler emit code through this class, which resolves forward branches,
 // lays out switch payloads after the code stream and records line tables.
+// The reassembler also carries instructions over from collected code: raw()
+// appends their encoded units, and raw_branch()/raw_switch() turn their
+// branch and switch targets into labels, so every offset in a reassembled
+// body is placed and range-checked here.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/bytecode/insn.h"
@@ -62,6 +67,16 @@ class MethodAssembler {
   // Packed switch over keys first_key..first_key+targets.size()-1.
   void packed_switch(uint8_t reg, int32_t first_key, const std::vector<Label>& targets);
 
+  // --- already-encoded instructions (code carried over from another body) ---
+  // Appends one instruction's units and returns them in the code stream for
+  // operand patching; the span is valid until the next emission.
+  std::span<uint16_t> raw(std::span<const uint16_t> units);
+  // Points the goto or if-test last appended by raw() at `target`.
+  void raw_branch(Label target);
+  // Lays out a payload for the packed-switch last appended by raw(), as
+  // packed_switch does; `targets` may be empty.
+  void raw_switch(int32_t first_key, std::vector<Label> targets);
+
   // --- try/catch (catch-all handler, Dalvik-style pc ranges) ---
   void begin_try();
   void end_try(Label handler);
@@ -73,7 +88,9 @@ class MethodAssembler {
   dex::CodeItem finish();
 
  private:
+  void start_line();
   void emit(const Insn& insn);
+  Op raw_op() const;
   void fixup_branch(Label target, size_t insn_pc, size_t unit_offset);
 
   struct Fixup {
@@ -98,6 +115,7 @@ class MethodAssembler {
   std::vector<std::pair<size_t, Label>> try_handler_fixups_;  // try index, handler
   std::vector<dex::LineEntry> lines_;
   uint32_t current_line_ = 0;
+  std::optional<size_t> raw_pc_;  // start of the last raw() instruction
 };
 
 }  // namespace dexlego::bc

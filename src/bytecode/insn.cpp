@@ -285,6 +285,18 @@ void encode_to(const Insn& insn, std::vector<uint16_t>& out) {
   }
 }
 
+size_t pool_index_unit(Op op) {
+  switch (op) {
+    case Op::kIget:
+    case Op::kIput:
+    case Op::kNewArray:
+    case Op::kInstanceOf:
+      return 2;
+    default:
+      return 1;
+  }
+}
+
 std::vector<uint16_t> encode(const Insn& insn) {
   std::vector<uint16_t> out;
   encode_to(insn, out);

@@ -48,6 +48,11 @@ size_t width_at(std::span<const uint16_t> code, size_t pc);
 std::vector<uint16_t> encode(const Insn& insn);
 void encode_to(const Insn& insn, std::vector<uint16_t>& out);
 
+// The code unit at which encode_to places an instruction's pool index
+// (Insn::idx) when op_info(op).ref is not kNone: unit 2 for iget, iput,
+// new-array and instance-of, unit 1 for the rest.
+size_t pool_index_unit(Op op);
+
 // Switch payload view: keys first_key..first_key+count-1 map to
 // switch_pc + target[i].
 struct SwitchPayload {

@@ -50,19 +50,7 @@ dex::CodeItem remap_code(const dex::DexFile& src, const dex::CodeItem& code,
     if (kind != RefKind::kNone) {
       uint32_t idx = remap_ref(src, dst, kind, insn.idx);
       if (idx > 0xffff) throw std::runtime_error("pool overflow in remap");
-      size_t idx_unit;
-      switch (insn.op) {
-        case Op::kIget:
-        case Op::kIput:
-        case Op::kNewArray:
-        case Op::kInstanceOf:
-          idx_unit = 2;
-          break;
-        default:
-          idx_unit = 1;
-          break;
-      }
-      out.insns.at(pc + idx_unit) = static_cast<uint16_t>(idx);
+      out.insns.at(pc + pool_index_unit(insn.op)) = static_cast<uint16_t>(idx);
     }
     pc += consumed_units(insn);
   }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "src/bytecode/insn.h"
+#include "src/core/files.h"
 #include "src/runtime/object.h"
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
@@ -310,7 +311,7 @@ void Collector::depart(Activation& act) {
 void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
                                std::span<const uint16_t> code) {
   ++output_.total_instructions_observed;
-  if (stack_.empty() || !stack_.back().bytecode) return;
+  if (too_deep_ || stack_.empty() || !stack_.back().bytecode) return;
   Activation& act = stack_.back();
   if (&method != act.method) {
     if (act.key.name != method.name) return;  // defensive: mismatched frame
@@ -367,12 +368,17 @@ void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
     }
     // Divergence: the instruction at this dex_pc changed since we recorded
     // it — a new layer of self-modifying code (Algorithm 1 lines 9-13).
+    if (act.depth == kMaxTreeDepth) {
+      too_deep_ = true;
+      return;
+    }
     auto child = std::make_unique<TreeNode>();
     child->parent = current;
     child->sm_start = entry.pc;
     current->children.push_back(std::move(child));
     act.current = current->children.back().get();
     current = act.current;
+    ++act.depth;
     ++output_.divergences_detected;
   } else if (current->parent != nullptr) {
     auto pit = current->parent->iim.find(entry.pc);
@@ -382,6 +388,7 @@ void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
         // Convergence: this divergence layer ended (Algorithm 1 lines 17-27).
         current->sm_end = entry.pc;
         act.current = current->parent;
+        --act.depth;
         return;
       }
     }
@@ -539,6 +546,7 @@ void merge_collection(CollectionOutput& into, CollectionOutput&& from,
 }
 
 CollectionOutput Collector::take_output() {
+  if (too_deep_) throw tree_too_deep();
   while (!stack_.empty()) {
     finish_activation(stack_.back());
     stack_.pop_back();

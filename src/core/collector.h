@@ -21,6 +21,13 @@
 // the record's dedup set and variant cap as though kept, but is left out of
 // the output, where merge_collection would have skipped it. The output
 // merges into the known trees exactly as a plain collection's would.
+//
+// Trees nest at most kMaxTreeDepth levels (src/core/files.h), the depth
+// decode_collection accepts. A divergence that would open one level more
+// ends instruction collection for good, and take_output() throws
+// tree_too_deep(): an app whose self-modification never converges fails
+// its own reveal instead of growing a tree whose recursive walks exhaust
+// the stack.
 #pragma once
 
 #include <map>
@@ -81,6 +88,7 @@ class Collector : public rt::RuntimeHooks {
                             rt::RtMethod& target) override;
 
   // Finalizes any dangling activations and returns the collection output.
+  // Throws tree_too_deep() once a tree would have passed kMaxTreeDepth.
   CollectionOutput take_output();
   const CollectionOutput& output() const { return output_; }
 
@@ -95,6 +103,7 @@ class Collector : public rt::RuntimeHooks {
     const rt::RtMethod* method = nullptr;
     std::unique_ptr<TreeNode> root;  // null while walking
     TreeNode* current = nullptr;
+    size_t depth = 1;  // level of `current`, the root's being 1
     bool bytecode = false;  // native/abstract activations collect nothing
     // The lockstep walk: `known_`'s record of this method, and the indices
     // of its childless trees whose first `matched` IL entries are the tree
@@ -119,6 +128,7 @@ class Collector : public rt::RuntimeHooks {
   const CollectionOutput* known_ = nullptr;
   CollectionOutput output_;
   std::vector<Activation> stack_;
+  bool too_deep_ = false;  // a tree would have passed kMaxTreeDepth
   // descriptor -> index into output_.classes, for the init-time re-snapshot.
   std::map<std::string, size_t> class_index_;
   // Fingerprints of the full retraces counted as kept, per known record.

@@ -70,9 +70,6 @@ RevealResult DexLego::reassemble_files(const CollectionFiles& files,
 
 RevealedDex DexLego::reassemble_dex(const CollectionOutput& collection,
                                     const ReassembleOptions& options) {
-  // What decode_collection refuses, this refuses too, before anything
-  // recurses down a tree: the file path and this one reveal the same apps.
-  check_tree_depth(collection);
   RevealedDex result;
   ReassembleResult ra = reassemble(collection, options);
   result.stats = ra.stats;

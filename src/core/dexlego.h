@@ -90,8 +90,7 @@ class DexLego {
                                        const ReassembleOptions& options = {});
 
   // The offline half's in-memory step: reassemble `collection`, verify the
-  // result and write it as classes.ldex. Like decode_collection, it throws
-  // support::ParseError for a tree nested deeper than kMaxTreeDepth.
+  // result and write it as classes.ldex.
   static RevealedDex reassemble_dex(const CollectionOutput& collection,
                                     const ReassembleOptions& options = {});
 

@@ -75,14 +75,9 @@ void write_tree(Writer& w, const TreeNode& node) {
   for (const auto& child : node.children) write_tree(w, *child);
 }
 
-support::ParseError too_deep() {
-  return support::ParseError("collection tree nested deeper than " +
-                             std::to_string(kMaxTreeDepth) + " levels");
-}
-
 std::unique_ptr<TreeNode> read_tree(ByteReader& r, TreeNode* parent,
                                     size_t depth) {
-  if (depth > kMaxTreeDepth) throw too_deep();
+  if (depth > kMaxTreeDepth) throw tree_too_deep();
   auto node = std::make_unique<TreeNode>();
   node->parent = parent;
   uint32_t n_il = r.u32();
@@ -258,19 +253,9 @@ CollectionFiles encode_collection(const CollectionOutput& output) {
   return files;
 }
 
-void check_tree_depth(const CollectionOutput& output) {
-  std::vector<std::pair<const TreeNode*, size_t>> pending;  // node, level
-  for (const auto& [key, rec] : output.methods) {
-    for (const auto& tree : rec.trees) pending.emplace_back(tree.get(), 1);
-  }
-  while (!pending.empty()) {
-    auto [node, depth] = pending.back();
-    pending.pop_back();
-    if (depth > kMaxTreeDepth) throw too_deep();
-    for (const auto& child : node->children) {
-      pending.emplace_back(child.get(), depth + 1);
-    }
-  }
+support::ParseError tree_too_deep() {
+  return support::ParseError("collection tree nested deeper than " +
+                             std::to_string(kMaxTreeDepth) + " levels");
 }
 
 size_t encoded_size(const CollectionOutput& output) {

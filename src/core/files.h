@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/core/collection.h"
+#include "src/support/bytes.h"
 
 namespace dexlego::core {
 
@@ -47,15 +48,16 @@ CollectionOutput decode_collection(const CollectionFiles& files);
 // encode_collection(output).total_size(), counted without writing a byte.
 size_t encoded_size(const CollectionOutput& output);
 
-// The deepest collection tree decode_collection accepts, counting the root
-// as level 1. Decoding recurses once per level, so the cap keeps a hostile
-// bytecode file from exhausting the stack.
+// The deepest collection tree decode_collection accepts and a Collector
+// builds, counting the root as level 1. Decoding, encoding, hashing,
+// freeing and reassembling a tree each recurse once per level, so the cap
+// keeps a hostile app or bytecode file from exhausting the stack. Every
+// in-memory tree comes from one of the two, so nothing else checks depth.
 inline constexpr size_t kMaxTreeDepth = 1024;
 
-// Throws the support::ParseError decode_collection throws when a tree of
-// `output` is nested deeper than kMaxTreeDepth levels. Walks the trees
-// without recursing, so any depth is safe to check.
-void check_tree_depth(const CollectionOutput& output);
+// The error both throw for a tree that would nest deeper than kMaxTreeDepth
+// levels: "collection tree nested deeper than 1024 levels".
+support::ParseError tree_too_deep();
 
 // Canonical byte form of one collection tree — the same encoding the
 // bytecode file uses per tree. This is the content the batch pipeline's

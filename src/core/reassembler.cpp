@@ -27,9 +27,12 @@ std::string sanitize(const std::string& s) {
   return out;
 }
 
-// One method-body emitter. Works on a flat item list: instructions carried
-// over from the tree (with their owning node for target resolution), guards,
-// synthetic gotos, the landing pad and switch payloads.
+// One method-body emitter. Linearizes the tree into a flat item list —
+// instructions carried over from the tree (with their owning node for
+// target resolution), guards, synthetic gotos and the landing pad — then
+// emits the list through a bc::MethodAssembler. Each item binds one label,
+// and every branch, guard, goto and switch target is a label, so the
+// assembler places the code and range-checks every offset.
 class TreeEmitter {
  public:
   TreeEmitter(dex::DexBuilder& builder, const MethodRecord& rec,
@@ -46,29 +49,26 @@ class TreeEmitter {
   size_t guards_used() const { return guards_used_; }
 
  private:
+  using Label = bc::MethodAssembler::Label;
   struct Item {
-    enum class Kind { kInsn, kGuard, kGoto, kPad, kPayload } kind;
-    const TreeNode* node = nullptr;  // kInsn: owning node
-    size_t il_index = 0;             // kInsn
-    uint32_t guard_field = 0;        // kGuard: field pool index (new file)
-    size_t guard_target = 0;         // kGuard: item index of child block start
-    // kGoto: original-pc target searched from `node`
-    uint16_t goto_pc = 0;
-    // kPayload: owning switch item index
-    size_t switch_item = 0;
-    size_t offset = 0;  // filled by layout
-    size_t width = 0;
+    enum class Kind { kInsn, kGuard, kGoto, kPad } kind;
+    const TreeNode* node = nullptr;   // kInsn: owning node; kGoto: resolves from
+    size_t il_index = 0;              // kInsn
+    uint32_t guard_field = 0;         // kGuard: field pool index (new file)
+    const TreeNode* child = nullptr;  // kGuard: the child block it enters
+    uint16_t goto_pc = 0;             // kGoto: original-pc target
+    Label label = 0;                  // bound where the item starts
+    size_t start = 0, end = 0;        // kInsn: where the assembler put it
   };
 
   void build_node(const TreeNode& node);
-  size_t item_width(const Item& item) const;
   // Resolves an original pc starting from `node` (self, ancestors, then
-  // descendants). Returns the item index or pad_item_.
-  size_t resolve(const TreeNode* node, uint16_t pc);
+  // descendants) to its item's label, or to the pad's.
+  Label resolve(const TreeNode* node, uint16_t pc);
   size_t find_in(const TreeNode* node, uint16_t pc) const;
   uint8_t guard_reg() const { return static_cast<uint8_t>(frame_registers_ - 1); }
-  uint32_t new_pool_index(const SymRef& ref);
-  void emit_insn_units(const Item& item, std::vector<uint16_t>& out);
+  uint16_t new_pool_index(const SymRef& ref);
+  void emit_insn(const Item& item, bc::MethodAssembler& as);
 
   dex::DexBuilder& builder_;
   const MethodRecord& rec_;
@@ -92,10 +92,7 @@ class TreeEmitter {
   }
   std::vector<InsnKey> insn_items_;
   std::map<const TreeNode*, size_t> child_block_start_;
-  std::vector<std::pair<const TreeNode*, size_t>> child_guard_items_;
-  std::map<const ILEntry*, size_t> payload_item_;
   size_t pad_item_ = SIZE_MAX;
-  bool pad_referenced_ = false;
   uint16_t frame_registers_ = 0;
 };
 
@@ -107,28 +104,21 @@ void TreeEmitter::build_node(const TreeNode& node) {
     // executes this node's version (paper Code 4 structure).
     for (const auto& child : node.children) {
       if (child->sm_start == entry.pc && !child->il.empty()) {
-        Item guard;
-        guard.kind = Item::Kind::kGuard;
-        guard.node = &node;
         std::string field_name =
             sanitize(rec_.key.class_descriptor + "_" + rec_.key.name) + "_" +
             std::to_string(guard_field_base_ + guards_used_);
-        guard.guard_field =
-            builder_.intern_field(kModificationClass, "I", field_name);
-        guard.guard_target = SIZE_MAX;  // patched once the child block exists
-        child_guard_items_.emplace_back(child.get(), items_.size());
-        items_.push_back(guard);
+        items_.push_back(
+            {.kind = Item::Kind::kGuard,
+             .guard_field =
+                 builder_.intern_field(kModificationClass, "I", field_name),
+             .child = child.get()});
         ++guards_used_;
         ++stats_.guards;
       }
     }
 
-    Item item;
-    item.kind = Item::Kind::kInsn;
-    item.node = &node;
-    item.il_index = i;
     insn_items_.push_back({&node, entry.pc, items_.size()});
-    items_.push_back(item);
+    items_.push_back({.kind = Item::Kind::kInsn, .node = &node, .il_index = i});
 
     // Explicit fallthrough: if the next recorded instruction of this node is
     // not the natural successor, synthesize a goto to it.
@@ -137,11 +127,8 @@ void TreeEmitter::build_node(const TreeNode& node) {
       uint16_t fall_pc = static_cast<uint16_t>(entry.pc + insn.width);
       bool natural = (i + 1 < node.il.size()) && node.il[i + 1].pc == fall_pc;
       if (!natural) {
-        Item go;
-        go.kind = Item::Kind::kGoto;
-        go.node = &node;
-        go.goto_pc = fall_pc;
-        items_.push_back(go);
+        items_.push_back(
+            {.kind = Item::Kind::kGoto, .node = &node, .goto_pc = fall_pc});
       }
     }
   }
@@ -154,27 +141,6 @@ void TreeEmitter::build_node(const TreeNode& node) {
   }
 }
 
-size_t TreeEmitter::item_width(const Item& item) const {
-  switch (item.kind) {
-    case Item::Kind::kInsn:
-      return item.node->il[item.il_index].units.size();
-    case Item::Kind::kGuard:
-      return 4;  // sget (2) + if-eqz (2)
-    case Item::Kind::kGoto:
-      return 2;
-    case Item::Kind::kPad:
-      // return-void (1), or const (1-2 units) + return (1).
-      return rec_.return_type == "V" ? 1 : 3;
-    case Item::Kind::kPayload: {
-      const Item& sw = items_[item.switch_item];
-      const ILEntry& entry = sw.node->il[sw.il_index];
-      return 4 + (entry.switch_payload ? entry.switch_payload->target_pcs.size()
-                                       : 0);
-    }
-  }
-  return 0;
-}
-
 size_t TreeEmitter::find_in(const TreeNode* node, uint16_t pc) const {
   // A node that recorded one pc twice resolves it to its last item.
   auto it = std::ranges::upper_bound(insn_items_, InsnKey{node, pc, SIZE_MAX},
@@ -184,12 +150,12 @@ size_t TreeEmitter::find_in(const TreeNode* node, uint16_t pc) const {
   return it->node == node && it->pc == pc ? it->item : SIZE_MAX;
 }
 
-size_t TreeEmitter::resolve(const TreeNode* node, uint16_t pc) {
+TreeEmitter::Label TreeEmitter::resolve(const TreeNode* node, uint16_t pc) {
   // Own IL, then ancestors (convergence), then descendants (code first
   // executed while a divergence layer was active).
   for (const TreeNode* n = node; n != nullptr; n = n->parent) {
     size_t found = find_in(n, pc);
-    if (found != SIZE_MAX) return found;
+    if (found != SIZE_MAX) return items_[found].label;
   }
   std::vector<const TreeNode*> queue;
   for (const auto& c : node->children) queue.push_back(c.get());
@@ -197,39 +163,44 @@ size_t TreeEmitter::resolve(const TreeNode* node, uint16_t pc) {
     const TreeNode* n = queue.back();
     queue.pop_back();
     size_t found = find_in(n, pc);
-    if (found != SIZE_MAX) return found;
+    if (found != SIZE_MAX) return items_[found].label;
     for (const auto& c : n->children) queue.push_back(c.get());
   }
-  pad_referenced_ = true;
   ++stats_.pad_edges;
-  return pad_item_;
+  return items_[pad_item_].label;
 }
 
-uint32_t TreeEmitter::new_pool_index(const SymRef& ref) {
+uint16_t TreeEmitter::new_pool_index(const SymRef& ref) {
+  uint32_t idx = 0;
   switch (ref.kind) {
     case bc::RefKind::kString:
-      return builder_.intern_string(ref.parts.at(0));
+      idx = builder_.intern_string(ref.parts.at(0));
+      break;
     case bc::RefKind::kType:
-      return builder_.intern_type(ref.parts.at(0));
+      idx = builder_.intern_type(ref.parts.at(0));
+      break;
     case bc::RefKind::kField:
-      return builder_.intern_field(ref.parts.at(0), ref.parts.at(1),
-                                   ref.parts.at(2));
+      idx = builder_.intern_field(ref.parts.at(0), ref.parts.at(1),
+                                  ref.parts.at(2));
+      break;
     case bc::RefKind::kMethod: {
       std::vector<std::string> params;
       for (size_t i = 3; i < ref.parts.size(); ++i) {
         if (!ref.parts[i].empty() && ref.parts[i][0] == '#') continue;  // marker
         params.push_back(ref.parts[i]);
       }
-      return builder_.intern_method(ref.parts.at(0), ref.parts.at(1),
-                                    ref.parts.at(2), params);
+      idx = builder_.intern_method(ref.parts.at(0), ref.parts.at(1),
+                                   ref.parts.at(2), params);
+      break;
     }
     case bc::RefKind::kNone:
-      return 0;
+      break;
   }
-  return 0;
+  if (idx > 0xffff) throw std::runtime_error("pool overflow in reassembly");
+  return static_cast<uint16_t>(idx);
 }
 
-void TreeEmitter::emit_insn_units(const Item& item, std::vector<uint16_t>& out) {
+void TreeEmitter::emit_insn(const Item& item, bc::MethodAssembler& as) {
   const ILEntry& entry = item.node->il[item.il_index];
   Insn insn = bc::decode_at(entry.units, 0);
 
@@ -240,102 +211,47 @@ void TreeEmitter::emit_insn_units(const Item& item, std::vector<uint16_t>& out) 
       const SymRef& target = rit->second;
       bool is_static =
           !target.parts.empty() && target.parts.back() == "#static";
-      Insn direct;
-      direct.op = is_static ? Op::kInvokeStatic : Op::kInvokeVirtual;
       // Method.invoke(methodObj, receiver, args...): drop the Method object;
-      // static targets also drop the receiver.
-      uint8_t skip = is_static ? 2 : 1;
-      uint8_t argc = insn.a > skip ? static_cast<uint8_t>(insn.a - skip) : 0;
-      direct.a = argc;
-      for (uint8_t i = 0; i < argc && i + skip < 4; ++i) {
-        direct.args[i] = insn.args[i + skip];
-      }
-      uint32_t idx = new_pool_index(target);
-      direct.idx = static_cast<uint16_t>(idx);
-      // Same 4-unit footprint as the original invoke.
-      bc::encode_to(direct, out);
+      // static targets also drop the receiver. Same 4-unit footprint as the
+      // original invoke.
+      size_t skip = std::min<size_t>(is_static ? 2 : 1, insn.a);
+      as.invoke(is_static ? Op::kInvokeStatic : Op::kInvokeVirtual,
+                new_pool_index(target),
+                std::vector<uint8_t>(insn.args.begin() + skip,
+                                     insn.args.begin() + insn.a));
       ++stats_.reflection_replaced;
       return;
     }
   }
 
-  // Copy the recorded units into the output, then patch them there.
-  size_t base = out.size();
-  out.insert(out.end(), entry.units.begin(), entry.units.end());
-  auto unit = [&](size_t i) -> uint16_t& {
-    if (i >= entry.units.size()) {
+  // Carry the recorded units over with the pool operand re-interned and
+  // the branch or switch targets retargeted to the new layout.
+  std::span<uint16_t> units = as.raw(entry.units);
+  if (entry.ref) {
+    size_t at = bc::pool_index_unit(insn.op);
+    if (at >= units.size()) {
       throw std::out_of_range("reassembled operand past its instruction");
     }
-    return out[base + i];
-  };
-  // Re-intern the pool operand.
-  if (entry.ref) {
-    uint32_t idx = new_pool_index(*entry.ref);
-    if (idx > 0xffff) throw std::runtime_error("pool overflow in reassembly");
-    size_t idx_unit;
-    switch (insn.op) {
-      case Op::kIget:
-      case Op::kIput:
-      case Op::kNewArray:
-      case Op::kInstanceOf:
-        idx_unit = 2;
-        break;
-      default:
-        idx_unit = 1;  // const-string, sget/sput, new-instance, invokes
-        break;
-    }
-    unit(idx_unit) = static_cast<uint16_t>(idx);
+    units[at] = new_pool_index(*entry.ref);
   }
-
-  // Retarget branches to the new layout.
-  auto rel_to = [&](size_t target_item) {
-    ptrdiff_t delta = static_cast<ptrdiff_t>(items_[target_item].offset) -
-                      static_cast<ptrdiff_t>(item.offset);
-    if (delta < INT16_MIN || delta > INT16_MAX) {
-      throw std::runtime_error("reassembled branch out of rel16 range");
-    }
-    return static_cast<uint16_t>(static_cast<int16_t>(delta));
-  };
-  if (insn.op == Op::kGoto) {
-    size_t t = resolve(item.node, static_cast<uint16_t>(entry.pc + insn.off));
-    unit(1) = rel_to(t);
-  } else if (bc::is_conditional_branch(insn.op)) {
-    size_t t = resolve(item.node, static_cast<uint16_t>(entry.pc + insn.off));
-    unit(bc::is_two_reg_if(insn.op) ? 2 : 1) = rel_to(t);
+  if (insn.op == Op::kGoto || bc::is_conditional_branch(insn.op)) {
+    as.raw_branch(
+        resolve(item.node, static_cast<uint16_t>(entry.pc + insn.off)));
   } else if (insn.op == Op::kPackedSwitch) {
-    unit(1) = rel_to(payload_item_.at(&entry));
+    const SwitchSnapshot& sw = entry.switch_payload.value();
+    std::vector<Label> targets;
+    targets.reserve(sw.target_pcs.size());
+    for (uint16_t pc : sw.target_pcs) targets.push_back(resolve(item.node, pc));
+    as.raw_switch(sw.first_key, std::move(targets));
   }
 }
 
 dex::CodeItem TreeEmitter::emit() {
   build_node(root_);
   std::ranges::sort(insn_items_, key_less);
-
-  // Patch guard targets now that child blocks are placed.
-  for (const auto& [child, guard_index] : child_guard_items_) {
-    auto it = child_block_start_.find(child);
-    items_[guard_index].guard_target =
-        it != child_block_start_.end() ? it->second : SIZE_MAX;
-  }
-
-  // Landing pad for never-executed edges, then switch payloads.
+  // Landing pad for never-executed edges.
   pad_item_ = items_.size();
-  {
-    Item pad;
-    pad.kind = Item::Kind::kPad;
-    items_.push_back(pad);
-  }
-  for (size_t i = 0; i < items_.size(); ++i) {
-    if (items_[i].kind != Item::Kind::kInsn) continue;
-    const ILEntry& entry = items_[i].node->il[items_[i].il_index];
-    if (entry.switch_payload) {
-      Item payload;
-      payload.kind = Item::Kind::kPayload;
-      payload.switch_item = i;
-      payload_item_[&entry] = items_.size();
-      items_.push_back(payload);
-    }
-  }
+  items_.push_back({.kind = Item::Kind::kPad});
 
   // Frame: one extra register for guards when any exist (also used by the
   // pad's constant for value-returning methods).
@@ -345,6 +261,8 @@ dex::CodeItem TreeEmitter::emit() {
       (needs_scratch ? 1 : 0));
   if (frame_registers_ == 0) frame_registers_ = 1;
   if (frame_registers_ > 255) throw std::runtime_error("frame overflow");
+  bc::MethodAssembler as(frame_registers_, rec_.ins_size);
+  for (Item& item : items_) item.label = as.make_label();
 
   // Growing the frame moves the incoming arguments up (the interpreter banks
   // ins at the top of the frame), while the carried-over code still addresses
@@ -352,113 +270,59 @@ dex::CodeItem TreeEmitter::emit() {
   // back where the original code expects it. Latent until the fuzzer made
   // control flow depend on an argument register (replay file
   // tests/data/fuzz/bytecode-arg-shift-fixed.lfz).
-  std::vector<uint16_t> prologue;
-  {
-    uint16_t old_base = static_cast<uint16_t>(
-        std::max<uint16_t>(rec_.registers_size, rec_.ins_size) - rec_.ins_size);
-    uint16_t new_base =
-        static_cast<uint16_t>(frame_registers_ - rec_.ins_size);
-    // Increasing order is overlap-safe: each move reads above every register
-    // written so far.
-    for (uint16_t i = 0; new_base != old_base && i < rec_.ins_size; ++i) {
-      Insn mv{.op = Op::kMove, .a = static_cast<uint8_t>(old_base + i),
-              .b = static_cast<uint8_t>(new_base + i)};
-      bc::encode_to(mv, prologue);
-    }
+  uint16_t old_base = static_cast<uint16_t>(
+      std::max<uint16_t>(rec_.registers_size, rec_.ins_size) - rec_.ins_size);
+  uint16_t new_base = static_cast<uint16_t>(frame_registers_ - rec_.ins_size);
+  // Increasing order is overlap-safe: each move reads above every register
+  // written so far.
+  for (uint16_t i = 0; new_base != old_base && i < rec_.ins_size; ++i) {
+    as.move(static_cast<uint8_t>(old_base + i),
+            static_cast<uint8_t>(new_base + i));
   }
 
-  // Layout pass. Offsets start past the prologue; every control transfer is
-  // a difference of item offsets, so the uniform shift cancels.
-  size_t offset = prologue.size();
+  // Only carried-over instructions start a line entry, at their original
+  // line.
+  const dex::LineTable line_of(options_.keep_debug_info
+                                   ? std::span<const dex::LineEntry>(rec_.lines)
+                                   : std::span<const dex::LineEntry>());
   for (Item& item : items_) {
-    item.offset = offset;
-    item.width = item_width(item);
-    offset += item.width;
-  }
-
-  // Emission pass.
-  std::vector<uint16_t> code;
-  code.reserve(offset);
-  code.insert(code.end(), prologue.begin(), prologue.end());
-  for (const Item& item : items_) {
+    as.bind(item.label);
     switch (item.kind) {
       case Item::Kind::kInsn:
-        emit_insn_units(item, code);
+        as.line(line_of.at(item.node->il[item.il_index].pc));
+        item.start = as.current_pc();
+        emit_insn(item, as);
+        item.end = as.current_pc();
         break;
-      case Item::Kind::kGuard: {
-        Insn sget{.op = Op::kSget, .a = guard_reg(),
-                  .idx = static_cast<uint16_t>(item.guard_field)};
-        bc::encode_to(sget, code);
-        size_t target =
-            item.guard_target == SIZE_MAX ? pad_item_ : item.guard_target;
-        ptrdiff_t delta = static_cast<ptrdiff_t>(items_[target].offset) -
-                          static_cast<ptrdiff_t>(item.offset + 2);
-        Insn ifz{.op = Op::kIfEqz, .a = guard_reg(),
-                 .off = static_cast<int32_t>(delta)};
-        bc::encode_to(ifz, code);
+      case Item::Kind::kGuard:
+        as.line(0);
+        as.sget(guard_reg(), static_cast<uint16_t>(item.guard_field));
+        as.if_testz(Op::kIfEqz, guard_reg(),
+                    items_[child_block_start_.at(item.child)].label);
         break;
-      }
-      case Item::Kind::kGoto: {
-        size_t t = resolve(item.node, item.goto_pc);
-        ptrdiff_t delta = static_cast<ptrdiff_t>(items_[t].offset) -
-                          static_cast<ptrdiff_t>(item.offset);
-        Insn go{.op = Op::kGoto, .off = static_cast<int32_t>(delta)};
-        bc::encode_to(go, code);
+      case Item::Kind::kGoto:
+        as.line(0);
+        as.goto_(resolve(item.node, item.goto_pc));
         break;
-      }
-      case Item::Kind::kPad: {
+      case Item::Kind::kPad:
+        as.line(0);
         if (rec_.return_type == "V") {
-          bc::encode_to({.op = Op::kReturnVoid}, code);
+          as.return_void();
         } else if (rec_.return_type == "I" || rec_.return_type == "J" ||
                    rec_.return_type == "Z") {
-          bc::encode_to({.op = Op::kConst16, .a = guard_reg(), .lit = 0}, code);
-          bc::encode_to({.op = Op::kReturn, .a = guard_reg()}, code);
+          as.const16(guard_reg(), 0);
+          as.return_value(guard_reg());
         } else {
-          bc::encode_to({.op = Op::kConstNull, .a = guard_reg()}, code);
-          // const-null is 1 unit; keep the 3-unit width with a nop.
-          bc::encode_to({.op = Op::kNop}, code);
-          bc::encode_to({.op = Op::kReturn, .a = guard_reg()}, code);
+          as.const_null(guard_reg());
+          as.nop();  // keeps the pad 3 units wide, as in every revealed file
+          as.return_value(guard_reg());
         }
         break;
-      }
-      case Item::Kind::kPayload: {
-        const Item& sw = items_[item.switch_item];
-        const ILEntry& entry = sw.node->il[sw.il_index];
-        code.push_back(static_cast<uint16_t>(Op::kPayload));
-        code.push_back(
-            static_cast<uint16_t>(entry.switch_payload->target_pcs.size()));
-        code.push_back(static_cast<uint16_t>(entry.switch_payload->first_key &
-                                             0xffff));
-        code.push_back(static_cast<uint16_t>(
-            (entry.switch_payload->first_key >> 16) & 0xffff));
-        for (uint16_t orig_target : entry.switch_payload->target_pcs) {
-          size_t t = resolve(sw.node, orig_target);
-          ptrdiff_t delta = static_cast<ptrdiff_t>(items_[t].offset) -
-                            static_cast<ptrdiff_t>(sw.offset);
-          code.push_back(static_cast<uint16_t>(static_cast<int16_t>(delta)));
-        }
-        break;
-      }
     }
   }
-
-  dex::CodeItem out;
-  out.registers_size = frame_registers_;
-  out.ins_size = rec_.ins_size;
-  out.insns = std::move(code);
+  dex::CodeItem out = as.finish();
 
   if (options_.keep_debug_info) {
-    // Lines: map each emitted root-context instruction to its original line.
-    const dex::LineTable line_of(rec_.lines);
-    uint32_t last = 0;
-    for (const Item& item : items_) {
-      if (item.kind != Item::Kind::kInsn) continue;
-      uint32_t line = line_of.at(item.node->il[item.il_index].pc);
-      if (line != 0 && line != last) {
-        out.lines.push_back({static_cast<uint16_t>(item.offset), line});
-        last = line;
-      }
-    }
     // Tries: cover the emitted span of each original range when its handler
     // was executed; never-executed handlers vanish with the dead code.
     for (const dex::TryItem& t : rec_.tries) {
@@ -469,16 +333,15 @@ dex::CodeItem TreeEmitter::emit() {
         if (item.kind != Item::Kind::kInsn || item.node != &root_) continue;
         uint16_t pc = item.node->il[item.il_index].pc;
         if (pc >= t.start_pc && pc < t.end_pc) {
-          lo = std::min(lo, item.offset);
-          hi = std::max(hi, item.offset + item.width);
+          lo = std::min(lo, item.start);
+          hi = std::max(hi, item.end);
         }
       }
-      if (lo < hi && lo != SIZE_MAX) {
-        dex::TryItem nt;
-        nt.start_pc = static_cast<uint16_t>(lo);
-        nt.end_pc = static_cast<uint16_t>(hi);
-        nt.handler_pc = static_cast<uint16_t>(items_[handler].offset);
-        out.tries.push_back(nt);
+      if (lo < hi) {
+        out.tries.push_back({.start_pc = static_cast<uint16_t>(lo),
+                             .end_pc = static_cast<uint16_t>(hi),
+                             .handler_pc =
+                                 static_cast<uint16_t>(items_[handler].start)});
       }
     }
   }
@@ -493,60 +356,36 @@ dex::CodeItem TreeEmitter::emit() {
 namespace {
 
 // Builds the guarded dispatcher body used when a method has several unique
-// instruction arrays ("Merging Instruction Arrays", paper IV-B).
-dex::CodeItem build_dispatcher(dex::DexBuilder& builder, const MethodRecord& rec,
+// instruction arrays ("Merging Instruction Arrays", paper IV-B): selector
+// guards pick one variant call block, the last one the fallthrough's.
+dex::CodeItem build_dispatcher(const MethodRecord& rec,
                                const std::vector<uint32_t>& variant_refs,
                                const std::vector<uint32_t>& selector_fields) {
   uint16_t ins = rec.ins_size;
-  uint16_t registers = static_cast<uint16_t>(ins + 1);  // v0 = scratch
-  std::vector<uint16_t> code;
-  std::vector<uint8_t> arg_regs;
-  for (uint16_t i = 0; i < ins; ++i) {
-    arg_regs.push_back(static_cast<uint8_t>(registers - ins + i));
-  }
-  bool is_static = (rec.access_flags & dex::kAccStatic) != 0;
-  Op invoke_op = is_static ? Op::kInvokeStatic : Op::kInvokeVirtual;
+  bc::MethodAssembler as(static_cast<uint16_t>(ins + 1), ins);  // v0 = scratch
+  std::vector<uint8_t> args;
+  for (uint16_t i = 0; i < ins; ++i) args.push_back(static_cast<uint8_t>(1 + i));
+  Op invoke_op = (rec.access_flags & dex::kAccStatic) != 0 ? Op::kInvokeStatic
+                                                           : Op::kInvokeVirtual;
 
-  // Per-variant call block width: invoke (4) + [move-result (1)] + return (1).
-  size_t block_width = 4 + (rec.return_type == "V" ? 1 : 2);
-  size_t header_width = 4 * (variant_refs.size() - 1) + 2;  // guards + goto
-
-  size_t k = 0;
-  for (; k + 1 < variant_refs.size(); ++k) {
-    Insn sget{.op = Op::kSget, .a = 0,
-              .idx = static_cast<uint16_t>(selector_fields[k])};
-    bc::encode_to(sget, code);
-    size_t here = code.size();  // offset of the if-eqz
-    ptrdiff_t target = static_cast<ptrdiff_t>(header_width + k * block_width);
-    Insn ifz{.op = Op::kIfEqz, .a = 0,
-             .off = static_cast<int32_t>(target - static_cast<ptrdiff_t>(here))};
-    bc::encode_to(ifz, code);
+  std::vector<bc::MethodAssembler::Label> calls;
+  for (size_t v = 0; v < variant_refs.size(); ++v) calls.push_back(as.make_label());
+  for (size_t k = 0; k + 1 < variant_refs.size(); ++k) {
+    as.sget(0, static_cast<uint16_t>(selector_fields[k]));
+    as.if_testz(Op::kIfEqz, 0, calls[k]);
   }
-  {
-    size_t here = code.size();
-    ptrdiff_t target = static_cast<ptrdiff_t>(header_width + k * block_width);
-    Insn go{.op = Op::kGoto,
-            .off = static_cast<int32_t>(target - static_cast<ptrdiff_t>(here))};
-    bc::encode_to(go, code);
-  }
+  as.goto_(calls.back());
   for (size_t v = 0; v < variant_refs.size(); ++v) {
-    Insn invoke{.op = invoke_op, .a = static_cast<uint8_t>(arg_regs.size()),
-                .idx = static_cast<uint16_t>(variant_refs[v])};
-    for (size_t i = 0; i < arg_regs.size(); ++i) invoke.args[i] = arg_regs[i];
-    bc::encode_to(invoke, code);
+    as.bind(calls[v]);
+    as.invoke(invoke_op, static_cast<uint16_t>(variant_refs[v]), args);
     if (rec.return_type == "V") {
-      bc::encode_to({.op = Op::kReturnVoid}, code);
+      as.return_void();
     } else {
-      bc::encode_to({.op = Op::kMoveResult, .a = 0}, code);
-      bc::encode_to({.op = Op::kReturn, .a = 0}, code);
+      as.move_result(0);
+      as.return_value(0);
     }
   }
-  (void)builder;
-  dex::CodeItem item;
-  item.registers_size = registers;
-  item.ins_size = ins;
-  item.insns = std::move(code);
-  return item;
+  return as.finish();
 }
 
 dex::EncodedValue encode_static_value(dex::DexBuilder& builder,
@@ -614,6 +453,18 @@ ReassembleResult reassemble(const CollectionOutput& input,
       bool is_direct = (rec->access_flags &
                         (dex::kAccStatic | dex::kAccPrivate | dex::kAccConstructor)) != 0 ||
                        rec->key.name == "<init>" || rec->key.name == "<clinit>";
+      // Adds `code` as method `name` of rec's proto, among the direct or the
+      // virtual methods as rec belongs.
+      auto add_method = [&](const std::string& name, dex::CodeItem code,
+                            uint32_t access_flags) {
+        return is_direct
+                   ? builder.add_direct_method(name, rec->return_type,
+                                               rec->param_types,
+                                               std::move(code), access_flags)
+                   : builder.add_virtual_method(name, rec->return_type,
+                                                rec->param_types,
+                                                std::move(code), access_flags);
+      };
       if (rec->is_native) {
         builder.add_native_method(rec->key.name, rec->return_type,
                                   rec->param_types, rec->access_flags);
@@ -634,15 +485,7 @@ ReassembleResult reassemble(const CollectionOutput& input,
           as.const_null(0);
           as.return_value(0);
         }
-        if (is_direct) {
-          builder.add_direct_method(rec->key.name, rec->return_type,
-                                    rec->param_types, as.finish(),
-                                    rec->access_flags);
-        } else {
-          builder.add_virtual_method(rec->key.name, rec->return_type,
-                                     rec->param_types, as.finish(),
-                                     rec->access_flags);
-        }
+        add_method(rec->key.name, as.finish(), rec->access_flags);
         continue;
       }
 
@@ -653,18 +496,8 @@ ReassembleResult reassemble(const CollectionOutput& input,
         bodies.push_back(emitter.emit());
         guard_counter += emitter.guards_used();
       }
-      // Track Modification fields created by the emitters (they intern them;
-      // collect for the instrument class definition below).
       if (bodies.size() == 1) {
-        if (is_direct) {
-          builder.add_direct_method(rec->key.name, rec->return_type,
-                                    rec->param_types, std::move(bodies[0]),
-                                    rec->access_flags);
-        } else {
-          builder.add_virtual_method(rec->key.name, rec->return_type,
-                                     rec->param_types, std::move(bodies[0]),
-                                     rec->access_flags);
-        }
+        add_method(rec->key.name, std::move(bodies[0]), rec->access_flags);
         continue;
       }
 
@@ -677,19 +510,9 @@ ReassembleResult reassemble(const CollectionOutput& input,
           vname = rec->key.name + "$v" + std::to_string(ordinal);
           if (taken_names.insert(vname).second) break;
         }
-        uint32_t mref;
-        uint32_t vflags = (rec->access_flags & ~dex::kAccConstructor) |
-                          dex::kAccSynthetic;
-        if (is_direct) {
-          mref = builder.add_direct_method(vname, rec->return_type,
-                                           rec->param_types, std::move(bodies[v]),
-                                           vflags);
-        } else {
-          mref = builder.add_virtual_method(vname, rec->return_type,
-                                            rec->param_types, std::move(bodies[v]),
-                                            vflags);
-        }
-        variant_refs.push_back(mref);
+        variant_refs.push_back(add_method(
+            vname, std::move(bodies[v]),
+            (rec->access_flags & ~dex::kAccConstructor) | dex::kAccSynthetic));
         ++stats.variants;
         if (v + 1 < bodies.size()) {
           std::string fname =
@@ -699,17 +522,9 @@ ReassembleResult reassemble(const CollectionOutput& input,
               builder.intern_field(kModificationClass, "I", fname));
         }
       }
-      dex::CodeItem dispatcher =
-          build_dispatcher(builder, *rec, variant_refs, selector_fields);
-      if (is_direct) {
-        builder.add_direct_method(rec->key.name, rec->return_type,
-                                  rec->param_types, std::move(dispatcher),
-                                  rec->access_flags);
-      } else {
-        builder.add_virtual_method(rec->key.name, rec->return_type,
-                                   rec->param_types, std::move(dispatcher),
-                                   rec->access_flags);
-      }
+      add_method(rec->key.name,
+                 build_dispatcher(*rec, variant_refs, selector_fields),
+                 rec->access_flags);
     }
   };
 

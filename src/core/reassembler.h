@@ -15,6 +15,14 @@
 //    rewritten into direct invoke instructions (paper Section IV-D).
 //  * Pool indices are re-interned from the symbolic refs, merging every
 //    dynamically loaded image into the one output DEX.
+//
+// Every body — linearized tree, dispatcher or stub — is laid out by
+// bc::MethodAssembler. Carried-over instructions, guards, synthetic gotos
+// and the landing pad each bind a label, and every branch, guard, goto and
+// switch target is one, so the assembler places the code and range-checks
+// every offset: a target beyond rel16 reach throws std::logic_error
+// ("branch offset out of rel16 range") instead of being truncated, as does
+// a dispatcher that would pass more than four argument registers.
 #pragma once
 
 #include <cstdint>

@@ -64,6 +64,20 @@ TEST(Decode, NegativeLiterals) {
   EXPECT_EQ(decode_at(lit8, 0).lit, -7);
 }
 
+TEST(Encode, PoolIndexUnitHoldsTheIndex) {
+  size_t checked = 0;
+  for (uint8_t raw = 0; raw <= static_cast<uint8_t>(Op::kMaxOp); ++raw) {
+    Op op = static_cast<Op>(raw);
+    if (!valid_op(raw) || op_info(op).ref == RefKind::kNone) continue;
+    SCOPED_TRACE(std::string(op_info(op).name));
+    std::vector<uint16_t> code = encode({.op = op, .idx = 0xBEEF});
+    ASSERT_LT(pool_index_unit(op), code.size());
+    EXPECT_EQ(code[pool_index_unit(op)], 0xBEEF);
+    ++checked;
+  }
+  EXPECT_GE(checked, 10u);
+}
+
 // Property: encode(decode(x)) == x over all structured instructions.
 TEST(Decode, EncodeDecodeRoundTripRandomized) {
   support::Rng rng(1234);
@@ -278,6 +292,49 @@ TEST(Assembler, LineTable) {
   EXPECT_EQ(code.lines[0].line, 10u);
   EXPECT_EQ(code.lines[1].line, 11u);
   EXPECT_EQ(code.lines[2].line, 12u);
+}
+
+TEST(Assembler, RawInstructionsTakeLabels) {
+  // Carried-over units keep everything but their targets, which become
+  // labels: the stale offsets 0x7777 are overwritten.
+  dex::DexFile f = std::move(sample_builder()).build();
+  MethodAssembler as(2, 1);
+  auto done = as.make_label();
+  auto other = as.make_label();
+  as.raw(encode({.op = Op::kPackedSwitch, .a = 1, .off = 0x7777}));
+  as.raw_switch(3, {other, done});
+  as.raw(encode({.op = Op::kIfNe, .a = 1, .b = 1, .off = 0x7777}));
+  as.raw_branch(other);
+  std::span<uint16_t> units = as.raw(encode({.op = Op::kConst16, .a = 0}));
+  units[1] = 42;  // patched in place
+  EXPECT_THROW(as.raw_branch(done), std::logic_error);  // const/16 has no target
+  as.bind(other);
+  as.raw(encode({.op = Op::kGoto, .off = 0x7777}));
+  as.raw_branch(done);
+  as.bind(done);
+  as.return_void();
+  dex::CodeItem code = as.finish();
+  EXPECT_EQ(code.insns, (std::vector<uint16_t>{
+                            0x0134, 10,            // packed-switch v1, +10
+                            0x010e, 1, 5,          // if-ne v1, v1, +5
+                            0x0002, 42,            // const/16 v0, 42
+                            0x000c, 2,             // goto +2
+                            0x0009,                // return-void
+                            0x0036, 2, 3, 0, 7, 9  // payload: +7, +9
+                        }));
+  auto result = verify_code(f, code, "raw");
+  EXPECT_TRUE(result.ok()) << result.message();
+}
+
+TEST(Assembler, RawBranchOutOfRangeThrows) {
+  MethodAssembler as(1, 0);
+  auto far = as.make_label();
+  as.raw(encode({.op = Op::kGoto}));
+  as.raw_branch(far);
+  for (int i = 0; i < 40000; ++i) as.nop();
+  as.bind(far);
+  as.return_void();
+  EXPECT_THROW(as.finish(), std::logic_error);
 }
 
 TEST(Assembler, InvokeTooManyArgsThrows) {

@@ -888,14 +888,6 @@ TEST(CollectionFiles, TreeAtTheDepthCapDecodes) {
   EXPECT_EQ(depth, kMaxTreeDepth);
   files.bytecode = nested_tree_bytecode(kMaxTreeDepth + 1);
   EXPECT_THROW(decode_collection(files), support::ParseError);
-
-  // The in-memory step takes what the files take and refuses the rest.
-  EXPECT_NO_THROW(DexLego::reassemble_dex(back));
-  TreeNode* deepest = back.methods.at(key).trees.at(0).get();
-  while (!deepest->children.empty()) deepest = deepest->children[0].get();
-  deepest->children.push_back(std::make_unique<TreeNode>());
-  deepest->children.back()->parent = deepest;
-  EXPECT_THROW(DexLego::reassemble_dex(back), support::ParseError);
 }
 
 TEST(CollectionFiles, DuplicateDescriptorsAndStaticNamesAttach) {
@@ -1378,6 +1370,119 @@ TEST(DexLego, ExecutedCatchHandlerPreserved) {
   auto runtime = run_revealed(result.revealed_apk);
   ASSERT_EQ(runtime->sink_events().size(), 1u);
   EXPECT_EQ(runtime->sink_events()[0].detail, "caught");
+}
+
+// --- reassembler layout, checked unit for unit ---
+
+// Appends `insn`, collected at `pc`, to `node`.
+ILEntry& add_entry(TreeNode& node, uint16_t pc, const bc::Insn& insn) {
+  node.iim.emplace(pc, node.il.size());
+  ILEntry& entry = node.il.emplace_back();
+  entry.pc = pc;
+  entry.units = bc::encode(insn);
+  return entry;
+}
+
+TEST(Reassembler, LayoutIsPinned) {
+  // Lx/Pin;->run(I)Ljava/lang/String;, static, 3 registers with the argument
+  // in v2, as collected:
+  //    0 const/16 v0, 1                    line 10
+  //    2 packed-switch v0, {0: 6, 1: 8}    line 11; case 0 never ran
+  //    8 const-string v1, "one"            line 12, inside try [8, 12)
+  //   10 if-eqz v2, 16                     always taken: 12 never ran
+  //   16 const/16 v0, 5                    line 13; a layer rewrote it to
+  //                                        const/16 v0, 6, converging at 18
+  //   18 return v1                         the try's handler
+  // The value return and the guard grow the frame to 4 registers, so a
+  // prologue moves the argument back to v2. The switch's default, case 0
+  // and the if-eqz fallthrough lead to the pad; the child block ends in a
+  // goto back to pc 18.
+  CollectionOutput out;
+  MethodKey key{"Lx/Pin;", "run", "(I)Ljava/lang/String;"};
+  MethodRecord& rec = out.methods[key];
+  rec.key = key;
+  rec.access_flags = dex::kAccPublic | dex::kAccStatic;
+  rec.registers_size = 3;
+  rec.ins_size = 1;
+  rec.return_type = "Ljava/lang/String;";
+  rec.param_types = {"I"};
+  rec.tries = {{.start_pc = 8, .end_pc = 12, .handler_pc = 18}};
+  rec.lines = {{0, 10}, {2, 11}, {8, 12}, {16, 13}};
+
+  auto root = std::make_unique<TreeNode>();
+  add_entry(*root, 0, {.op = Op::kConst16, .a = 0, .lit = 1});
+  add_entry(*root, 2, {.op = Op::kPackedSwitch, .a = 0, .off = 28})
+      .switch_payload = SwitchSnapshot{0, {6, 8}};
+  add_entry(*root, 8, {.op = Op::kConstString, .a = 1, .idx = 7}).ref =
+      SymRef{bc::RefKind::kString, {"one"}};
+  add_entry(*root, 10, {.op = Op::kIfEqz, .a = 2, .off = 6});
+  add_entry(*root, 16, {.op = Op::kConst16, .a = 0, .lit = 5});
+  add_entry(*root, 18, {.op = Op::kReturn, .a = 1});
+  auto child = std::make_unique<TreeNode>();
+  child->parent = root.get();
+  child->sm_start = 16;
+  child->sm_end = 18;
+  add_entry(*child, 16, {.op = Op::kConst16, .a = 0, .lit = 6});
+  root->children.push_back(std::move(child));
+  rec.trees.push_back(std::move(root));
+
+  ReassembleResult result = reassemble(out);
+  const dex::ClassDef* cls = result.file.find_class("Lx/Pin;");
+  ASSERT_NE(cls, nullptr);
+  ASSERT_EQ(cls->direct_methods.size(), 1u);
+  const dex::CodeItem& code = *cls->direct_methods[0].code;
+  EXPECT_EQ(code.registers_size, 4);
+  EXPECT_EQ(code.ins_size, 1);
+  EXPECT_EQ(code.insns, (std::vector<uint16_t>{
+                            513, 3,            //  0 move v2, v3
+                            2, 1,              //  2 const/16 v0, 1
+                            52, 24,            //  4 packed-switch v0, +24
+                            12, 19,            //  6 goto +19 (pad)
+                            261, 6,            //  8 const-string v1, string 6
+                            531, 8,            // 10 if-eqz v2, +8
+                            12, 13,            // 12 goto +13 (pad)
+                            815, 0,            // 14 sget v3, field 0
+                            787, 5,            // 16 if-eqz v3, +5 (child)
+                            2, 5,              // 18 const/16 v0, 5
+                            266,               // 20 return v1
+                            2, 6,              // 21 const/16 v0, 6
+                            12, 65533,         // 23 goto -3
+                            774, 0, 778,       // 25 pad
+                            54, 2, 0, 0, 21, 4  // 28 payload: pad, pc 8
+                        }));
+  ASSERT_EQ(code.tries.size(), 1u);
+  EXPECT_EQ(code.tries[0].start_pc, 8);
+  EXPECT_EQ(code.tries[0].end_pc, 12);
+  EXPECT_EQ(code.tries[0].handler_pc, 20);
+  std::vector<std::pair<uint16_t, uint32_t>> lines;
+  for (const dex::LineEntry& e : code.lines) lines.emplace_back(e.pc, e.line);
+  EXPECT_EQ(lines, (std::vector<std::pair<uint16_t, uint32_t>>{
+                       {2, 10}, {4, 11}, {8, 12}, {18, 13}}));
+  EXPECT_EQ(result.stats.guards, 1u);
+  EXPECT_EQ(result.stats.pad_edges, 3u);
+  dex::VerifyResult verify = bc::verify_dex(result.file);
+  EXPECT_TRUE(verify.ok()) << verify.message();
+}
+
+TEST(Reassembler, DispatcherRefusesMoreThanFourArgumentRegisters) {
+  // Two unique trees put a dispatcher in front of two variants; it passes
+  // every argument register on, and an invoke holds at most four.
+  CollectionOutput out;
+  MethodKey key{"Lx/Wide;", "go", "(IIII)V"};
+  MethodRecord& rec = out.methods[key];
+  rec.key = key;
+  rec.access_flags = dex::kAccPublic;  // `this` and four ints: 5 ins
+  rec.registers_size = 5;
+  rec.ins_size = 5;
+  rec.return_type = "V";
+  rec.param_types = {"I", "I", "I", "I"};
+  for (int64_t value : {1, 2}) {
+    auto tree = std::make_unique<TreeNode>();
+    add_entry(*tree, 0, {.op = Op::kConst16, .a = 0, .lit = value});
+    add_entry(*tree, 2, {.op = Op::kReturnVoid});
+    rec.trees.push_back(std::move(tree));
+  }
+  EXPECT_THROW(reassemble(out), std::logic_error);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -602,22 +603,65 @@ pipeline::BatchJob nesting_loop_job(size_t passes) {
 }
 
 TEST(BatchPipeline, TreeNestedPastTheFileCapFailsLikeReveal) {
-  // The files cap tree depth at kMaxTreeDepth; the job path, which never
-  // decodes them, must refuse the same trees rather than reveal an app
-  // DexLego::reveal cannot.
-  for (size_t passes : {size_t{8}, core::kMaxTreeDepth + 8}) {
+  // The collector stops at the files' depth cap: a tree of kMaxTreeDepth
+  // levels reveals both ways, and one pass more fails both ways with the
+  // decoder's error. 300,000 passes nest deep enough that walking the tree
+  // recursively would exhaust the stack.
+  for (size_t passes : {size_t{8}, core::kMaxTreeDepth,
+                        core::kMaxTreeDepth + 1, size_t{300000}}) {
     SCOPED_TRACE("passes=" + std::to_string(passes));
     pipeline::BatchJob job = nesting_loop_job(passes);
     pipeline::DedupStore store;
     pipeline::JobResult result = pipeline::run_job(job, store);
-    if (passes < core::kMaxTreeDepth) {
+    if (passes <= core::kMaxTreeDepth) {
       ASSERT_TRUE(result.ok) << result.error;
       EXPECT_EQ(result.dex, reveal_through_files(job).revealed_apk.classes());
       continue;
     }
     EXPECT_FALSE(result.ok);
     EXPECT_EQ(result.error, "collection tree nested deeper than 1024 levels");
-    EXPECT_THROW(reveal_through_files(job), support::ParseError);
+    try {
+      reveal_through_files(job);
+      ADD_FAILURE() << "reveal took a tree past the cap";
+    } catch (const support::ParseError& e) {
+      EXPECT_STREQ(e.what(), "collection tree nested deeper than 1024 levels");
+    }
+  }
+}
+
+TEST(BatchPipeline, PadBeyondRel16FailsTheJob) {
+  // onCreate's if-eqz always jumps over a nop into 33,000 executed nops, so
+  // the goto that stands in for its never-taken fallthrough must reach the
+  // landing pad after them, more than 32,767 units away. The assembler
+  // refuses that offset instead of truncating it to 16 bits.
+  dex::DexBuilder b;
+  b.start_class("Lapp/Far;", "Landroid/app/Activity;");
+  bc::MethodAssembler as(2, 1);
+  auto far = as.make_label();
+  as.const16(0, 0);
+  as.if_testz(bc::Op::kIfEqz, 0, far);
+  as.nop();  // never executed
+  as.bind(far);
+  for (int i = 0; i < 33000; ++i) as.nop();
+  as.return_void();
+  b.add_virtual_method("onCreate", "V", {}, as.finish());
+  dex::Manifest manifest;
+  manifest.package = "app.far";
+  manifest.entry_class = "Lapp/Far;";
+  pipeline::BatchJob job;
+  job.name = "far-pad";
+  job.apk.set_manifest(manifest);
+  job.apk.set_classes(dex::write_dex(std::move(b).build()));
+
+  pipeline::DedupStore store;
+  pipeline::JobResult result = pipeline::run_job(job, store);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error, "branch offset out of rel16 range");
+  try {
+    reveal_through_files(job);
+    ADD_FAILURE() << "reveal wrote a truncated branch offset";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "branch offset out of rel16 range");
   }
 }
 
