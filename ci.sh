@@ -75,6 +75,18 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # (cd instead of --test-dir: the latter needs CTest >= 3.20, we claim 3.16.)
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS")
 
+# --- Release -Werror build -------------------------------------------------
+# perfbench builds the library in Release (-O3), where GCC reports warnings
+# the RelWithDebInfo (-O2) build above does not (GCC 12's -Wrestrict false
+# positive on a short literal + std::to_string once inlined), so the library
+# alone is built once more in Release with -Werror.
+release_dir="${BUILD_DIR}-release"
+cmake -B "$release_dir" -S . -DCMAKE_BUILD_TYPE=Release -DDEXLEGO_WERROR=ON \
+  -DDEXLEGO_BUILD_TESTS=OFF -DDEXLEGO_BUILD_BENCHES=OFF \
+  -DDEXLEGO_BUILD_EXAMPLES=OFF
+cmake --build "$release_dir" -j "$JOBS" --target dexlego
+echo "Release -Werror build passed"
+
 # --- clang-tidy gate -------------------------------------------------------
 # bugprone-*/performance-*/concurrency-* (config in .clang-tidy, warnings
 # are errors) over the taint subsystem, using the compile commands the
@@ -275,8 +287,22 @@ echo "service bench passed ($service_lines phases)"
 # A time-boxed fixed-seed differential-fuzzing campaign (docs/FUZZING.md).
 # Exit 1 means an unminimized divergence or crash survived to HEAD: the
 # campaign prints the finding's seed/ops so it can be triaged into
-# tests/data/fuzz/. ~30 s on one core; fully deterministic.
-"$BUILD_DIR"/examples/dexlego_fuzz --seed 1 --iters 250 --quiet
+# tests/data/fuzz/. The campaign is fully deterministic, so its report
+# fingerprint is pinned too: a change that moves any oracle verdict fails
+# here. After a deliberate verdict change, refresh the pin from the
+# "report_fingerprint" this prints. ~30 s on one core.
+fuzz_report_pin="568c349ff89b9add"
+fuzz_smoke() {  # $1: the dexlego_fuzz binary
+  local fuzz_out
+  fuzz_out="$(mktemp)"
+  "$1" --seed 1 --iters 250 --json | tee "$fuzz_out"
+  if ! grep -q "\"report_fingerprint\":\"$fuzz_report_pin\"" "$fuzz_out"; then
+    echo "fuzz smoke: report fingerprint is not $fuzz_report_pin" >&2
+    exit 1
+  fi
+  rm -f "$fuzz_out"
+}
+fuzz_smoke "$BUILD_DIR"/examples/dexlego_fuzz
 
 # --- ThreadSanitizer pass --------------------------------------------------
 # Rebuilds the concurrency-bearing suites (pipeline_test: the job-cursor
@@ -316,7 +342,7 @@ rm -rf "$tsan_probe"
 
 # --- AddressSanitizer + UndefinedBehaviorSanitizer pass --------------------
 # Rebuilds every suite and dexlego_fuzz with ASan and UBSan (undefined
-# behaviour is fatal, not just reported) and runs them, then a fixed-seed
+# behaviour is fatal, not just reported) and runs them, then the pinned
 # fuzz smoke. The three hostile-input parsers (LDEX, real DEX, the service's
 # store logs) and an interpreter running self-modifying code are where a
 # silent out-of-bounds write would hide. _GLIBCXX_ASSERTIONS makes an
@@ -340,7 +366,7 @@ if c++ $asan_flags -o "$asan_probe/probe" "$asan_probe/probe.cpp" \
     -DDEXLEGO_BUILD_BENCHES=OFF
   cmake --build "$ASAN_DIR" -j "$JOBS"
   (cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS")
-  "$ASAN_DIR"/examples/dexlego_fuzz --seed 1 --iters 250 --quiet
+  fuzz_smoke "$ASAN_DIR"/examples/dexlego_fuzz
   echo "ASan+UBSan pass passed"
 else
   echo "ASan/UBSan unavailable; skipping ASan+UBSan pass"

@@ -17,6 +17,15 @@ namespace {
 constexpr const char* kStr = "Ljava/lang/String;";
 constexpr const char* kObj = "Ljava/lang/Object;";
 
+// "m<i>", the i-th generated method of a class. Built by appending: GCC 12
+// at -O3 reports a -Wrestrict false positive on a one-letter literal +
+// std::to_string once inlined.
+std::string method_name(size_t i) {
+  std::string name = "m";
+  name += std::to_string(i);
+  return name;
+}
+
 uint16_t m(dex::DexBuilder& b, const std::string& cls, const std::string& name,
            const std::string& ret, const std::vector<std::string>& params) {
   return static_cast<uint16_t>(b.intern_method(cls, name, ret, params));
@@ -311,12 +320,12 @@ GeneratedApp generate_app(const AppSpec& spec) {
         dex::CodeItem code = gen_method(
             b, gen, method_units, std::nullopt, full_cov, with_try,
             static_cast<uint32_t>(100 * (c + 1) + i * 10), pool_free);
-        b.add_direct_method("m" + std::to_string(i), "I", {"I"}, std::move(code));
+        b.add_direct_method(method_name(i), "I", {"I"}, std::move(code));
       }
       MethodAssembler as(8, 1);  // param in v7
       as.move(0, 7);
       for (size_t i = 0; i < in_class; ++i) {
-        as.invoke(Op::kInvokeStatic, m(b, cls, "m" + std::to_string(i), "I", {"I"}),
+        as.invoke(Op::kInvokeStatic, m(b, cls, method_name(i), "I", {"I"}),
                   {0});
         as.move_result(0);
       }

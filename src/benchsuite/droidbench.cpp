@@ -34,6 +34,15 @@ SrcSpec src_spec(Src s) {
 constexpr const char* kStr = "Ljava/lang/String;";
 constexpr const char* kObj = "Ljava/lang/Object;";
 
+// "<prefix><i>", the i-th method of a call chain. Built by appending: GCC 12
+// at -O3 reports a -Wrestrict false positive on a one-letter literal +
+// std::to_string once inlined.
+std::string chain_name(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 uint16_t m(dex::DexBuilder& b, const std::string& cls, const std::string& name,
            const std::string& ret, const std::vector<std::string>& params) {
   return static_cast<uint16_t>(b.intern_method(cls, name, ret, params));
@@ -118,10 +127,10 @@ Sample direct_helper(const std::string& name, Src s, Snk k, int chain) {
       emit_sink(b, as, k, 2, 0);
     } else {
       as.invoke(Op::kInvokeVirtual,
-                m(b, cls, "h" + std::to_string(i + 1), "V", {kStr}), {1, 2});
+                m(b, cls, chain_name("h", i + 1), "V", {kStr}), {1, 2});
     }
     as.return_void();
-    b.add_virtual_method("h" + std::to_string(i), "V", {kStr}, as.finish());
+    b.add_virtual_method(chain_name("h", i), "V", {kStr}, as.finish());
   }
   MethodAssembler as(3, 1);  // this v2
   emit_source(b, as, s, 0);
@@ -519,10 +528,10 @@ void add_reflection_target(dex::DexBuilder& b, const std::string& target_cls,
       emit_sink(b, as, k, 2, 0);
     } else {
       as.invoke(Op::kInvokeStatic,
-                m(b, target_cls, "c" + std::to_string(i + 1), "V", {kStr}), {2});
+                m(b, target_cls, chain_name("c", i + 1), "V", {kStr}), {2});
     }
     as.return_void();
-    b.add_direct_method("c" + std::to_string(i), "V", {kStr}, as.finish());
+    b.add_direct_method(chain_name("c", i), "V", {kStr}, as.finish());
   }
   MethodAssembler as(3, 0);
   emit_source(b, as, s, 0);
@@ -689,10 +698,10 @@ Sample self_modifying(const std::string& name, Src s, Snk k, bool deep_chain) {
         emit_sink(b, as, k, 2, 0);
       } else {
         as.invoke(Op::kInvokeVirtual,
-                  m(b, cls, "d" + std::to_string(i + 1), "V", {kStr}), {1, 2});
+                  m(b, cls, chain_name("d", i + 1), "V", {kStr}), {1, 2});
       }
       as.return_void();
-      b.add_virtual_method("d" + std::to_string(i), "V", {kStr}, as.finish());
+      b.add_virtual_method(chain_name("d", i), "V", {kStr}, as.finish());
     }
   } else {
     MethodAssembler as(3, 2);  // this v1, param v2

@@ -7,7 +7,15 @@
 namespace dexlego::bc {
 
 namespace {
-std::string reg(uint8_t r) { return "v" + std::to_string(r); }
+// "<prefix><n>". Built by appending: GCC 12 at -O3 reports a -Wrestrict
+// false positive on a one-letter literal + std::to_string once inlined.
+std::string numbered(const char* prefix, size_t n) {
+  std::string text = prefix;
+  text += std::to_string(n);
+  return text;
+}
+
+std::string reg(uint8_t r) { return numbered("v", r); }
 }  // namespace
 
 std::string disassemble_insn(const dex::DexFile* file, const Insn& insn, size_t pc) {
@@ -16,7 +24,7 @@ std::string disassemble_insn(const dex::DexFile* file, const Insn& insn, size_t 
   os << info.name;
 
   auto ref_name = [&](uint16_t idx) -> std::string {
-    if (file == nullptr) return "@" + std::to_string(idx);
+    if (file == nullptr) return numbered("@", idx);
     try {
       switch (info.ref) {
         case RefKind::kString:
@@ -28,7 +36,7 @@ std::string disassemble_insn(const dex::DexFile* file, const Insn& insn, size_t 
         case RefKind::kMethod:
           return file->pretty_method(idx);
         default:
-          return "@" + std::to_string(idx);
+          return numbered("@", idx);
       }
     } catch (const std::out_of_range&) {
       return "@!" + std::to_string(idx);

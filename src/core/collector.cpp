@@ -162,7 +162,6 @@ void Collector::on_dex_loaded(const rt::DexImage& image) {
 }
 
 void Collector::on_class_loaded(rt::RtClass& cls) {
-  if (cls.is_framework) return;
   if (class_index_.contains(cls.descriptor)) return;
 
   CollectedClass out;
@@ -182,7 +181,6 @@ void Collector::on_class_loaded(rt::RtClass& cls) {
 }
 
 void Collector::on_class_initialized(rt::RtClass& cls) {
-  if (cls.is_framework) return;
   // Load always precedes initialization, but be defensive about hooks
   // attached mid-run (force execution re-runs apps on a shared collector).
   auto it = class_index_.find(cls.descriptor);

@@ -4,7 +4,7 @@
 // bytes that rebuild the exact mutant from the repo's deterministic builders
 // and re-run the differential oracle. Checked-in findings live under
 // tests/data/fuzz/ and are replayed by the FuzzRegressions suite
-// (tests/harness/differential_test.cpp): a file either still reproduces its
+// (tests/differential_test.cpp): a file either still reproduces its
 // divergence or records (in `note`) the fix that closed it, in which case
 // replay must come back clean.
 //

@@ -8,9 +8,8 @@
 #include <thread>
 
 #include "src/bytecode/verify_code.h"
-#include "src/core/dexlego.h"
+#include "src/core/semantic_check.h"
 #include "src/dex/real/real_dex.h"
-#include "src/runtime/script.h"
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
 #include "src/support/timer.h"
@@ -46,19 +45,6 @@ std::string first_line(const std::string& text) {
   return nl == std::string::npos ? text : text.substr(0, nl);
 }
 
-// The mutant's or a reveal's behaviour under the default script, on a
-// fresh runtime bounded by the oracle's step budget.
-rt::ExecutionTrace trace_app(const dex::Apk& apk,
-                             const std::function<void(rt::Runtime&)>& configure,
-                             const OracleOptions& options) {
-  rt::RuntimeConfig cfg;
-  cfg.step_limit = options.step_limit;
-  rt::Runtime runtime(cfg);
-  if (configure) configure(runtime);
-  runtime.install(apk);
-  return rt::trace_default_script(runtime);
-}
-
 uint64_t detail_fingerprint(Outcome outcome, const std::string& detail) {
   support::Fnv1a h;
   h.add(static_cast<uint64_t>(outcome));
@@ -81,14 +67,14 @@ std::string_view outcome_name(Outcome outcome) {
 }
 
 OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
-  auto finish = [](Outcome outcome, std::string detail) {
-    OracleReport report;
+  OracleReport report;
+  auto finish = [&report](Outcome outcome, std::string detail) {
     report.outcome = outcome;
     report.detail = std::move(detail);
     if (outcome == Outcome::kDivergent || outcome == Outcome::kCrash) {
       report.fingerprint = detail_fingerprint(outcome, report.detail);
     }
-    return report;
+    return std::move(report);
   };
   auto reject = [&](std::string detail) {
     // A clean rejection only passes for mutants allowed to be invalid; the
@@ -97,6 +83,17 @@ OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
                ? finish(Outcome::kRejected, std::move(detail))
                : finish(Outcome::kDivergent,
                         "unexpected rejection: " + std::move(detail));
+  };
+  // Every trace and reveal runs on a fresh runtime with the mutant's natives
+  // and the oracle's step budget.
+  auto trace = [&](const dex::Apk& apk) {
+    return rt::trace_app(apk, mutant.configure_runtime, options.step_limit);
+  };
+  auto reveal = [&](const dex::Apk& apk) {
+    core::DexLegoOptions reveal_options;
+    reveal_options.configure_runtime = mutant.configure_runtime;
+    reveal_options.runtime.step_limit = options.step_limit;
+    return core::DexLego(std::move(reveal_options)).reveal(apk);
   };
 
   // Stage 1 — parse + verify, the loader hardening gate. Anything but a
@@ -115,34 +112,29 @@ OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
   }
 
   // Stage 2 — trace the mutant itself.
-  rt::ExecutionTrace original;
   try {
-    original = trace_app(mutant.apk, mutant.configure_runtime, options);
+    report.original = trace(mutant.apk);
   } catch (const std::exception& e) {
     return finish(Outcome::kCrash, "trace(mutant): " + render_exception(e));
   }
 
   // Stage 3 — the collect→reassemble round trip.
-  core::RevealResult reveal;
   try {
-    core::DexLegoOptions reveal_options;
-    reveal_options.configure_runtime = mutant.configure_runtime;
-    reveal_options.runtime.step_limit = options.step_limit;
-    core::DexLego dexlego(reveal_options);
-    reveal = dexlego.reveal(mutant.apk);
+    report.reveal = reveal(mutant.apk);
   } catch (const std::exception& e) {
     return finish(Outcome::kCrash, "reveal: " + render_exception(e));
   }
-  if (!reveal.verified) {
-    return finish(Outcome::kDivergent, "reveal not verifier-clean: " +
-                                           first_line(reveal.verify_errors));
+  if (!report.reveal.verified) {
+    return finish(Outcome::kDivergent,
+                  "reveal not verifier-clean: " +
+                      first_line(report.reveal.verify_errors));
   }
 
   if (!mutant.replay_safe) {
-    // Self-modifying mutants cannot replay the revealed APK (the same
-    // exclusion the differential suite applies); instead demand that the
+    // Self-modifying mutants cannot replay the revealed APK: their tamper
+    // natives patch offsets of the original layout. Instead demand that the
     // collection actually captured covert state.
-    if (reveal.stats.guards + reveal.stats.variants == 0) {
+    if (report.reveal.stats.guards + report.reveal.stats.variants == 0) {
       return finish(Outcome::kDivergent,
                     "self-modifying collection recorded no variants");
     }
@@ -150,24 +142,38 @@ OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
   }
 
   // Stage 4 — behavioural equivalence of mutant vs revealed.
-  rt::ExecutionTrace revealed;
   try {
-    revealed = trace_app(reveal.revealed_apk, mutant.configure_runtime, options);
+    report.revealed = trace(report.reveal.revealed_apk);
   } catch (const std::exception& e) {
     return finish(Outcome::kCrash, "trace(revealed): " + render_exception(e));
   }
-  std::string diff = rt::first_difference(original, revealed);
+  std::string diff = rt::first_difference(report.original, report.revealed);
   if (!diff.empty()) return finish(Outcome::kDivergent, "trace: " + diff);
+
+  // Containment, when asked: original ⊆ revealed, token by token.
+  if (options.check_containment) {
+    core::ContainmentReport containment;
+    try {
+      containment =
+          core::check_containment(dex::load_classes(mutant.apk),
+                                  dex::load_classes(report.reveal.revealed_apk));
+    } catch (const std::exception& e) {
+      return finish(Outcome::kCrash, "containment: " + render_exception(e));
+    }
+    if (!containment.ok) {
+      return finish(Outcome::kDivergent,
+                    "containment: " + containment.summary() +
+                        (containment.missing.empty()
+                             ? ""
+                             : "; first missing: " + containment.missing[0]));
+    }
+  }
 
   // Stage 5 — reveal idempotence (decompile/recompile fixed point).
   if (options.check_idempotence) {
     core::RevealResult again;
     try {
-      core::DexLegoOptions reveal_options;
-      reveal_options.configure_runtime = mutant.configure_runtime;
-      reveal_options.runtime.step_limit = options.step_limit;
-      core::DexLego dexlego(reveal_options);
-      again = dexlego.reveal(reveal.revealed_apk);
+      again = reveal(report.reveal.revealed_apk);
     } catch (const std::exception& e) {
       return finish(Outcome::kCrash, "re-reveal: " + render_exception(e));
     }
@@ -178,12 +184,12 @@ OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options) {
     }
     rt::ExecutionTrace twice;
     try {
-      twice = trace_app(again.revealed_apk, mutant.configure_runtime, options);
+      twice = trace(again.revealed_apk);
     } catch (const std::exception& e) {
       return finish(Outcome::kCrash,
                     "trace(re-revealed): " + render_exception(e));
     }
-    diff = rt::first_difference(revealed, twice);
+    diff = rt::first_difference(report.revealed, twice);
     if (!diff.empty()) {
       return finish(Outcome::kDivergent, "idempotence: " + diff);
     }
@@ -242,12 +248,17 @@ std::vector<std::string> seed_keys_for(Family family) {
   return {};
 }
 
+// The verdict of one candidate. The campaign holds one per iteration until
+// it folds them, so it keeps the verdict and not the report's reveal and
+// traces.
 struct CandidateResult {
   bool skipped = false;
   Family family = Family::kStructural;
   std::string seed_key;
   std::vector<MutationOp> ops;
-  OracleReport report;
+  Outcome outcome = Outcome::kEquivalent;
+  std::string detail;
+  uint64_t fingerprint = 0;
 };
 
 }  // namespace
@@ -344,7 +355,11 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         r.skipped = true;
         continue;
       }
-      r.report = run_oracle(apply_ops(r.family, seed, r.ops), options.oracle);
+      OracleReport verdict =
+          run_oracle(apply_ops(r.family, seed, r.ops), options.oracle);
+      r.outcome = verdict.outcome;
+      r.detail = std::move(verdict.detail);
+      r.fingerprint = verdict.fingerprint;
     }
   };
 
@@ -366,23 +381,23 @@ CampaignReport run_campaign(const CampaignOptions& options) {
       continue;
     }
     ++report.executed;
-    switch (r.report.outcome) {
+    switch (r.outcome) {
       case Outcome::kEquivalent: ++report.equivalent; break;
       case Outcome::kRejected: ++report.rejected; break;
       case Outcome::kDivergent: ++report.divergent; break;
       case Outcome::kCrash: ++report.crashed; break;
     }
-    if (r.report.fingerprint == 0) continue;
-    auto [it, inserted] = report.findings.try_emplace(r.report.fingerprint);
+    if (r.fingerprint == 0) continue;
+    auto [it, inserted] = report.findings.try_emplace(r.fingerprint);
     Finding& finding = it->second;
     ++finding.hits;
     if (!inserted) continue;
-    finding.fingerprint = r.report.fingerprint;
-    finding.outcome = r.report.outcome;
+    finding.fingerprint = r.fingerprint;
+    finding.outcome = r.outcome;
     finding.family = r.family;
     finding.seed_key = r.seed_key;
     finding.iter = i;
-    finding.detail = r.report.detail;
+    finding.detail = std::move(r.detail);
     finding.ops = std::move(r.ops);
     finding.ops_before_minimize = finding.ops.size();
   }

@@ -1,11 +1,12 @@
-// Differential oracle, corpus triage and campaign driver for the fuzzer
-// (docs/FUZZING.md). The oracle traces the mutant under the default script,
-// reveals it through the full collect→reassemble pipeline, traces the
-// revealed APK and demands identical observable behaviour plus verifier
-// cleanliness and reveal idempotence. Traces and their comparison are
-// rt::trace_default_script and rt::first_difference (src/runtime/script.h),
-// the same oracle the differential test harness asserts with. Every
-// candidate lands in exactly one bucket:
+// The differential oracle, corpus triage and campaign driver for the fuzzer
+// (docs/FUZZING.md). run_oracle is the one check that a reveal keeps an
+// app's behaviour: the fuzz campaign, the pinned replays and the test suites
+// all call it. It traces the input under the default script, reveals it
+// through the full collect→reassemble pipeline, traces the revealed APK and
+// demands identical observable behaviour plus verifier cleanliness and
+// reveal idempotence (and, when asked, symbolic containment). Traces and
+// their comparison are rt::trace_app and rt::first_difference
+// (src/runtime/script.h). Every candidate lands in exactly one bucket:
 //
 //   kEquivalent — the round trip held (the expected verdict for valid apps)
 //   kRejected   — the mutant was refused up front with a *clean* error
@@ -27,8 +28,10 @@
 #include <string>
 #include <vector>
 
+#include "src/core/dexlego.h"
 #include "src/fuzz/mutator.h"
 #include "src/runtime/runtime.h"
+#include "src/runtime/script.h"
 
 namespace dexlego::fuzz {
 
@@ -47,6 +50,11 @@ struct OracleOptions {
   uint64_t step_limit = 400'000;
   // Also reveal the revealed APK and demand the same behaviour again.
   bool check_idempotence = true;
+  // Also demand that every instruction token of the input survives in the
+  // revealed DEX (core::check_containment). Only full-coverage apps pass:
+  // code that never runs, like a dead branch or a packer's stub, is never
+  // collected.
+  bool check_containment = false;
 };
 
 struct OracleReport {
@@ -55,6 +63,12 @@ struct OracleReport {
   // causes fingerprint identically across runs and thread counts.
   std::string detail;
   uint64_t fingerprint = 0;  // nonzero for kDivergent / kCrash
+  // What the stages produced before the verdict, for callers that assert
+  // more; empty past the stage that ended the run. `original` traces the
+  // input, `reveal` is its first reveal and `revealed` traces that reveal.
+  rt::ExecutionTrace original;
+  core::RevealResult reveal;
+  rt::ExecutionTrace revealed;
 };
 
 OracleReport run_oracle(const Mutant& mutant, const OracleOptions& options = {});

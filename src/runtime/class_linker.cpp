@@ -35,18 +35,6 @@ RtClass* ClassLinker::find_loaded(std::string_view descriptor) {
   return it == classes_.end() ? nullptr : it->second.get();
 }
 
-RtClass* ClassLinker::framework_class(std::string_view descriptor) {
-  auto it = framework_classes_.find(descriptor);
-  if (it != framework_classes_.end()) return it->second.get();
-  auto cls = std::make_unique<RtClass>();
-  cls->descriptor = std::string(descriptor);
-  cls->is_framework = true;
-  cls->state = RtClass::State::kInitialized;
-  RtClass* ptr = cls.get();
-  framework_classes_.emplace(std::string(descriptor), std::move(cls));
-  return ptr;
-}
-
 RtClass* ClassLinker::resolve(std::string_view descriptor) {
   if (RtClass* found = find_loaded(descriptor)) return found;
   return load_class(descriptor);

@@ -46,8 +46,6 @@ class ClassLinker {
 
   RtClass* find_loaded(std::string_view descriptor);
 
-  // Framework classes are synthesized on demand (no backing image).
-  RtClass* framework_class(std::string_view descriptor);
   bool is_framework_descriptor(std::string_view descriptor) const;
 
   // --- pool resolution for the interpreter ---
@@ -85,7 +83,6 @@ class ClassLinker {
   std::vector<std::unique_ptr<DexImage>> images_;
   std::map<std::string, std::unique_ptr<RtClass>, std::less<>> classes_;
   std::vector<RtClass*> load_order_;
-  std::map<std::string, std::unique_ptr<RtClass>, std::less<>> framework_classes_;
 };
 
 }  // namespace dexlego::rt

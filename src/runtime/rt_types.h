@@ -105,10 +105,9 @@ struct RtClass {
   std::string descriptor;
   RtClass* super = nullptr;           // null for roots / framework supers
   std::string super_descriptor;       // kept even when super is framework
-  const DexImage* image = nullptr;    // null for synthetic framework classes
+  const DexImage* image = nullptr;    // the image that defines the class
   uint32_t access_flags = 0;
   State state = State::kLoaded;
-  bool is_framework = false;
 
   std::vector<RtField> static_fields;
   std::vector<Value> static_values;

@@ -48,6 +48,17 @@ ExecutionTrace trace_default_script(Runtime& runtime) {
   return trace;
 }
 
+ExecutionTrace trace_app(const dex::Apk& apk,
+                         const std::function<void(Runtime&)>& configure,
+                         uint64_t step_limit) {
+  RuntimeConfig config;
+  config.step_limit = step_limit;
+  Runtime runtime(config);
+  if (configure) configure(runtime);
+  runtime.install(apk);
+  return trace_default_script(runtime);
+}
+
 std::string first_difference(const ExecutionTrace& a, const ExecutionTrace& b) {
   if (a.phases.size() != b.phases.size()) {
     return "phase count " + std::to_string(a.phases.size()) + " vs " +

@@ -1,19 +1,21 @@
 // The default event script and the behaviour trace it records. Every
 // consumer that drives an installed app "the default way" runs this one
 // script: the collect phase's core::default_driver, the dynamic taint
-// presets, the unpacker baselines, the fuzz oracle and the differential
-// test harness. The script launches the entry activity, fires every
+// presets, the unpacker baselines and the differential oracle
+// (fuzz::run_oracle). The script launches the entry activity, fires every
 // registered click handler in ui_clickable_ids() order, then calls onPause
 // and onDestroy.
 //
-// The trace is the behavioural-equivalence oracle shared by the fuzzer and
-// the differential suite: two runs behaved the same when every step exited
-// the same way, the sink logs match byte for byte and the leak counts agree.
+// The trace is what the differential oracle compares: two runs behaved the
+// same when every step exited the same way, the sink logs match byte for
+// byte and the leak counts agree. trace_app is the one apk->trace helper.
 // coverage::execute_sequence keeps its own event script (text inputs, click
 // rounds, lifecycle cycles); it is a different script, not a copy of this.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -62,6 +64,13 @@ struct ExecutionTrace {
 
 // Runs the default script on an installed runtime and records its trace.
 ExecutionTrace trace_default_script(Runtime& runtime);
+
+// Installs `apk` in a fresh runtime whose step budget per script step is
+// `step_limit`, calls `configure` (sample natives) before the install, and
+// returns the default script's trace.
+ExecutionTrace trace_app(const dex::Apk& apk,
+                         const std::function<void(Runtime&)>& configure = {},
+                         uint64_t step_limit = RuntimeConfig{}.step_limit);
 
 // The first divergence between two traces, or an empty string when they
 // are equivalent: phase count, then each phase, then sink count, each sink

@@ -1,19 +1,20 @@
 // Differential round-trip suite: the DexLego semantic-equivalence claim
-// (paper Section V) checked behaviourally. Every case runs original and
-// revealed executions side by side through tests/harness/diff_fixture and
-// asserts identical observable behaviour plus verifier cleanliness.
+// (paper Section V) checked behaviourally. Every case runs the original and
+// the revealed app side by side through the differential oracle
+// (fuzz::run_oracle) and asserts identical observable behaviour, verifier
+// cleanliness and reveal idempotence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 
+#include "src/analysis/static_taint.h"
 #include "src/benchsuite/appgen.h"
 #include "src/benchsuite/droidbench.h"
-#include "src/analysis/static_taint.h"
 #include "src/fuzz/replay.h"
 #include "src/packer/packer.h"
+#include "src/runtime/script.h"
 #include "src/support/bytes.h"
-#include "tests/harness/diff_fixture.h"
 
 namespace dexlego {
 namespace {
@@ -21,6 +22,17 @@ namespace {
 const suite::DroidBench& db() {
   static suite::DroidBench suite = suite::build_droidbench();
   return suite;
+}
+
+// The oracle on the runtime's full step budget: these are whole apps, not
+// the fuzzer's goto-loop mutants. Containment is a full-coverage property,
+// so only the generated-app sweep turns it on.
+fuzz::OracleReport check_reveal(const fuzz::Mutant& input,
+                                bool check_containment = false) {
+  fuzz::OracleOptions options;
+  options.step_limit = rt::RuntimeConfig{}.step_limit;
+  options.check_containment = check_containment;
+  return fuzz::run_oracle(input, options);
 }
 
 // Every sample except the self-modifying ones. Those can't replay: their
@@ -45,51 +57,44 @@ std::vector<std::string> selfmod_sample_names() {
   return names;
 }
 
-// The harness itself is deterministic: tracing the same APK twice yields
-// byte-identical traces, so a divergence always implicates the round trip.
-TEST(DiffHarness, TraceIsDeterministic) {
+// Tracing is deterministic: the same APK traced twice yields byte-identical
+// traces, so a divergence always implicates the round trip.
+TEST(Trace, IsDeterministic) {
   const suite::Sample* sample = db().find("Button1");
   ASSERT_NE(sample, nullptr);
-  rt::ExecutionTrace a =
-      harness::run_and_trace(sample->apk, sample->configure_runtime);
-  rt::ExecutionTrace b =
-      harness::run_and_trace(sample->apk, sample->configure_runtime);
-  EXPECT_TRUE(harness::TraceEquivalent(a, b));
+  rt::ExecutionTrace a = rt::trace_app(sample->apk, sample->configure_runtime);
+  rt::ExecutionTrace b = rt::trace_app(sample->apk, sample->configure_runtime);
+  EXPECT_EQ(rt::first_difference(a, b), "");
 }
 
 // A trace actually observes behaviour: samples with direct taint flows leak
 // in the original execution, benign ones do not. (Implicit-flow samples are
 // excluded: their leaks are control-dependence only, invisible to the
 // dynamic taint the trace records — that's what those samples demonstrate.)
-TEST(DiffHarness, TraceSeesGroundTruthLeaks) {
+TEST(Trace, SeesGroundTruthLeaks) {
   for (const char* name : {"Button1", "PrivateDataLeak3", "Straight1"}) {
     const suite::Sample* sample = db().find(name);
     ASSERT_NE(sample, nullptr) << name;
     rt::ExecutionTrace trace =
-        harness::run_and_trace(sample->apk, sample->configure_runtime);
+        rt::trace_app(sample->apk, sample->configure_runtime);
     EXPECT_GT(trace.leak_count, 0u) << name;
   }
   const suite::Sample* clean = db().find("Clean1");
   ASSERT_NE(clean, nullptr);
-  rt::ExecutionTrace trace =
-      harness::run_and_trace(clean->apk, clean->configure_runtime);
-  EXPECT_EQ(trace.leak_count, 0u);
+  EXPECT_EQ(rt::trace_app(clean->apk, clean->configure_runtime).leak_count, 0u);
 }
 
 // Every DroidBench sample round-trips to behaviourally equivalent code.
+// Containment stays off: the samples deliberately contain unexecuted code
+// (dead branches, reflection-hidden paths).
 class DifferentialEverySample : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DifferentialEverySample, OriginalAndRevealedBehaveIdentically) {
   const suite::Sample* sample = db().find(GetParam());
   ASSERT_NE(sample, nullptr);
-  harness::DiffOptions options;
-  // Containment is a full-coverage property; DroidBench samples deliberately
-  // contain unexecuted code (dead branches, reflection-hidden paths), so the
-  // generated-app sweep owns that check.
-  options.check_containment = false;
-  options.configure_runtime = sample->configure_runtime;
-  harness::DiffResult diff = harness::run_differential(sample->apk, options);
-  EXPECT_TRUE(harness::BehaviorallyEquivalent(diff));
+  fuzz::OracleReport report =
+      check_reveal({sample->apk, sample->configure_runtime});
+  EXPECT_EQ(report.outcome, fuzz::Outcome::kEquivalent) << report.detail;
 }
 
 INSTANTIATE_TEST_SUITE_P(DroidBench, DifferentialEverySample,
@@ -97,32 +102,31 @@ INSTANTIATE_TEST_SUITE_P(DroidBench, DifferentialEverySample,
                          [](const auto& info) { return info.param; });
 
 // Self-modifying samples: differential *static analysis* instead of replay
-// (the paper's Table III claim). The leak is invisible to the analyzer on
-// the original DEX — the covert path only exists after runtime tampering —
-// and visible on the revealed DEX, which embeds the collected covert state.
+// (the paper's Table III claim). The oracle, told the sample cannot replay,
+// demands a verifier-clean reveal that captured guards or variants. The
+// leak is invisible to the analyzer on the original DEX — the covert path
+// only exists after runtime tampering — and visible on the revealed DEX,
+// which embeds the collected covert state.
 class DifferentialSelfModSample : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(DifferentialSelfModSample, RevealDisclosesCovertFlowToStaticAnalysis) {
   const suite::Sample* sample = db().find(GetParam());
   ASSERT_NE(sample, nullptr);
+  fuzz::OracleReport report =
+      check_reveal({.apk = sample->apk,
+                    .configure_runtime = sample->configure_runtime,
+                    .replay_safe = false});
+  ASSERT_EQ(report.outcome, fuzz::Outcome::kEquivalent) << report.detail;
 
   // The covert behaviour really happens at runtime...
-  rt::ExecutionTrace original =
-      harness::run_and_trace(sample->apk, sample->configure_runtime);
-  EXPECT_GT(original.leak_count, 0u);
-
-  core::DexLegoOptions reveal_options;
-  reveal_options.configure_runtime = sample->configure_runtime;
-  core::DexLego dexlego(reveal_options);
-  core::RevealResult result = dexlego.reveal(sample->apk);
-  EXPECT_TRUE(harness::VerifierClean(result));
-  EXPECT_GT(result.stats.guards + result.stats.variants, 0u);
+  EXPECT_GT(report.original.leak_count, 0u);
 
   // ...but static analysis only sees it on the revealed DEX.
   analysis::StaticAnalyzer analyzer(analysis::flowdroid_config());
   analysis::AnalysisResult before = analyzer.analyze_apk(sample->apk);
-  analysis::AnalysisResult after = analyzer.analyze_apk(result.revealed_apk);
+  analysis::AnalysisResult after =
+      analyzer.analyze_apk(report.reveal.revealed_apk);
   EXPECT_FALSE(before.leak_detected());
   EXPECT_TRUE(after.leak_detected());
 }
@@ -131,8 +135,9 @@ INSTANTIATE_TEST_SUITE_P(DroidBench, DifferentialSelfModSample,
                          ::testing::ValuesIn(selfmod_sample_names()),
                          [](const auto& info) { return info.param; });
 
-// Generated full-coverage apps of varying size/seed round-trip too — the
-// synthetic population exercises opcode/layout combinations DroidBench
+// Generated full-coverage apps of varying size/seed round-trip too, and
+// every instruction of the original survives in the reveal (containment) —
+// the synthetic population exercises opcode/layout combinations DroidBench
 // doesn't.
 class DifferentialGeneratedApp
     : public ::testing::TestWithParam<std::pair<uint64_t, size_t>> {};
@@ -146,13 +151,22 @@ TEST_P(DifferentialGeneratedApp, OriginalAndRevealedBehaveIdentically) {
   spec.target_units = units;
   spec.full_coverage_style = true;
   suite::GeneratedApp app = suite::generate_app(spec);
-  harness::DiffResult diff = harness::run_differential(app.apk);
-  EXPECT_TRUE(harness::BehaviorallyEquivalent(diff));
+  fuzz::OracleReport report =
+      check_reveal({app.apk, {}}, /*check_containment=*/true);
+  EXPECT_EQ(report.outcome, fuzz::Outcome::kEquivalent) << report.detail;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DifferentialGeneratedApp,
-    ::testing::Values(std::pair<uint64_t, size_t>{11, 400},
+    ::testing::Values(std::pair<uint64_t, size_t>{1, 300},
+                      std::pair<uint64_t, size_t>{2, 800},
+                      std::pair<uint64_t, size_t>{3, 1500},
+                      std::pair<uint64_t, size_t>{4, 3000},
+                      std::pair<uint64_t, size_t>{5, 6000},
+                      std::pair<uint64_t, size_t>{6, 12000},
+                      std::pair<uint64_t, size_t>{7, 500},
+                      std::pair<uint64_t, size_t>{8, 2000},
+                      std::pair<uint64_t, size_t>{11, 400},
                       std::pair<uint64_t, size_t>{12, 1000},
                       std::pair<uint64_t, size_t>{13, 2500},
                       std::pair<uint64_t, size_t>{14, 5000},
@@ -164,7 +178,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Packed inputs: the packed app (stub + encrypted payload) and its revealed
 // form must behave identically — this is the unpacking claim. Containment
-// is off because classes.ldex of the packed APK is the stub, not the app.
+// stays off because classes.ldex of the packed APK is the stub, not the app.
 class DifferentialPackedSample : public ::testing::TestWithParam<std::string> {
 };
 
@@ -173,14 +187,14 @@ TEST_P(DifferentialPackedSample, PackedAndRevealedBehaveIdentically) {
   ASSERT_NE(sample, nullptr);
   auto packed = packer::pack(sample->apk, packer::packer_360());
   ASSERT_TRUE(packed.has_value());
-  harness::DiffOptions options;
-  options.check_containment = false;
-  options.configure_runtime = [sample](rt::Runtime& runtime) {
-    packer::register_packer_natives(runtime);
-    if (sample->configure_runtime) sample->configure_runtime(runtime);
-  };
-  harness::DiffResult diff = harness::run_differential(*packed, options);
-  EXPECT_TRUE(harness::BehaviorallyEquivalent(diff));
+  fuzz::OracleReport report =
+      check_reveal({*packed, [sample](rt::Runtime& runtime) {
+                      packer::register_packer_natives(runtime);
+                      if (sample->configure_runtime) {
+                        sample->configure_runtime(runtime);
+                      }
+                    }});
+  EXPECT_EQ(report.outcome, fuzz::Outcome::kEquivalent) << report.detail;
 }
 
 INSTANTIATE_TEST_SUITE_P(Packed, DifferentialPackedSample,
@@ -188,21 +202,6 @@ INSTANTIATE_TEST_SUITE_P(Packed, DifferentialPackedSample,
                                            "Lifecycle7", "DynLoad1",
                                            "PrivateDataLeak3", "Clean1"),
                          [](const auto& info) { return info.param; });
-
-// Revealing is idempotent: the revealed APK reveals again to the same
-// behaviour (a fixed point, like a decompile/recompile round trip).
-TEST(DiffHarness, RevealIsIdempotent) {
-  const suite::Sample* sample = db().find("Straight1");
-  ASSERT_NE(sample, nullptr);
-  harness::DiffOptions options;
-  options.configure_runtime = sample->configure_runtime;
-  harness::DiffResult first = harness::run_differential(sample->apk, options);
-  ASSERT_TRUE(harness::BehaviorallyEquivalent(first));
-  harness::DiffResult second =
-      harness::run_differential(first.reveal.revealed_apk, options);
-  EXPECT_TRUE(harness::BehaviorallyEquivalent(second));
-  EXPECT_TRUE(harness::TraceEquivalent(first.revealed, second.revealed));
-}
 
 // --- FuzzRegressions: divergences surfaced by src/fuzz/, pinned forever ----
 // Every checked-in replay file under tests/data/fuzz/ names a seed input and

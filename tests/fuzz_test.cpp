@@ -190,6 +190,36 @@ TEST(Minimizer, OraclePreservation) {
   EXPECT_GT(runs, 0u);
 }
 
+// --- oracle ----------------------------------------------------------------
+
+// A sample with code that never runs passes the oracle as it stands, and
+// fails it once containment is asked for: the reveal holds only what ran.
+void expect_containment_gap(const std::string& sample) {
+  SeedInput seed = resolve_seed("droidbench:" + sample);
+  Mutant input{seed.apk, seed.configure_runtime};
+  OracleOptions options;
+  OracleReport plain = run_oracle(input, options);
+  EXPECT_EQ(plain.outcome, Outcome::kEquivalent) << plain.detail;
+
+  options.check_containment = true;
+  OracleReport contained = run_oracle(input, options);
+  EXPECT_EQ(contained.outcome, Outcome::kDivergent) << contained.detail;
+  EXPECT_EQ(contained.detail.rfind("containment: FAILED", 0), 0u)
+      << contained.detail;
+  EXPECT_NE(contained.detail.find("first missing: Ldb/" + sample + "/"),
+            std::string::npos)
+      << contained.detail;
+  EXPECT_NE(contained.fingerprint, 0u);
+}
+
+TEST(Oracle, ContainmentSeesTheDeadBranch) {
+  expect_containment_gap("DeadBranch1");
+}
+
+TEST(Oracle, ContainmentSeesTheUnreachableMethod) {
+  expect_containment_gap("Unreachable1");
+}
+
 // --- replay ----------------------------------------------------------------
 
 ReplayFile sample_replay() {

@@ -1,17 +1,15 @@
 // Parameterized end-to-end properties:
 //   * every DroidBench sample reveals to a verifier-clean DEX (134 cases),
 //   * every sample revealed from its PACKED form also verifies,
-//   * generated apps of any size/seed survive generate -> execute -> reveal
-//     -> containment,
 //   * random collection outputs round-trip through the five files.
+// Generated apps of any size/seed, revealed and checked for containment,
+// are DifferentialGeneratedApp in tests/differential_test.cpp.
 #include <gtest/gtest.h>
 
-#include "src/benchsuite/appgen.h"
 #include "src/benchsuite/droidbench.h"
 #include "src/bytecode/verify_code.h"
 #include "src/core/dexlego.h"
 #include "src/core/files.h"
-#include "src/core/semantic_check.h"
 #include "src/dex/io.h"
 #include "src/packer/packer.h"
 #include "src/support/rng.h"
@@ -79,47 +77,6 @@ INSTANTIATE_TEST_SUITE_P(
                       "Exception9", "Switch10", "ImplicitFlow1", "Clean1",
                       "Unreachable1", "PrivateDataLeak3"),
     [](const auto& info) { return info.param; });
-
-// Property sweep: generated full-coverage apps of varying size/seed.
-class GeneratedAppProperty
-    : public ::testing::TestWithParam<std::pair<uint64_t, size_t>> {};
-
-TEST_P(GeneratedAppProperty, GenerateExecuteRevealContain) {
-  auto [seed, units] = GetParam();
-  suite::AppSpec spec;
-  spec.name = "prop";
-  spec.package = "prop.s" + std::to_string(seed);
-  spec.seed = seed;
-  spec.target_units = units;
-  spec.full_coverage_style = true;
-  suite::GeneratedApp app = suite::generate_app(spec);
-
-  dex::DexFile original = dex::read_dex(app.apk.classes());
-  ASSERT_TRUE(bc::verify_dex(original).ok());
-
-  core::DexLego dexlego;
-  core::RevealResult result = dexlego.reveal(app.apk);
-  ASSERT_TRUE(result.verified) << result.verify_errors;
-  dex::DexFile revealed = dex::read_dex(result.revealed_apk.classes());
-  core::ContainmentReport report = core::check_containment(original, revealed);
-  EXPECT_TRUE(report.ok) << report.summary()
-                         << (report.missing.empty() ? "" : report.missing[0]);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, GeneratedAppProperty,
-    ::testing::Values(std::pair<uint64_t, size_t>{1, 300},
-                      std::pair<uint64_t, size_t>{2, 800},
-                      std::pair<uint64_t, size_t>{3, 1500},
-                      std::pair<uint64_t, size_t>{4, 3000},
-                      std::pair<uint64_t, size_t>{5, 6000},
-                      std::pair<uint64_t, size_t>{6, 12000},
-                      std::pair<uint64_t, size_t>{7, 500},
-                      std::pair<uint64_t, size_t>{8, 2000}),
-    [](const auto& info) {
-      return "seed" + std::to_string(info.param.first) + "_u" +
-             std::to_string(info.param.second);
-    });
 
 // Property: random collection outputs round-trip through the five files.
 class CollectionRoundTrip : public ::testing::TestWithParam<uint64_t> {};

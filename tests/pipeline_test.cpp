@@ -3,8 +3,8 @@
 // bytes per app as a sequential run (and as a direct core::DexLego::reveal),
 // and the DedupStore must hand out stable content ids no matter which worker
 // interns first. The paper's correctness claim (Section V) is carried by the
-// differential harness; this suite guarantees the fleet layer on top of it
-// changes nothing.
+// differential oracle (fuzz::run_oracle); this suite guarantees the fleet
+// layer on top of it changes nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,12 +29,12 @@
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
 #include "src/dex/real/real_dex.h"
+#include "src/fuzz/triage.h"
 #include "src/pipeline/batch.h"
 #include "src/pipeline/dedup_store.h"
 #include "src/pipeline/scenarios.h"
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
-#include "tests/harness/diff_fixture.h"
 
 namespace dexlego {
 namespace {
@@ -421,10 +421,10 @@ TEST(BatchPipeline, LargeCorpusHasMarketStyleOverlapAndVerifies) {
   }
 }
 
-TEST(BatchPipeline, MatchesDirectRevealAndDifferentialHarness) {
+TEST(BatchPipeline, MatchesDirectRevealAndDifferentialOracle) {
   // The batch worker wraps the driver and adds a coverage hook; neither may
-  // change the revealed output. Anchor against the differential harness's
-  // own reveal and its behavioural-equivalence verdict (diff_fixture).
+  // change the revealed output. Anchor against the differential oracle's
+  // own reveal and its behavioural-equivalence verdict.
   suite::DroidBench bench = suite::build_droidbench();
   std::vector<pipeline::BatchJob> jobs;
   std::vector<const suite::Sample*> samples;
@@ -440,14 +440,14 @@ TEST(BatchPipeline, MatchesDirectRevealAndDifferentialHarness) {
   }
   pipeline::BatchReport report = pipeline::run_batch(jobs, {});
 
+  fuzz::OracleOptions options;
+  options.step_limit = rt::RuntimeConfig{}.step_limit;
   for (size_t i = 0; i < samples.size(); ++i) {
-    harness::DiffOptions options;
-    options.check_containment = false;
-    options.configure_runtime = samples[i]->configure_runtime;
-    harness::DiffResult diff =
-        harness::run_differential(samples[i]->apk, options);
-    EXPECT_TRUE(harness::BehaviorallyEquivalent(diff)) << samples[i]->name;
-    EXPECT_EQ(report.jobs[i].dex, diff.reveal.revealed_apk.classes())
+    fuzz::OracleReport oracle = fuzz::run_oracle(
+        {samples[i]->apk, samples[i]->configure_runtime}, options);
+    EXPECT_EQ(oracle.outcome, fuzz::Outcome::kEquivalent)
+        << samples[i]->name << ": " << oracle.detail;
+    EXPECT_EQ(report.jobs[i].dex, oracle.reveal.revealed_apk.classes())
         << "batch output diverged from direct reveal: " << samples[i]->name;
   }
 }

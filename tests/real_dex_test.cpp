@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,8 +24,9 @@
 #include "src/dex/archive.h"
 #include "src/dex/io.h"
 #include "src/dex/real/real_dex.h"
+#include "src/fuzz/triage.h"
+#include "src/runtime/script.h"
 #include "src/support/bytes.h"
-#include "tests/harness/diff_fixture.h"
 
 namespace dexlego {
 namespace {
@@ -208,20 +210,24 @@ TEST(RealDexMultidex, StripRemovesEveryPart) {
 // --- layer 3: container equivalence (ARCHITECTURE invariant 12) ------------
 
 // The reassembler re-interns everything symbolically, so the revealed APK
-// must not depend on which container the input arrived in.
-void expect_container_equivalent(const dex::Apk& ldex_apk,
-                                 const harness::ConfigureFn& configure) {
-  harness::DiffOptions options;
-  options.configure_runtime = configure;
+// must not depend on which container the input arrived in. Each container
+// passes the differential oracle with containment on.
+void expect_container_equivalent(
+    const dex::Apk& ldex_apk,
+    const std::function<void(rt::Runtime&)>& configure) {
+  fuzz::OracleOptions options;
+  options.step_limit = rt::RuntimeConfig{}.step_limit;
+  options.check_containment = true;
 
-  harness::DiffResult base = harness::run_differential(ldex_apk, options);
-  ASSERT_TRUE(harness::BehaviorallyEquivalent(base));
+  fuzz::OracleReport base = fuzz::run_oracle({ldex_apk, configure}, options);
+  ASSERT_EQ(base.outcome, fuzz::Outcome::kEquivalent) << base.detail;
 
   for (size_t parts : {1u, 3u}) {
-    dex::Apk real = dex::to_real_container(ldex_apk, parts);
-    harness::DiffResult diff = harness::run_differential(real, options);
-    EXPECT_TRUE(harness::BehaviorallyEquivalent(diff)) << parts << " parts";
-    EXPECT_TRUE(harness::TraceEquivalent(base.original, diff.original))
+    fuzz::OracleReport diff = fuzz::run_oracle(
+        {dex::to_real_container(ldex_apk, parts), configure}, options);
+    EXPECT_EQ(diff.outcome, fuzz::Outcome::kEquivalent)
+        << parts << " parts: " << diff.detail;
+    EXPECT_EQ(rt::first_difference(base.original, diff.original), "")
         << parts << " parts";
     // The strong form: the revealed classes.ldex is byte-identical to the
     // LDEX-container run, and so are the four name-keyed collection files.

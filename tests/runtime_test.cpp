@@ -10,10 +10,10 @@
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
 #include "src/dex/real/real_dex.h"
+#include "src/fuzz/triage.h"
 #include "src/runtime/runtime.h"
 #include "src/runtime/script.h"
 #include "src/runtime/source_sink.h"
-#include "tests/harness/diff_fixture.h"
 
 namespace dexlego::rt {
 namespace {
@@ -896,7 +896,7 @@ dex::Apk literal_identity_app() {
 }
 
 TEST(StringInterning, RepeatedConstStringIsReferenceEqual) {
-  ExecutionTrace trace = harness::run_and_trace(literal_identity_app());
+  ExecutionTrace trace = trace_app(literal_identity_app());
   ASSERT_EQ(trace.sink_log.size(), 1u);
   EXPECT_NE(trace.sink_log[0].find("same"), std::string::npos)
       << "two executions of the same literal must be reference-equal "
@@ -904,11 +904,12 @@ TEST(StringInterning, RepeatedConstStringIsReferenceEqual) {
 }
 
 TEST(StringInterning, LiteralIdentitySurvivesTheRevealRoundTrip) {
-  harness::DiffOptions options;
-  options.check_containment = false;  // the "diff" branch is never executed
-  harness::DiffResult diff =
-      harness::run_differential(literal_identity_app(), options);
-  EXPECT_TRUE(harness::BehaviorallyEquivalent(diff));
+  // Containment stays off: the "diff" branch is never executed.
+  fuzz::OracleOptions options;
+  options.step_limit = RuntimeConfig{}.step_limit;
+  fuzz::OracleReport report =
+      fuzz::run_oracle({literal_identity_app(), {}}, options);
+  EXPECT_EQ(report.outcome, fuzz::Outcome::kEquivalent) << report.detail;
 }
 
 // Interned literals are shared program-wide, so they must be immune to a
@@ -934,8 +935,7 @@ TEST(StringInterning, HostileStringBuilderAppendCannotMutateLiterals) {
     as.return_void();
     b.add_virtual_method("onCreate", "V", {}, as.finish());
   }
-  ExecutionTrace trace =
-      harness::run_and_trace(make_apk(std::move(b).build(), "Lt/Sb;"));
+  ExecutionTrace trace = trace_app(make_apk(std::move(b).build(), "Lt/Sb;"));
   ASSERT_EQ(trace.sink_log.size(), 1u);
   EXPECT_EQ(trace.sink_log[0].substr(trace.sink_log[0].rfind('|') + 1),
             "SECRET");
