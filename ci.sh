@@ -200,9 +200,15 @@ echo "Tables VI/VII gate passed"
 # actually have >= 4 hardware threads — below that the speedup rows are
 # reporting-only (a 1-core container cannot show a multi-core speedup).
 # Armed, the bench runs the 1- and 4-thread configs twice more, alternating,
-# and gates on the ratio of their median walls. The 1-thread run is additionally gated against
-# the recorded baseline in bench/pipeline_baseline.json: a >10% apps/sec
-# regression fails. Refresh the baseline on a quiet machine with
+# and gates on the ratio of their median walls. The median apps/sec of the
+# 1-thread runs (three or more: the bench makes up any the speedup gate did
+# not run) is also gated against the recorded baseline in
+# bench/pipeline_baseline.json, the median of five separate 1-thread runs.
+# It fails more than 25% below it. On a 4-vCPU container one binary read
+# 1,510-1,850 apps/s over seven consecutive runs (median 1,764), and the
+# medians of three consecutive runs 1,596-1,834, down to 9.5% under it; an
+# earlier binary read 1,058 and 1,505 in two consecutive quiet runs.
+# Refresh the baseline on a quiet machine with
 #   DEXLEGO_UPDATE_BASELINE=1 ./ci.sh
 hw_threads="$(nproc)"
 scaling_args=(--corpus large --count 10000 --threads 1,2,4,8)
@@ -218,7 +224,7 @@ if [ -z "${DEXLEGO_UPDATE_BASELINE:-}" ] && [ -f "$baseline_file" ]; then
                    "$baseline_file")"
   if [ -n "$baseline_rate" ]; then
     scaling_args+=(--baseline-apps-per-sec "$baseline_rate" \
-                   --max-regression 0.10)
+                   --max-regression 0.25)
   fi
 fi
 scaling_out="$(mktemp)"
@@ -249,9 +255,17 @@ fi
 grep '^BENCH_JSON ' "$scaling_out" | sed 's/^BENCH_JSON //' \
   > BENCH_pipeline.json
 if [ -n "${DEXLEGO_UPDATE_BASELINE:-}" ]; then
-  grep '^BENCH_JSON ' "$scaling_out" | sed 's/^BENCH_JSON //' \
-    | grep '"threads":1,' | head -1 > "$baseline_file"
-  echo "pipeline scaling: baseline refreshed: $(cat "$baseline_file")"
+  baseline_rates=()
+  for _ in 1 2 3 4 5; do
+    baseline_rates+=("$("$BUILD_DIR"/bench/pipeline_throughput --corpus large \
+      --count 10000 --threads 1 \
+      | sed -n 's/^BENCH_JSON .*"apps_per_sec":\([0-9.]*\).*/\1/p')")
+  done
+  baseline_median="$(printf '%s\n' "${baseline_rates[@]}" | sort -g | sed -n 3p)"
+  printf '{"bench":"pipeline_throughput","corpus":"large_corpus","threads":1,"apps_per_sec":%s,"runs":5}\n' \
+    "$baseline_median" > "$baseline_file"
+  echo "pipeline scaling: baseline refreshed from ${baseline_rates[*]}:" \
+       "$(cat "$baseline_file")"
 fi
 rm -f "$scaling_out"
 echo "pipeline scaling passed ($pipeline_lines configs)"

@@ -1,6 +1,7 @@
 #include "src/core/collector.h"
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <stdexcept>
 
@@ -104,22 +105,77 @@ SwitchSnapshot switch_snapshot(std::span<const uint16_t> code, uint32_t dex_pc,
   return snap;
 }
 
+// Whether switch_snapshot(code, dex_pc, insn) would equal `snap`, read in
+// place. Throws where switch_snapshot does.
+bool same_switch(const SwitchSnapshot& snap, std::span<const uint16_t> code,
+                 uint32_t dex_pc, const bc::Insn& insn) {
+  size_t payload_pc = dex_pc + static_cast<size_t>(insn.off);
+  bc::Insn payload = bc::decode_at(code, payload_pc);
+  if (payload.op != bc::Op::kPayload) {
+    throw support::ParseError("switch target is not a payload");
+  }
+  if (snap.first_key != static_cast<int32_t>(payload.lit) ||
+      snap.target_pcs.size() != payload.payload_count) {
+    return false;
+  }
+  for (size_t i = 0; i < snap.target_pcs.size(); ++i) {
+    int32_t rel = static_cast<int16_t>(code[payload_pc + 4 + i]);
+    if (snap.target_pcs[i] !=
+        static_cast<uint16_t>(static_cast<int32_t>(dex_pc) + rel)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Whether the instruction whose first code unit is `unit0` has a pool
+// operand or is a packed-switch, or is no instruction at all: whether
+// comparing it takes the decoded instruction.
+bool needs_decode(uint16_t unit0) {
+  static const std::array<bool, 256> table = [] {
+    std::array<bool, 256> t{};
+    for (size_t raw = 0; raw < t.size(); ++raw) {
+      const auto op = static_cast<bc::Op>(raw);
+      t[raw] = !bc::valid_op(static_cast<uint8_t>(raw)) ||
+               bc::op_info(op).ref != bc::RefKind::kNone ||
+               op == bc::Op::kPackedSwitch;
+    }
+    return t;
+  }();
+  return table[unit0 & 0xff];
+}
+
+// Whether `units` are the code units at `dex_pc`.
+bool units_at(const std::vector<uint16_t>& units,
+              std::span<const uint16_t> code, uint32_t dex_pc) {
+  return !units.empty() && dex_pc <= code.size() &&
+         units.size() <= code.size() - dex_pc &&
+         std::ranges::equal(units, code.subspan(dex_pc, units.size()));
+}
+
 // Whether `entry` is, but for its pc, the ILEntry on_instruction would build
-// for `insn` at `dex_pc` of `method`: the same units, SymRef and switch
-// snapshot. Reads the pool strings instead of building a SymRef, and throws
-// wherever building the entry would.
+// for the instruction at `dex_pc` of `method`: the same units, SymRef and
+// switch snapshot. The units are compared first, in place. Equal units
+// decode as the entry's did, so only an entry whose instruction has a pool
+// operand or is a packed-switch needs the decoded instruction: `insn`,
+// decoded on first use and kept for the next entry. The pool strings and
+// the payload are read in place. Throws wherever building the entry would.
 bool same_entry(const ILEntry& entry, const rt::RtMethod& method,
-                const bc::Insn& insn, std::span<const uint16_t> code,
-                uint32_t dex_pc, std::span<const uint16_t> units) {
-  if (!std::ranges::equal(entry.units, units)) return false;
-  bc::RefKind kind = bc::op_info(insn.op).ref;
+                std::span<const uint16_t> code, uint32_t dex_pc,
+                std::optional<bc::Insn>& insn) {
+  if (!units_at(entry.units, code, dex_pc)) return false;
+  if (!entry.ref && !entry.switch_payload && !needs_decode(entry.units[0])) {
+    return true;
+  }
+  if (!insn) insn = bc::decode_at(code, dex_pc);
+  bc::RefKind kind = bc::op_info(insn->op).ref;
   if (kind == bc::RefKind::kNone) {
     if (entry.ref) return false;
   } else {
     if (!entry.ref || entry.ref->kind != kind) return false;
     const std::vector<std::string>& parts = entry.ref->parts;
     size_t n = 0;
-    if (!for_each_ref_part(method.image->file, kind, insn.idx,
+    if (!for_each_ref_part(method.image->file, kind, insn->idx,
                            [&](const std::string& part) {
                              return n < parts.size() && parts[n++] == part;
                            }) ||
@@ -127,9 +183,9 @@ bool same_entry(const ILEntry& entry, const rt::RtMethod& method,
       return false;
     }
   }
-  if (insn.op != bc::Op::kPackedSwitch) return !entry.switch_payload;
+  if (insn->op != bc::Op::kPackedSwitch) return !entry.switch_payload;
   return entry.switch_payload &&
-         *entry.switch_payload == switch_snapshot(code, dex_pc, insn);
+         same_switch(*entry.switch_payload, code, dex_pc, *insn);
 }
 
 std::vector<CollectedField> snapshot_statics(const rt::RtClass& cls) {
@@ -156,65 +212,88 @@ std::vector<CollectedField> snapshot_statics(const rt::RtClass& cls) {
 
 }  // namespace
 
+Collector::Collector(const Options& options, const CollectionOutput* known)
+    : options_(options), known_(known) {
+  if (known_ == nullptr) return;
+  for (const CollectedClass& c : known_->classes) {
+    known_classes_.push_back(c.descriptor);
+  }
+  std::ranges::sort(known_classes_);
+}
+
 void Collector::on_dex_loaded(const rt::DexImage& image) {
   if (image.id != 0) return;  // not the first image of a new runtime
   for (Activation& act : stack_) act.method = nullptr;
 }
 
-void Collector::on_class_loaded(rt::RtClass& cls) {
-  if (class_index_.contains(cls.descriptor)) return;
-
-  CollectedClass out;
-  out.descriptor = cls.descriptor;
-  out.super_descriptor = cls.super_descriptor;
-  out.access_flags = cls.access_flags;
-  for (const rt::RtField& f : cls.instance_fields) {
-    CollectedField cf;
-    cf.name = f.name;
-    cf.type_descriptor = f.type_descriptor;
-    cf.access_flags = f.access_flags;
-    out.instance_fields.push_back(std::move(cf));
-  }
-  out.static_fields = snapshot_statics(cls);
-  class_index_.emplace(cls.descriptor, output_.classes.size());
-  output_.classes.push_back(std::move(out));
-}
+void Collector::on_class_loaded(rt::RtClass& cls) { class_slot(cls); }
 
 void Collector::on_class_initialized(rt::RtClass& cls) {
   // Load always precedes initialization, but be defensive about hooks
   // attached mid-run (force execution re-runs apps on a shared collector).
-  auto it = class_index_.find(cls.descriptor);
-  if (it == class_index_.end()) {
-    on_class_loaded(cls);
-    it = class_index_.find(cls.descriptor);
-    if (it == class_index_.end()) return;
+  size_t slot = class_slot(cls);
+  if (slot != kKnownClass) {
+    output_.classes[slot].static_fields = snapshot_statics(cls);
   }
-  output_.classes[it->second].static_fields = snapshot_statics(cls);
 }
 
-MethodRecord& Collector::record_for(rt::RtMethod& method) {
+// The index of `cls`'s snapshot in output_.classes, taken the first time the
+// class is seen; kKnownClass, with no snapshot, for a class `known_` holds.
+size_t Collector::class_slot(rt::RtClass& cls) {
+  auto it = class_index_.find(cls.descriptor);
+  if (it != class_index_.end()) return it->second;
+  size_t slot = kKnownClass;
+  if (!std::ranges::binary_search(known_classes_,
+                                  std::string_view(cls.descriptor))) {
+    CollectedClass out;
+    out.descriptor = cls.descriptor;
+    out.super_descriptor = cls.super_descriptor;
+    out.access_flags = cls.access_flags;
+    for (const rt::RtField& f : cls.instance_fields) {
+      CollectedField cf;
+      cf.name = f.name;
+      cf.type_descriptor = f.type_descriptor;
+      cf.access_flags = f.access_flags;
+      out.instance_fields.push_back(std::move(cf));
+    }
+    out.static_fields = snapshot_statics(cls);
+    slot = output_.classes.size();
+    output_.classes.push_back(std::move(out));
+  }
+  class_index_.emplace(cls.descriptor, slot);
+  return slot;
+}
+
+// `method`'s record in output_; `known` is set to known_'s, if it has one.
+MethodRecord& Collector::record_for(rt::RtMethod& method,
+                                    const MethodRecord*& known) {
   MethodKey key = key_of(method);
+  known = known_ != nullptr ? known_->find_method(key) : nullptr;
   auto it = output_.methods.find(key);
   if (it != output_.methods.end()) return it->second;
 
   MethodRecord rec;
   rec.key = key;
-  rec.access_flags = method.access_flags;
-  rec.is_native = method.is_native();
-  if (method.code) {
-    rec.registers_size = method.code->registers_size;
-    rec.ins_size = method.code->ins_size;
-    rec.tries = method.code->tries;
-    rec.lines = method.code->lines;
-  }
-  // Proto descriptors straight from the defining image.
-  if (method.image != nullptr) {
-    const dex::DexFile& file = method.image->file;
-    const dex::MethodRef& mref = file.methods.at(method.dex_method_idx);
-    const dex::Proto& proto = file.protos.at(mref.proto);
-    rec.return_type = file.type_descriptor(proto.return_type);
-    for (uint32_t p : proto.param_types) {
-      rec.param_types.push_back(file.type_descriptor(p));
+  // merge_collection reads only the counters, trees and reflection targets
+  // of a record it already has: a method `known_` holds keeps its own.
+  if (known == nullptr) {
+    rec.access_flags = method.access_flags;
+    rec.is_native = method.is_native();
+    if (method.code) {
+      rec.registers_size = method.code->registers_size;
+      rec.ins_size = method.code->ins_size;
+      rec.tries = method.code->tries;
+      rec.lines = method.code->lines;
+    }
+    // Proto descriptors straight from the defining image.
+    if (method.image != nullptr) {
+      const dex::DexFile& file = method.image->file;
+      const dex::MethodRef& mref = file.methods.at(method.dex_method_idx);
+      const dex::Proto& proto = file.protos.at(mref.proto);
+      rec.return_type = file.type_descriptor(proto.return_type);
+      for (uint32_t p : proto.param_types) {
+        rec.param_types.push_back(file.type_descriptor(p));
+      }
     }
   }
   return output_.methods.emplace(std::move(key), std::move(rec)).first->second;
@@ -222,46 +301,48 @@ MethodRecord& Collector::record_for(rt::RtMethod& method) {
 
 void Collector::on_method_entry(rt::RtMethod& method) {
   Activation act;
-  act.key = key_of(method);
+  act.record = &record_for(method, act.known);
   act.method = &method;
   act.bytecode = method.code != nullptr;
-  MethodRecord& rec = record_for(method);
-  ++rec.executions;
-  if (act.bytecode && known_ != nullptr) {
-    act.known = known_->find_method(act.key);
-    if (act.known != nullptr) {
-      for (size_t i = 0; i < act.known->trees.size(); ++i) {
-        if (act.known->trees[i]->children.empty()) act.walk.push_back(i);
+  ++act.record->executions;
+  act.walk_begin = walk_.size();
+  act.prefix_begin = prefix_at_.size();
+  if (act.bytecode && act.known != nullptr) {
+    for (size_t i = 0; i < act.known->trees.size(); ++i) {
+      if (act.known->trees[i]->children.empty()) {
+        walk_.push_back(static_cast<uint32_t>(i));
       }
     }
   }
-  if (act.bytecode && act.walk.empty()) {
+  act.walk_end = walk_.size();
+  if (act.bytecode && act.walk_end == act.walk_begin) {
     act.root = std::make_unique<TreeNode>();
     act.current = act.root.get();
   }
   stack_.push_back(std::move(act));
 }
 
-// One instruction of the lockstep walk. True when the walk accounts for it:
-// it is the next IL entry of a known tree, or a repeat Algorithm 1 would
-// skip. Otherwise the walk ends with the matched prefix copied into the
-// activation's tree, for Algorithm 1 to handle the instruction from there.
+// One instruction of the lockstep walk of `act`, the top activation. True
+// when the walk accounts for it: it is the next IL entry of a known tree,
+// or a repeat Algorithm 1 would skip. Otherwise the instruction is left to
+// on_instruction; an exception while comparing first ends the walk, with
+// the matched prefix copied into the activation's tree.
 bool Collector::walk_step(Activation& act, const rt::RtMethod& method,
-                          const bc::Insn& insn, std::span<const uint16_t> code,
-                          uint32_t dex_pc, std::span<const uint16_t> units) {
+                          std::span<const uint16_t> code, uint32_t dex_pc) {
   const uint16_t pc = static_cast<uint16_t>(dex_pc);
   const auto& trees = act.known->trees;
   // A root's entries have distinct pcs, so a tree whose next entry sits at
   // this pc does not hold it in the prefix.
   bool next_at_pc = false;
-  size_t kept = 0;
+  size_t kept = act.walk_begin;
+  std::optional<bc::Insn> insn;
   try {
-    for (size_t w = 0; w < act.walk.size(); ++w) {
-      const std::vector<ILEntry>& il = trees[act.walk[w]]->il;
+    for (size_t w = act.walk_begin; w < act.walk_end; ++w) {
+      const std::vector<ILEntry>& il = trees[walk_[w]]->il;
       if (act.matched == il.size() || il[act.matched].pc != pc) continue;
       next_at_pc = true;
-      if (same_entry(il[act.matched], method, insn, code, dex_pc, units)) {
-        act.walk[kept++] = act.walk[w];
+      if (same_entry(il[act.matched], method, code, dex_pc, insn)) {
+        walk_[kept++] = walk_[w];
       }
     }
   } catch (const support::ParseError&) {
@@ -271,39 +352,41 @@ bool Collector::walk_step(Activation& act, const rt::RtMethod& method,
     depart(act);
     return false;
   }
-  if (kept > 0) {
-    act.walk.resize(kept);
-    ++act.matched;
+  if (kept > act.walk_begin) {
+    if (kept < act.walk_end) {
+      act.walk_end = kept;
+      walk_.resize(kept);
+    }
+    size_t slot = act.prefix_begin + pc;
+    if (slot >= prefix_at_.size()) prefix_at_.resize(slot + 1);
+    prefix_at_[slot] = static_cast<uint32_t>(act.matched++);
     return true;
   }
-  if (!next_at_pc) {
-    // Already recorded: the early return on_instruction takes.
-    const TreeNode& tree = *trees[act.walk.front()];
-    auto it = tree.iim.find(pc);
-    if (it != tree.iim.end() && it->second < act.matched &&
-        act.method != nullptr &&
-        std::ranges::equal(tree.il[it->second].units, units)) {
-      return true;
-    }
-  }
-  depart(act);
-  return false;
+  if (next_at_pc || act.method == nullptr) return false;
+  // Already recorded: the early return on_instruction takes. The slot holds
+  // the index of the prefix entry at this pc only if that entry says so.
+  size_t slot = act.prefix_begin + pc;
+  if (slot >= prefix_at_.size()) return false;
+  const std::vector<ILEntry>& il = trees[walk_[act.walk_begin]]->il;
+  size_t index = prefix_at_[slot];
+  return index < act.matched && il[index].pc == pc &&
+         units_at(il[index].units, code, dex_pc);
 }
 
-// Ends the walk: the activation's tree becomes the matched prefix, which is
-// exactly what Algorithm 1 would have built by now.
+// Ends the walk of `act`, the top activation: its tree becomes the matched
+// prefix, which is exactly what Algorithm 1 would have built by now.
 void Collector::depart(Activation& act) {
-  const TreeNode& tree = *act.known->trees[act.walk.front()];
+  const TreeNode& tree = *act.known->trees[walk_[act.walk_begin]];
   act.root = std::make_unique<TreeNode>();
   act.root->il.assign(tree.il.begin(),
                       tree.il.begin() + static_cast<std::ptrdiff_t>(act.matched));
-  for (const auto& [pc, index] : tree.iim) {
-    if (index < act.matched) {
-      act.root->iim.emplace_hint(act.root->iim.end(), pc, index);
-    }
+  for (size_t i = 0; i < act.matched; ++i) {
+    act.root->iim.emplace(act.root->il[i].pc, i);
   }
   act.current = act.root.get();
-  act.walk.clear();
+  act.walk_end = act.walk_begin;
+  walk_.resize(act.walk_begin);
+  prefix_at_.resize(act.prefix_begin);
 }
 
 void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
@@ -312,24 +395,26 @@ void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
   if (too_deep_ || stack_.empty() || !stack_.back().bytecode) return;
   Activation& act = stack_.back();
   if (&method != act.method) {
-    if (act.key.name != method.name) return;  // defensive: mismatched frame
+    // Defensive: a mismatched frame.
+    if (act.record->key.name != method.name) return;
     act.method = nullptr;  // the tree now mixes methods: no early return
   }
+  if (act.walk_end != act.walk_begin && walk_step(act, method, code, dex_pc)) {
+    return;
+  }
 
-  // The one decode of this instruction. It also bounds the units to `code`:
-  // a truncated trailing instruction is undecodable (the runtime raises
-  // VerifyError) and leaves nothing to collect.
+  // The decode Algorithm 1 builds the entry from. It also bounds the units
+  // to `code`: a truncated trailing instruction is undecodable (the runtime
+  // raises VerifyError) and leaves nothing to collect, and a walk goes on.
   bc::Insn insn;
   try {
     insn = bc::decode_at(code, dex_pc);
   } catch (const support::ParseError&) {
     return;
   }
+  if (act.walk_end != act.walk_begin) depart(act);
   std::span<const uint16_t> units =
       code.subspan(dex_pc, bc::consumed_units(insn));
-  if (!act.walk.empty() && walk_step(act, method, insn, code, dex_pc, units)) {
-    return;
-  }
   const uint16_t pc = static_cast<uint16_t>(dex_pc);
 
   TreeNode* current = act.current;
@@ -397,8 +482,9 @@ void Collector::on_instruction(rt::RtMethod& method, uint32_t dex_pc,
 }
 
 void Collector::finish_activation(Activation& act) {
-  if (!act.walk.empty()) {
-    for (size_t i : act.walk) {
+  if (act.walk_end != act.walk_begin) {
+    for (size_t w = act.walk_begin; w < act.walk_end; ++w) {
+      const size_t i = walk_[w];
       if (act.known->trees[i]->il.size() == act.matched) {
         // A full retrace: its fingerprint is the known tree's, stored unless
         // the record came from decode_collection.
@@ -418,30 +504,38 @@ void Collector::finish_activation(Activation& act) {
   keep_unique(act, fp, std::move(act.root));
 }
 
+// Finishes the top activation and drops it with its walk slices.
+void Collector::pop_activation() {
+  Activation& act = stack_.back();
+  finish_activation(act);
+  walk_.resize(act.walk_begin);
+  prefix_at_.resize(act.prefix_begin);
+  stack_.pop_back();
+}
+
 // Keeps `tree` unless its fingerprint `fp` is already kept or the record is
 // at its variant cap. A null `tree` is a full retrace of a known tree: it
 // counts as kept, but only its fingerprint is.
 void Collector::keep_unique(const Activation& act, uint64_t fp,
                             std::unique_ptr<TreeNode> tree) {
-  auto it = output_.methods.find(act.key);
-  if (it == output_.methods.end()) return;
-  MethodRecord& rec = it->second;
-  std::vector<uint64_t>* retraced = nullptr;
-  if (act.known != nullptr) retraced = &retraced_[act.known];
-  if (std::ranges::find(rec.tree_fingerprints, fp) !=
-          rec.tree_fingerprints.end() ||
-      (retraced != nullptr &&
-       std::ranges::find(*retraced, fp) != retraced->end())) {
-    return;  // keep unique trees only
+  MethodRecord& rec = *act.record;
+  size_t retraced = 0;
+  for (const auto& [record, kept] : retraced_) {
+    if (record != &rec) continue;
+    if (kept == fp) return;  // keep unique trees only
+    ++retraced;
   }
-  if (rec.trees.size() + (retraced != nullptr ? retraced->size() : 0) >=
-      options_.max_variants) {
+  if (std::ranges::find(rec.tree_fingerprints, fp) !=
+      rec.tree_fingerprints.end()) {
+    return;
+  }
+  if (rec.trees.size() + retraced >= options_.max_variants) {
     ++rec.dropped_trees;
     DL_DEBUG << "variant cap reached for " << rec.key.pretty();
     return;
   }
   if (tree == nullptr) {
-    retraced->push_back(fp);
+    retraced_.emplace_back(&rec, fp);
     return;
   }
   rec.trees.push_back(std::move(tree));
@@ -450,14 +544,13 @@ void Collector::keep_unique(const Activation& act, uint64_t fp,
 
 void Collector::on_method_exit(rt::RtMethod& method) {
   (void)method;
-  if (stack_.empty()) return;
-  finish_activation(stack_.back());
-  stack_.pop_back();
+  if (!stack_.empty()) pop_activation();
 }
 
 void Collector::on_reflective_invoke(rt::RtMethod& caller, uint32_t dex_pc,
                                      rt::RtMethod& target) {
-  MethodRecord& rec = record_for(caller);
+  const MethodRecord* known = nullptr;
+  MethodRecord& rec = record_for(caller, known);
   SymRef ref;
   ref.kind = bc::RefKind::kMethod;
   const dex::DexFile& file = target.image->file;
@@ -496,11 +589,15 @@ const std::vector<uint64_t>& tree_fingerprints(MethodRecord& rec) {
 
 void merge_collection(CollectionOutput& into, CollectionOutput&& from,
                       size_t max_variants) {
-  std::set<std::string> have_classes;
-  for (const CollectedClass& c : into.classes) have_classes.insert(c.descriptor);
-  for (CollectedClass& c : from.classes) {
-    if (have_classes.insert(c.descriptor).second) {
-      into.classes.push_back(std::move(c));
+  if (!from.classes.empty()) {
+    std::set<std::string> have_classes;
+    for (const CollectedClass& c : into.classes) {
+      have_classes.insert(c.descriptor);
+    }
+    for (CollectedClass& c : from.classes) {
+      if (have_classes.insert(c.descriptor).second) {
+        into.classes.push_back(std::move(c));
+      }
     }
   }
 
@@ -513,16 +610,21 @@ void merge_collection(CollectionOutput& into, CollectionOutput&& from,
     MethodRecord& mine = it->second;
     mine.executions += rec.executions;
     mine.dropped_trees += rec.dropped_trees;
-    // Kept trees plus the trees seen in this call: a capped-out tree is not
-    // kept, so a later fold that brings it again counts it again.
-    std::vector<uint64_t> seen = tree_fingerprints(mine);
+    // A tree counts once per call, whether kept before, kept in this call
+    // or capped out in it: a capped-out tree is not kept, so a later fold
+    // that brings it again counts it again.
+    const std::vector<uint64_t>& kept = tree_fingerprints(mine);
     const std::vector<uint64_t>& incoming = tree_fingerprints(rec);
+    std::vector<uint64_t> capped;
     for (size_t t = 0; t < rec.trees.size(); ++t) {
       uint64_t fp = incoming[t];
-      if (std::ranges::find(seen, fp) != seen.end()) continue;
-      seen.push_back(fp);
+      if (std::ranges::find(kept, fp) != kept.end() ||
+          std::ranges::find(capped, fp) != capped.end()) {
+        continue;
+      }
       if (mine.trees.size() >= max_variants) {
         ++mine.dropped_trees;
+        capped.push_back(fp);
         continue;
       }
       mine.trees.push_back(std::move(rec.trees[t]));
@@ -545,10 +647,7 @@ void merge_collection(CollectionOutput& into, CollectionOutput&& from,
 
 CollectionOutput Collector::take_output() {
   if (too_deep_) throw tree_too_deep();
-  while (!stack_.empty()) {
-    finish_activation(stack_.back());
-    stack_.pop_back();
-  }
+  while (!stack_.empty()) pop_activation();
   retraced_.clear();
   return std::move(output_);
 }

@@ -23,6 +23,10 @@ CollectionOutput DexLego::collect(const dex::Apk& apk,
                                   const CollectionOutput* known,
                                   std::shared_ptr<const dex::DexFile> classes) {
   Collector collector(options.collector, known);
+  // Every run reads the caller's APK, which outlives them all: a pointer
+  // that owns nothing, so no run copies the APK's entries.
+  std::shared_ptr<const dex::Apk> shared_apk(std::shared_ptr<const void>(),
+                                             &apk);
   for (int run = 0; run < options.runs; ++run) {
     rt::Runtime runtime(options.runtime);
     if (options.configure_runtime) options.configure_runtime(runtime);
@@ -30,7 +34,7 @@ CollectionOutput DexLego::collect(const dex::Apk& apk,
     if (!classes) {
       classes = std::make_shared<const dex::DexFile>(dex::load_classes(apk));
     }
-    runtime.install(apk, classes);
+    runtime.install(shared_apk, classes);
     if (options.driver) {
       options.driver(runtime, run);
     } else {

@@ -3,8 +3,9 @@
 // caller-provided driver (fuzzer, force execution, simple launch), then
 // reassemble the collection files into a new DEX and splice it back into the
 // original APK. The revealed APK is what gets handed to static analysis.
-// Every run of one collect installs the same parse of the APK; the batch
-// pipeline hands each of a job's collects the job's one parse.
+// Every run of one collect reads the caller's APK and installs the same
+// parse of it; the batch pipeline hands each of a job's collects the job's
+// one parse.
 //
 // reveal() runs the paper's split: collect, encode the five collection
 // files, then reassemble_files decodes them and reassembles. The batch
@@ -71,13 +72,18 @@ class DexLego {
   // reveal() is collect + encode + reassemble_files; the batch pipeline
   // calls this directly for its per-plan-unit collection runs. `known` is
   // the collection the result will be merged into, if any (a force job
-  // passes its fold so far to every forced unit): the collector walks its
-  // trees instead of rebuilding them and leaves out trees that retrace one
-  // in full, so merging the result into `known` gives what merging a plain
-  // collection would. It must stay unchanged until collect returns.
-  // `classes` is a parse of `apk`'s classes (dex::load_classes) that every
-  // run installs as its image 0; given none, collect parses the APK once,
-  // at the first run's install, and shares that parse with later runs.
+  // passes its fold so far to every forced unit). The collector then
+  // collects only what merging reads (src/core/collector.h): it walks
+  // `known`'s trees instead of rebuilding them and leaves out trees that
+  // retrace one in full, its records of methods `known` holds are light
+  // (no exception table, line table or proto), and it snapshots no class
+  // `known` holds. So the result is complete only as merged into `known`,
+  // where it gives what merging a plain collection would. `known` must stay
+  // unchanged until collect returns. Every run reads `apk` in place, with
+  // no copy. `classes` is a parse of `apk`'s classes (dex::load_classes)
+  // that every run installs as its image 0; given none, collect parses the
+  // APK once, at the first run's install, and shares that parse with later
+  // runs.
   static CollectionOutput collect(
       const dex::Apk& apk, const DexLegoOptions& options,
       const CollectionOutput* known = nullptr,

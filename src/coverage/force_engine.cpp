@@ -8,7 +8,8 @@ ForceEngine::ForceEngine(const dex::DexFile& app, ForceEngineOptions options)
     for (const auto* methods : {&cls.direct_methods, &cls.virtual_methods}) {
       for (const dex::MethodDef& m : *methods) {
         if (m.code) {
-          code_of_[CoverageTracker::method_key(app, m.method_ref)] = *m.code;
+          methods_[CoverageTracker::method_key(app, m.method_ref)].code =
+              *m.code;
         }
       }
     }
@@ -23,12 +24,14 @@ void ForceEngine::observe(const PlanUnit& unit,
   // independent.
   std::shared_ptr<const Prefix> prefix;
   for (const auto& [key, sites] : run_coverage.branch_sites()) {
+    auto it = methods_.find(key);
+    if (it == methods_.end()) continue;  // no static code: never a target
     for (const auto& [pc, seen] : sites) {
       (void)seen;
       if (!prefix) {
         prefix = std::make_shared<const Prefix>(Prefix{unit.plan, unit.depth});
       }
-      first_seen_.try_emplace({key, pc}, prefix);
+      it->second.first_seen.try_emplace(pc, prefix);
     }
   }
 }
@@ -38,20 +41,20 @@ std::vector<PlanUnit> ForceEngine::next_wave() {
   if (stats_.waves >= options_.max_waves) return wave;
 
   // Branch analysis over the accumulated coverage, in deterministic order:
-  // methods ascend (code_of_ is an ordered map), pcs ascend, untaken side
+  // methods ascend (methods_ is an ordered map), pcs ascend, untaken side
   // before taken. Both uncovered sides of a branch become separate targets.
-  for (const auto& [key, code] : code_of_) {
+  for (auto& [key, method] : methods_) {
     const auto* branch_map = accumulated_.branches(key);
     if (branch_map == nullptr) continue;
     for (const auto& [pc, seen] : *branch_map) {
       for (bool want : {false, true}) {
         bool covered = want ? seen.taken : seen.untaken;
         if (covered) continue;
-        auto target = std::make_tuple(key, pc, want);
-        if (!attempted_.insert(target).second) continue;
-        auto seen_it = first_seen_.find({key, pc});
-        const Prefix* prefix =
-            seen_it != first_seen_.end() ? seen_it->second.get() : nullptr;
+        if (!method.attempted.emplace(pc, want).second) continue;
+        auto seen_it = method.first_seen.find(pc);
+        const Prefix* prefix = seen_it != method.first_seen.end()
+                                   ? seen_it->second.get()
+                                   : nullptr;
         int depth = (prefix != nullptr ? prefix->depth : 0) + 1;
         if (depth > options_.max_depth) {
           ++stats_.pruned_depth;
@@ -64,7 +67,7 @@ std::vector<PlanUnit> ForceEngine::next_wave() {
         // Path analysis: the prefix plan that reached the branch site,
         // extended with the intraprocedural path to the UCB.
         ForcePlan plan = prefix != nullptr ? prefix->plan : ForcePlan();
-        if (!compute_path(code, key, pc, want, plan)) continue;
+        if (!compute_path(method.code, key, pc, want, plan)) continue;
         if (!visited_plans_.insert(plan.fingerprint()).second) continue;
         ++stats_.plans_issued;
         ++stats_.ucbs_targeted;

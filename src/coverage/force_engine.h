@@ -22,7 +22,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -80,13 +79,22 @@ class ForceEngine {
     int depth = 0;
   };
 
+  // One method of the static image and its branch sites. Keyed by method
+  // first, so observe() and next_wave() look a method up once, not once per
+  // site, and build no key per site.
+  struct Method {
+    dex::CodeItem code;
+    // pc -> first-seeing run's prefix, filled in observe order.
+    std::map<uint32_t, std::shared_ptr<const Prefix>> first_seen;
+    // (pc, outcome) targets already taken up, issued or pruned.
+    std::set<std::pair<uint32_t, bool>> attempted;
+  };
+
   ForceEngineOptions options_;
-  std::map<std::string, dex::CodeItem> code_of_;  // method key -> static code
+  // Method key -> its static code and sites, in the key order next_wave()
+  // issues plans in. Only these methods' sites are ever targeted.
+  std::map<std::string, Method, std::less<>> methods_;
   CoverageTracker accumulated_;
-  // (method key, pc) -> first-seeing run's prefix, filled in observe order.
-  std::map<std::pair<std::string, uint32_t>, std::shared_ptr<const Prefix>>
-      first_seen_;
-  std::set<std::tuple<std::string, uint32_t, bool>> attempted_;
   std::set<uint64_t> visited_plans_;  // plan fingerprints
   Stats stats_;
 };

@@ -70,10 +70,11 @@ const std::map<uint32_t, CoverageTracker::BranchSeen>* CoverageTracker::branches
 void CoverageTracker::merge(const CoverageTracker& other) {
   for (const auto& [key, pcs] : other.pcs_) pcs_[key].merge(pcs);
   for (const auto& [key, branch_map] : other.branches_) {
+    std::map<uint32_t, BranchSeen>& mine = branches_[key];
     for (const auto& [pc, seen] : branch_map) {
-      BranchSeen& mine = branches_[key][pc];
-      mine.taken |= seen.taken;
-      mine.untaken |= seen.untaken;
+      BranchSeen& site = mine[pc];
+      site.taken |= seen.taken;
+      site.untaken |= seen.untaken;
     }
   }
 }

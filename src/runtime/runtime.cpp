@@ -21,20 +21,25 @@ const NativeFn* Runtime::find_native(const std::string& full_name) const {
 const Builtin* Runtime::find_builtin(const std::string& class_descriptor,
                                      const std::string& name) const {
   const BuiltinTable& builtins = framework_builtins();
-  auto it = builtins.find(class_descriptor + "->" + name);
+  builtin_key_.assign(class_descriptor).append("->").append(name);
+  auto it = builtins.find(builtin_key_);
   if (it != builtins.end()) return &it->second;
-  it = builtins.find("*->" + name);
+  builtin_key_.assign("*->").append(name);
+  it = builtins.find(builtin_key_);
   return it == builtins.end() ? nullptr : &it->second;
 }
 
 void Runtime::install(dex::Apk apk) {
   // Whichever container the app ships — classes.ldex or real classes.dex
   // (multidex parts merged) — the linker sees one in-memory model.
-  auto classes = std::make_shared<const dex::DexFile>(dex::load_classes(apk));
-  install(std::move(apk), std::move(classes));
+  auto shared = std::make_shared<const dex::Apk>(std::move(apk));
+  auto classes =
+      std::make_shared<const dex::DexFile>(dex::load_classes(*shared));
+  install(std::move(shared), std::move(classes));
 }
 
-void Runtime::install(dex::Apk apk, std::shared_ptr<const dex::DexFile> classes) {
+void Runtime::install(std::shared_ptr<const dex::Apk> apk,
+                      std::shared_ptr<const dex::DexFile> classes) {
   apk_ = std::move(apk);
   const char* entry = apk_->has_entry(dex::Apk::kClassesEntry)
                           ? dex::Apk::kClassesEntry

@@ -75,6 +75,8 @@ class Runtime {
   void register_native(std::string full_name, NativeFn fn);
   const NativeFn* find_native(const std::string& full_name) const;
   // The framework_builtins() entry for class->name, else for *->name.
+  // Builds the lookup key in a buffer the runtime reuses, so a call
+  // allocates nothing once the buffer has grown to the longest key.
   const Builtin* find_builtin(const std::string& class_descriptor,
                               const std::string& name) const;
 
@@ -82,12 +84,13 @@ class Runtime {
   // Parses the app's classes (classes.ldex, or real classes.dex with its
   // multidex parts merged) and registers them as image 0.
   void install(dex::Apk apk);
-  // Registers `classes`, a non-null parse of `apk`'s classes, as image 0
-  // without parsing again. The parse is shared, not copied: runtimes that
-  // install the same one link from the same DexFile, and it lives as long
-  // as the last of their images.
-  void install(dex::Apk apk, std::shared_ptr<const dex::DexFile> classes);
-  const dex::Apk* apk() const { return apk_ ? &*apk_ : nullptr; }
+  // Registers `classes`, a non-null parse of the non-null `apk`'s classes,
+  // as image 0 without parsing again. Neither is copied: runtimes that
+  // install the same parse link from the same DexFile, and it lives as long
+  // as the last of their images; the runtime reads `apk` while it lives.
+  void install(std::shared_ptr<const dex::Apk> apk,
+               std::shared_ptr<const dex::DexFile> classes);
+  const dex::Apk* apk() const { return apk_.get(); }
   // Launches the manifest entry activity: <init>, onCreate, onStart, onResume.
   ExecOutcome launch();
   Object* activity() const { return activity_; }
@@ -137,7 +140,8 @@ class Runtime {
   Interpreter interp_;
   HookChain chain_;
   std::map<std::string, NativeFn> natives_;
-  std::optional<dex::Apk> apk_;
+  mutable std::string builtin_key_;  // find_builtin's lookup key
+  std::shared_ptr<const dex::Apk> apk_;
   Object* activity_ = nullptr;
   Object* current_intent_ = nullptr;
   std::map<int, Object*> ui_views_;

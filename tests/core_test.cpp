@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/bytecode/assembler.h"
 #include "src/bytecode/disasm.h"
 #include "src/bytecode/verify_code.h"
@@ -9,6 +11,7 @@
 #include "src/core/reassembler.h"
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
+#include "src/dex/real/real_dex.h"
 #include "src/runtime/runtime.h"
 #include "src/support/bytes.h"
 
@@ -402,13 +405,13 @@ void expect_same_tree(const TreeNode& a, const TreeNode& b) {
 }
 
 // Folds `plain` (a plain collection of the unit) and `walked` (the same
-// unit collected against the fold) into two fresh copies of the fold the
-// `base` options collect, and expects the same result, byte for byte.
-void expect_same_fold(const dex::Apk& apk, const DexLegoOptions& base,
+// unit collected against the fold) into two fresh copies of the fold `fold`
+// makes, and expects the same result, byte for byte.
+void expect_same_fold(const std::function<CollectionOutput()>& fold,
                       CollectionOutput plain, CollectionOutput walked,
                       size_t max_variants) {
-  CollectionOutput plain_fold = DexLego::collect(apk, base);
-  CollectionOutput walked_fold = DexLego::collect(apk, base);
+  CollectionOutput plain_fold = fold();
+  CollectionOutput walked_fold = fold();
   merge_collection(plain_fold, std::move(plain), max_variants);
   merge_collection(walked_fold, std::move(walked), max_variants);
   CollectionFiles a = encode_collection(plain_fold);
@@ -429,6 +432,14 @@ void expect_same_fold(const dex::Apk& apk, const DexLegoOptions& base,
     EXPECT_EQ(rec.dropped_trees, other->dropped_trees) << key.pretty();
     EXPECT_EQ(rec.tree_fingerprints, other->tree_fingerprints) << key.pretty();
   }
+}
+
+// The same, for the fold the `base` options collect from `apk`.
+void expect_same_fold(const dex::Apk& apk, const DexLegoOptions& base,
+                      CollectionOutput plain, CollectionOutput walked,
+                      size_t max_variants) {
+  expect_same_fold([&] { return DexLego::collect(apk, base); },
+                   std::move(plain), std::move(walked), max_variants);
 }
 
 TEST(WalkingCollector, FullRetraceIsLeftOutOfTheUnit) {
@@ -735,6 +746,343 @@ TEST(WalkingCollector, VariantCapCountsTheRetrace) {
               args[0] == 1 ? 1u : 2u);
     EXPECT_EQ(encode_collection(walked_fold).method_data,
               encode_collection(plain_fold).method_data);
+  }
+}
+
+// Options whose driver invokes the static `cls`->`name`()V once per run.
+DexLegoOptions calls_static(const std::string& cls, const std::string& name) {
+  DexLegoOptions options;
+  options.driver = [cls, name](rt::Runtime& runtime, int) {
+    rt::RtMethod* m = runtime.linker().resolve(cls)->find_declared(name);
+    runtime.interp().invoke(*m, {});
+  };
+  return options;
+}
+
+TEST(WalkingCollector, SameUnitsWithAnotherPoolStringEndTheWalk) {
+  // Apps A and B each hold Lt/P;->f()V, a const-string at pc 0 with the
+  // same units, but the string is "a" in A and "b" in B. A unit of B
+  // walking a fold of A has equal units at pc 0 and must still depart
+  // there: its tree holds B's string.
+  auto app = [](const std::string& literal) {
+    dex::DexBuilder b;
+    uint16_t idx = static_cast<uint16_t>(b.intern_string(literal));
+    b.start_class("Lt/P;");
+    MethodAssembler as(1, 0);
+    as.const_string(0, idx);
+    as.return_void();
+    b.add_direct_method("f", "V", {}, as.finish());
+    return make_apk(std::move(b).build(), "Lt/P;");
+  };
+  dex::Apk a = app("a");
+  dex::Apk b = app("b");
+  ASSERT_EQ(dex::load_classes(a).classes[0].direct_methods[0].code->insns,
+            dex::load_classes(b).classes[0].direct_methods[0].code->insns);
+  const MethodKey key{"Lt/P;", "f", "()V"};
+  DexLegoOptions options = calls_static("Lt/P;", "f");
+  CollectionOutput fold = DexLego::collect(a, options);
+  CollectionOutput plain = DexLego::collect(b, options);
+  CollectionOutput walked = DexLego::collect(b, options, &fold);
+
+  ASSERT_EQ(walked.find_method(key)->trees.size(), 1u);
+  const TreeNode& tree = *walked.find_method(key)->trees[0];
+  expect_same_tree(tree, *plain.find_method(key)->trees[0]);
+  ASSERT_FALSE(tree.il.empty());
+  ASSERT_TRUE(tree.il[0].ref.has_value());
+  EXPECT_EQ(tree.il[0].ref->parts, std::vector<std::string>{"b"});
+  expect_same_fold(a, options, std::move(plain), std::move(walked), 8);
+}
+
+TEST(WalkingCollector, SameSwitchUnitsWithAnotherPayloadEndTheWalk) {
+  // Lt/W;->g(I)V switches on its argument. Every variant has the same
+  // switch units, but the payload at the end of the code differs from the
+  // fold's in its first key or its target count, so a unit of the variant
+  // departs at the switch.
+  auto app = [](int32_t first_key, bool third_target) {
+    dex::DexBuilder b;
+    b.start_class("Lt/W;");
+    MethodAssembler as(2, 1);
+    auto c0 = as.make_label();
+    auto c1 = as.make_label();
+    auto end = as.make_label();
+    std::vector<MethodAssembler::Label> targets{c0, c1};
+    if (third_target) targets.push_back(c1);
+    as.packed_switch(1, first_key, targets);
+    as.goto_(end);
+    as.bind(c0);
+    as.const16(0, 10);
+    as.goto_(end);
+    as.bind(c1);
+    as.const16(0, 20);
+    as.bind(end);
+    as.return_void();
+    b.add_direct_method("g", "V", {"I"}, as.finish());
+    return make_apk(std::move(b).build(), "Lt/W;");
+  };
+  const MethodKey key{"Lt/W;", "g", "(I)V"};
+  DexLegoOptions options;
+  options.driver = [](rt::Runtime& runtime, int) {
+    rt::RtMethod* g = runtime.linker().resolve("Lt/W;")->find_declared("g");
+    runtime.interp().invoke(*g, {rt::Value::Int(1)});
+  };
+  dex::Apk base = app(0, false);
+  for (const auto& [first_key, third_target] :
+       {std::pair{1, false}, std::pair{0, true}}) {
+    SCOPED_TRACE("first_key=" + std::to_string(first_key) +
+                 " third_target=" + std::to_string(third_target));
+    dex::Apk variant = app(first_key, third_target);
+    ASSERT_EQ(
+        dex::load_classes(base).classes[0].direct_methods[0].code->insns[1],
+        dex::load_classes(variant).classes[0].direct_methods[0].code->insns[1]);
+    CollectionOutput fold = DexLego::collect(base, options);
+    CollectionOutput plain = DexLego::collect(variant, options);
+    CollectionOutput walked = DexLego::collect(variant, options, &fold);
+
+    ASSERT_EQ(walked.find_method(key)->trees.size(), 1u);
+    const TreeNode& tree = *walked.find_method(key)->trees[0];
+    expect_same_tree(tree, *plain.find_method(key)->trees[0]);
+    ASSERT_FALSE(tree.il.empty());
+    EXPECT_EQ(tree.il[0].units, fold.find_method(key)->trees[0]->il[0].units);
+    EXPECT_NE(tree.il[0].switch_payload,
+              fold.find_method(key)->trees[0]->il[0].switch_payload);
+    expect_same_fold(base, options, std::move(plain), std::move(walked), 8);
+  }
+}
+
+// Lt/L;->f()V loops three times over a call to the native Lt/L;->patch(I)V
+// and a const/16 at `body_pc`. With `rewrite`, the native rewrites that
+// const/16's literal on the pass it names (0-based), so from that pass on
+// body_pc holds new units at a pc the activation has already matched.
+struct LoopApp {
+  dex::Apk apk;
+  size_t body_pc = 0;
+
+  DexLegoOptions calls(std::optional<int> rewrite) const {
+    DexLegoOptions options = calls_static("Lt/L;", "f");
+    options.configure_runtime = [rewrite, body_pc = body_pc](
+                                    rt::Runtime& runtime) {
+      runtime.register_native(
+          "Lt/L;->patch", [rewrite, body_pc](rt::NativeContext& ctx,
+                                             std::span<rt::Value> args) {
+            if (rewrite && args[0].test_value() == *rewrite) {
+              ctx.runtime.linker()
+                  .resolve("Lt/L;")
+                  ->find_declared("f")
+                  ->code->insns[body_pc + 1] = 8;
+            }
+            return rt::Value::Null();
+          });
+    };
+    return options;
+  }
+};
+
+LoopApp loop_app() {
+  LoopApp app;
+  dex::DexBuilder b;
+  b.start_class("Lt/L;");
+  b.add_native_method("patch", "V", {"I"},
+                      dex::kAccPublic | dex::kAccNative | dex::kAccStatic);
+  uint32_t patch_m = b.intern_method("Lt/L;", "patch", "V", {"I"});
+  MethodAssembler as(3, 0);
+  auto loop = as.make_label();
+  auto done = as.make_label();
+  as.const16(0, 0);
+  as.const16(1, 3);
+  as.bind(loop);
+  as.if_test(Op::kIfGe, 0, 1, done);
+  as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(patch_m), {0});
+  app.body_pc = as.current_pc();
+  as.const16(2, 7);
+  as.add_lit8(0, 0, 1);
+  as.goto_(loop);
+  as.bind(done);
+  as.return_void();
+  b.add_direct_method("f", "V", {}, as.finish());
+  app.apk = make_apk(std::move(b).build(), "Lt/L;");
+  return app;
+}
+
+TEST(WalkingCollector, LoopBodyRetracesAndDivergesWhereRewritten) {
+  // The fold holds f's tree from a run that rewrote nothing. A unit that
+  // rewrites nothing re-executes the loop body's pcs twice more and
+  // retraces the tree in full: it builds nothing. A unit whose native
+  // rewrites the body early in the third pass departs at body_pc in that
+  // pass, where Algorithm 1 forks a child.
+  LoopApp app = loop_app();
+  const MethodKey key{"Lt/L;", "f", "()V"};
+  DexLegoOptions base = app.calls(std::nullopt);
+  CollectionOutput fold = DexLego::collect(app.apk, base);
+  ASSERT_EQ(fold.find_method(key)->trees.size(), 1u);
+  {
+    SCOPED_TRACE("no rewrite");
+    CollectionOutput plain = DexLego::collect(app.apk, base);
+    CollectionOutput walked = DexLego::collect(app.apk, base, &fold);
+    const MethodRecord* rec = walked.find_method(key);
+    EXPECT_TRUE(rec->trees.empty());
+    EXPECT_EQ(rec->executions, 1u);
+    EXPECT_EQ(walked.divergences_detected, 0u);
+    EXPECT_EQ(walked.total_instructions_observed,
+              plain.total_instructions_observed);
+    expect_same_fold(app.apk, base, std::move(plain), std::move(walked), 8);
+  }
+  {
+    SCOPED_TRACE("rewrite on the third pass");
+    DexLegoOptions unit = app.calls(2);
+    CollectionOutput plain = DexLego::collect(app.apk, unit);
+    CollectionOutput walked = DexLego::collect(app.apk, unit, &fold);
+    ASSERT_EQ(walked.find_method(key)->trees.size(), 1u);
+    const TreeNode& tree = *walked.find_method(key)->trees[0];
+    expect_same_tree(tree, *plain.find_method(key)->trees[0]);
+    ASSERT_EQ(tree.children.size(), 1u);
+    EXPECT_EQ(tree.children[0]->sm_start, app.body_pc);
+    EXPECT_EQ(walked.divergences_detected, 1u);
+    EXPECT_EQ(plain.divergences_detected, 1u);
+    expect_same_fold(app.apk, base, std::move(plain), std::move(walked), 8);
+  }
+}
+
+TEST(WalkingCollector, TruncatedInstructionLeavesTheWalkGoing) {
+  // f's positive path, except that at pc 2 the code array ends one unit
+  // into the const/16, as a native that shrank the array would leave it.
+  // The truncated instruction is collected by neither collector, and the
+  // walk goes on past it to retrace the fold's tree in full.
+  dex::Apk apk = make_apk(f_file(), "Lt/A;");
+  auto run = [&](const CollectionOutput* known) {
+    Collector collector(Collector::Options{}, known);
+    rt::Runtime runtime;
+    runtime.install(apk);
+    rt::RtMethod* f = runtime.linker().resolve("Lt/A;")->find_declared("f");
+    std::span<const uint16_t> code(f->code->insns);
+    collector.on_method_entry(*f);
+    for (uint32_t pc : {0u, 2u, 4u, 6u, 8u}) {
+      collector.on_instruction(*f, pc, pc == 2 ? code.first(3) : code);
+    }
+    collector.on_method_exit(*f);
+    return collector.take_output();
+  };
+  const CollectionOutput fold = run(nullptr);
+  ASSERT_EQ(fold.find_method(kF)->trees.size(), 1u);
+  ASSERT_EQ(fold.find_method(kF)->trees[0]->il.size(), 4u);
+  CollectionOutput plain = run(nullptr);
+  CollectionOutput walked = run(&fold);
+  EXPECT_TRUE(walked.find_method(kF)->trees.empty());
+  EXPECT_EQ(walked.find_method(kF)->executions, 1u);
+  expect_same_fold([&] { return run(nullptr); }, std::move(plain),
+                   std::move(walked), 8);
+}
+
+TEST(WalkingCollector, RecordsOfFoldHeldMethodsAreLight) {
+  // Lt/R;->run(I)V, with a line table and a try block, calls Lt/R;->target
+  // through reflection unless its argument is zero. The fold ran it with 1.
+  // The unit runs it with 1 and 0 under a cap of one variant, so its record
+  // of run has a reflection target and a dropped tree. That record, light,
+  // copies no frame metadata, and the unit snapshots no class the fold
+  // holds; yet it folds to the plain unit's bytes.
+  dex::DexBuilder b;
+  uint32_t forname = b.intern_method("Ljava/lang/Class;", "forName",
+                                     "Ljava/lang/Class;", {"Ljava/lang/String;"});
+  uint32_t getm = b.intern_method("Ljava/lang/Class;", "getMethod",
+                                  "Ljava/lang/reflect/Method;",
+                                  {"Ljava/lang/String;"});
+  uint32_t invoke_m = b.intern_method("Ljava/lang/reflect/Method;", "invoke",
+                                      "Ljava/lang/Object;", {"Ljava/lang/Object;"});
+  uint16_t cls_s = static_cast<uint16_t>(b.intern_string("Lt/R;"));
+  uint16_t target_s = static_cast<uint16_t>(b.intern_string("target"));
+  b.start_class("Lt/R;");
+  {
+    MethodAssembler as(1, 0);
+    as.return_void();
+    b.add_direct_method("target", "V", {}, as.finish());
+  }
+  {
+    MethodAssembler as(3, 1);  // the argument in v2
+    auto skip = as.make_label();
+    auto handler = as.make_label();
+    as.line(10);
+    as.if_testz(Op::kIfEqz, 2, skip);
+    as.begin_try();
+    as.const_string(0, cls_s);
+    as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(forname), {0});
+    as.move_result(0);
+    as.line(11);
+    as.const_string(1, target_s);
+    as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(getm), {0, 1});
+    as.move_result(0);
+    as.const_null(1);
+    as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(invoke_m), {0, 1});
+    as.end_try(handler);
+    as.bind(skip);
+    as.return_void();
+    as.bind(handler);
+    as.move_exception(0);
+    as.return_void();
+    b.add_direct_method("run", "V", {"I"}, as.finish());
+  }
+  dex::Apk apk = make_apk(std::move(b).build(), "Lt/R;");
+  auto calls_run = [](std::vector<int> args) {
+    DexLegoOptions options;
+    options.collector.max_variants = 1;
+    options.driver = [args](rt::Runtime& runtime, int) {
+      rt::RtMethod* m = runtime.linker().resolve("Lt/R;")->find_declared("run");
+      for (int x : args) runtime.interp().invoke(*m, {rt::Value::Int(x)});
+    };
+    return options;
+  };
+  const MethodKey key{"Lt/R;", "run", "(I)V"};
+  DexLegoOptions base = calls_run({1});
+  DexLegoOptions unit = calls_run({1, 0});
+  CollectionOutput fold = DexLego::collect(apk, base);
+  CollectionOutput plain = DexLego::collect(apk, unit);
+  CollectionOutput walked = DexLego::collect(apk, unit, &fold);
+
+  const MethodRecord& full = *plain.find_method(key);
+  const MethodRecord& light = *walked.find_method(key);
+  ASSERT_FALSE(full.tries.empty());
+  ASSERT_FALSE(full.lines.empty());
+  ASSERT_EQ(full.param_types, std::vector<std::string>{"I"});
+  EXPECT_TRUE(light.tries.empty());
+  EXPECT_TRUE(light.lines.empty());
+  EXPECT_TRUE(light.return_type.empty());
+  EXPECT_TRUE(light.param_types.empty());
+  EXPECT_EQ(light.key, key);
+  EXPECT_EQ(light.executions, 2u);
+  EXPECT_EQ(light.executions, full.executions);
+  EXPECT_EQ(light.dropped_trees, 1u);
+  EXPECT_EQ(light.dropped_trees, full.dropped_trees);
+  ASSERT_EQ(full.reflection_targets.size(), 1u);
+  EXPECT_EQ(light.reflection_targets, full.reflection_targets);
+
+  auto has_class = [](const CollectionOutput& out, const std::string& d) {
+    return std::ranges::any_of(
+        out.classes, [&](const CollectedClass& c) { return c.descriptor == d; });
+  };
+  ASSERT_TRUE(has_class(fold, "Lt/R;"));
+  EXPECT_TRUE(has_class(plain, "Lt/R;"));
+  EXPECT_FALSE(has_class(walked, "Lt/R;"));
+  expect_same_fold(apk, base, std::move(plain), std::move(walked), 1);
+}
+
+TEST(WalkingCollector, WalksADecodedFold) {
+  // A fold read back from the collection files stores no fingerprints. A
+  // unit walking it still retraces in full, counts the retrace under the
+  // cap and folds like the plain unit.
+  dex::Apk apk = make_apk(f_file(), "Lt/A;");
+  DexLegoOptions base = calls_f({1}, 2);
+  auto decoded_fold = [&] {
+    return decode_collection(encode_collection(DexLego::collect(apk, base)));
+  };
+  const CollectionOutput fold = decoded_fold();
+  ASSERT_TRUE(fold.find_method(kF)->tree_fingerprints.empty());
+  for (std::vector<int> args : {std::vector<int>{1}, std::vector<int>{1, -1, 0}}) {
+    SCOPED_TRACE("args " + std::to_string(args.size()));
+    DexLegoOptions unit = calls_f(args, 2);
+    CollectionOutput plain = DexLego::collect(apk, unit);
+    CollectionOutput walked = DexLego::collect(apk, unit, &fold);
+    EXPECT_EQ(walked.find_method(kF)->trees.size(), args.size() == 1 ? 0u : 1u);
+    EXPECT_EQ(walked.find_method(kF)->dropped_trees,
+              plain.find_method(kF)->dropped_trees);
+    expect_same_fold(decoded_fold, std::move(plain), std::move(walked), 2);
   }
 }
 

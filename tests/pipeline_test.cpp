@@ -1246,6 +1246,9 @@ struct ForceFold {
   size_t offered_trees = 0;  // trees the units handed merge_collection
 };
 
+// Mutants per fuzz seed that the mutant fold check runs as force jobs.
+constexpr size_t kMutantsPerSeed = 20;
+
 ForceFold force_fold(const pipeline::BatchJob& job, size_t max_variants,
                      bool walk) {
   ForceFold out;
@@ -1290,6 +1293,34 @@ ForceFold force_fold(const pipeline::BatchJob& job, size_t max_variants,
   return out;
 }
 
+// Expects the walked fold of a job to equal its plain fold: the five
+// encoded files, their counted size and every counter.
+void expect_same_force_fold(const ForceFold& plain, const ForceFold& walked) {
+  EXPECT_EQ(walked.units, plain.units);
+  core::CollectionFiles a = core::encode_collection(plain.merged);
+  core::CollectionFiles b = core::encode_collection(walked.merged);
+  EXPECT_EQ(a.class_data, b.class_data);
+  EXPECT_EQ(a.field_data, b.field_data);
+  EXPECT_EQ(a.static_values, b.static_values);
+  EXPECT_EQ(a.method_data, b.method_data);
+  EXPECT_EQ(a.bytecode, b.bytecode);
+  // The job path counts the files instead of writing them.
+  EXPECT_EQ(core::encoded_size(plain.merged), a.total_size());
+  EXPECT_EQ(core::encoded_size(walked.merged), b.total_size());
+  EXPECT_EQ(walked.merged.total_instructions_observed,
+            plain.merged.total_instructions_observed);
+  EXPECT_EQ(walked.merged.divergences_detected,
+            plain.merged.divergences_detected);
+  EXPECT_EQ(walked.merged.reflection_sites, plain.merged.reflection_sites);
+  ASSERT_EQ(walked.merged.methods.size(), plain.merged.methods.size());
+  for (const auto& [key, rec] : plain.merged.methods) {
+    const core::MethodRecord* other = walked.merged.find_method(key);
+    ASSERT_NE(other, nullptr) << key.pretty();
+    EXPECT_EQ(other->executions, rec.executions) << key.pretty();
+    EXPECT_EQ(other->dropped_trees, rec.dropped_trees) << key.pretty();
+  }
+}
+
 TEST(ForcePipeline, CollectingAgainstTheFoldMatchesThePlainFold) {
   // A forced unit that walks the fold leaves out the trees it retraces, so
   // it offers fewer trees; the fold must not notice, at any variant cap.
@@ -1310,32 +1341,37 @@ TEST(ForcePipeline, CollectingAgainstTheFoldMatchesThePlainFold) {
       ++folds;
       plain_trees += plain.offered_trees;
       walked_trees += walked.offered_trees;
-      EXPECT_EQ(walked.units, plain.units);
-      core::CollectionFiles a = core::encode_collection(plain.merged);
-      core::CollectionFiles b = core::encode_collection(walked.merged);
-      EXPECT_EQ(a.class_data, b.class_data);
-      EXPECT_EQ(a.field_data, b.field_data);
-      EXPECT_EQ(a.static_values, b.static_values);
-      EXPECT_EQ(a.method_data, b.method_data);
-      EXPECT_EQ(a.bytecode, b.bytecode);
-      // The job path counts the files instead of writing them.
-      EXPECT_EQ(core::encoded_size(plain.merged), a.total_size());
-      EXPECT_EQ(core::encoded_size(walked.merged), b.total_size());
-      EXPECT_EQ(walked.merged.total_instructions_observed,
-                plain.merged.total_instructions_observed);
-      EXPECT_EQ(walked.merged.divergences_detected,
-                plain.merged.divergences_detected);
-      EXPECT_EQ(walked.merged.reflection_sites, plain.merged.reflection_sites);
-      ASSERT_EQ(walked.merged.methods.size(), plain.merged.methods.size());
-      for (const auto& [key, rec] : plain.merged.methods) {
-        const core::MethodRecord* other = walked.merged.find_method(key);
-        ASSERT_NE(other, nullptr) << key.pretty();
-        EXPECT_EQ(other->executions, rec.executions) << key.pretty();
-        EXPECT_EQ(other->dropped_trees, rec.dropped_trees) << key.pretty();
-      }
+      expect_same_force_fold(plain, walked);
     }
   }
   EXPECT_EQ(folds, 3 * jobs.size());
+  EXPECT_LT(walked_trees, plain_trees);  // the walk engaged
+}
+
+TEST(ForcePipeline, CollectingAgainstTheFoldMatchesThePlainFoldOnMutants) {
+  // Hostile-but-valid apps from the fuzzer's behavioural and bytecode
+  // families, as force jobs: self-modifying writes, reflection mazes and
+  // packed payloads reach the walk on paths no fixed corpus has.
+  size_t folds = 0;
+  size_t plain_trees = 0;
+  size_t walked_trees = 0;
+  for (uint64_t seed : {901u, 5000u, 77777u}) {
+    std::vector<pipeline::BatchJob> jobs =
+        pipeline::fuzz_jobs(kMutantsPerSeed, seed);
+    pipeline::enable_force(jobs, {});
+    for (const pipeline::BatchJob& job : jobs) {
+      SCOPED_TRACE(job.name);
+      ForceFold plain = force_fold(job, 8, /*walk=*/false);
+      ForceFold walked = force_fold(job, 8, /*walk=*/true);
+      ASSERT_EQ(walked.ok, plain.ok);
+      if (!plain.ok) continue;
+      ++folds;
+      plain_trees += plain.offered_trees;
+      walked_trees += walked.offered_trees;
+      expect_same_force_fold(plain, walked);
+    }
+  }
+  EXPECT_GT(folds, 0u);
   EXPECT_LT(walked_trees, plain_trees);  // the walk engaged
 }
 

@@ -1326,8 +1326,9 @@ TEST(SharedParse, InstallRegistersTheGivenParse) {
   {
     Runtime a;
     Runtime b2;
-    a.install(apk, parse);
-    b2.install(apk, parse);
+    auto shared = std::make_shared<const dex::Apk>(apk);
+    a.install(shared, parse);
+    b2.install(shared, parse);
     for (Runtime* rt : {&a, &b2}) {
       ASSERT_EQ(rt->linker().images().size(), 1u);
       const DexImage& image = *rt->linker().images()[0];
@@ -1362,7 +1363,7 @@ TEST(SharedParse, DynamicallyLoadedImageOwnsItsFile) {
   auto parse = std::make_shared<const dex::DexFile>(dex::load_classes(apk));
 
   Runtime runtime;
-  runtime.install(apk, parse);
+  runtime.install(std::make_shared<const dex::Apk>(apk), parse);
   const DexImage& image = runtime.load_dex_buffer(bytes, "dynamic:payload");
   EXPECT_EQ(image.id, 1);
   EXPECT_EQ(image.parse.use_count(), 1);  // its own parse, shared with no one
