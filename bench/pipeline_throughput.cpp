@@ -214,14 +214,12 @@ int main(int argc, char** argv) {
         "\"threads\":%zu,\"jobs\":%zu,\"wall_ms\":%.2f,"
         "\"apps_per_sec\":%.2f,\"speedup_vs_1t\":%.3f,"
         "\"dedup_hit_rate\":%.4f,\"store_entries\":%zu,"
-        "\"bytes_deduped\":%llu,\"verified\":%zu,\"queue_pops\":%llu,"
-        "\"queue_tasks\":%llu,\"max_chunk\":%zu}\n",
+        "\"bytes_deduped\":%llu,\"verified\":%zu}\n",
         corpus.c_str(), threads, fleet.jobs, fleet.wall_ms,
         fleet.apps_per_sec, speedup, fleet.dedup_hit_rate,
         fleet.store.entries,
         static_cast<unsigned long long>(fleet.store.bytes_deduped),
-        fleet.verified, static_cast<unsigned long long>(fleet.queue_pops),
-        static_cast<unsigned long long>(fleet.queue_tasks), fleet.max_chunk);
+        fleet.verified);
   }
 
   if (min_speedup > 0.0 && gate_threads > 0 && !gate_walls.empty()) {

@@ -319,14 +319,15 @@ fuzz_smoke() {  # $1: the dexlego_fuzz binary
 fuzz_smoke "$BUILD_DIR"/examples/dexlego_fuzz
 
 # --- ThreadSanitizer pass --------------------------------------------------
-# Rebuilds the concurrency-bearing suites (pipeline_test: the job-cursor
-# scheduler + DedupStore races; force_engine_test: the frontier logic each
-# force job drives; fuzz_test: the campaign worker pool sharing resolved
-# seeds; service_test: the persistent store's log appends under concurrent
-# intern plus the extraction service's worker pool, quotas, cancellation
-# and store-directory lock; real_dex_test's container-equivalence runs)
-# under TSan and runs them. Skipped where TSan can't compile, link or
-# execute (older toolchains, restricted sandboxes).
+# Rebuilds the concurrency-bearing suites (support_test: the
+# support::parallel_for pool on its own; pipeline_test: run_batch on that
+# pool + DedupStore races; force_engine_test: the frontier logic each force
+# job drives; fuzz_test: the campaign on that pool sharing resolved seeds;
+# service_test: the persistent store's log appends under concurrent intern
+# plus the extraction service's worker pool, quotas, cancellation and
+# store-directory lock; real_dex_test's container-equivalence runs) under
+# TSan and runs them. Skipped where TSan can't compile, link or execute
+# (older toolchains, restricted sandboxes).
 TSAN_DIR="${TSAN_DIR:-${BUILD_DIR}-tsan}"
 tsan_probe="$(mktemp -d)"
 cat > "$tsan_probe/probe.cpp" <<'EOF'
@@ -340,8 +341,9 @@ if c++ -fsanitize=thread -o "$tsan_probe/probe" "$tsan_probe/probe.cpp" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
     -DDEXLEGO_BUILD_BENCHES=OFF -DDEXLEGO_BUILD_EXAMPLES=OFF
   cmake --build "$TSAN_DIR" -j "$JOBS" \
-    --target pipeline_test force_engine_test fuzz_test real_dex_test \
-             service_test
+    --target support_test pipeline_test force_engine_test fuzz_test \
+             real_dex_test service_test
+  "$TSAN_DIR"/tests/support_test
   "$TSAN_DIR"/tests/pipeline_test
   "$TSAN_DIR"/tests/force_engine_test
   "$TSAN_DIR"/tests/fuzz_test

@@ -8,8 +8,7 @@ ForceEngine::ForceEngine(const dex::DexFile& app, ForceEngineOptions options)
     for (const auto* methods : {&cls.direct_methods, &cls.virtual_methods}) {
       for (const dex::MethodDef& m : *methods) {
         if (m.code) {
-          methods_[CoverageTracker::method_key(app, m.method_ref)].code =
-              *m.code;
+          methods_[app.pretty_method(m.method_ref)].code = *m.code;
         }
       }
     }

@@ -1,7 +1,10 @@
 // Sapienz-analog UI fuzzer: evolves event sequences (text inputs + click
-// orders + lifecycle cycles) against a coverage fitness function. Used as
-// the input generator for the DroidBench runs (paper V-B) and as the
-// baseline of the force-execution coverage experiment (Table VII).
+// orders + lifecycle cycles) against a coverage fitness function. It drives
+// the coverage experiment of Tables VI and VII
+// (bench/table6_7_coverage.cpp): its runs, with the DexLego collector
+// attached, give the dump sizes and the Sapienz coverage baseline, and its
+// best sequence seeds force execution. DroidBench reveals do not use it:
+// they run rt::run_default_script.
 #pragma once
 
 #include <functional>

@@ -12,13 +12,6 @@ std::string CoverageTracker::method_key(const rt::RtMethod& method) {
          "->" + method.name + method.shorty;
 }
 
-std::string CoverageTracker::method_key(const dex::DexFile& file,
-                                        uint32_t method_ref) {
-  const dex::MethodRef& ref = file.methods.at(method_ref);
-  return file.type_descriptor(ref.class_type) + "->" + file.string_at(ref.name) +
-         file.proto_shorty(ref.proto);
-}
-
 PcBits& CoverageTracker::pcs_of(const rt::RtMethod& method) {
   MethodSlot* slot = frames_.top(method);
   if (slot == nullptr) return pcs_[method_key(method)];
@@ -89,7 +82,7 @@ CoverageTracker::Report CoverageTracker::report(const dex::DexFile& app) const {
         if (!m.code) continue;
         class_has_code = true;
         ++report.methods_total;
-        std::string key = method_key(app, m.method_ref);
+        std::string key = app.pretty_method(m.method_ref);
         const PcBits* executed = executed_pcs(key);
         if (executed != nullptr && !executed->empty()) {
           ++report.methods_covered;

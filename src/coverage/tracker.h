@@ -149,8 +149,9 @@ class CoverageTracker : public rt::RuntimeHooks {
     return branches_;
   }
 
+  // The key a method's coverage is filed under, "Lcls;->nameSHORTY": the
+  // string dex::DexFile::pretty_method builds from the method's ref.
   static std::string method_key(const rt::RtMethod& method);
-  static std::string method_key(const dex::DexFile& file, uint32_t method_ref);
 
   // Merge another tracker's observations (fuzz + force accumulation).
   void merge(const CoverageTracker& other);

@@ -1,17 +1,16 @@
 #include "src/fuzz/triage.h"
 
-#include <atomic>
 #include <new>
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "src/bytecode/verify_code.h"
 #include "src/core/semantic_check.h"
 #include "src/dex/real/real_dex.h"
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
+#include "src/support/parallel.h"
 #include "src/support/timer.h"
 
 namespace dexlego::fuzz {
@@ -311,11 +310,6 @@ uint64_t CampaignReport::report_fingerprint() const {
 CampaignReport run_campaign(const CampaignOptions& options) {
   CampaignReport report;
   if (options.iters == 0 || options.families.empty()) return report;
-  size_t threads = options.threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, options.iters);
 
   // Resolve every seed pool once, up front; workers share const inputs.
   std::map<std::string, SeedInput> seeds;
@@ -331,46 +325,31 @@ CampaignReport run_campaign(const CampaignOptions& options) {
 
   support::Stopwatch wall;
   std::vector<CandidateResult> results(options.iters);
-  std::atomic<size_t> next{0};
-
-  auto worker = [&]() {
-    for (;;) {
-      size_t i = next.fetch_add(1);
-      if (i >= options.iters) return;
-      // Candidate i depends only on (campaign seed, i): the splitmix stream
-      // is re-derived per iteration, never shared across workers.
-      support::Rng rng(options.seed ^
-                       (0x2545f4914f6cdd1dull * (static_cast<uint64_t>(i) + 1)));
-      CandidateResult& r = results[i];
-      r.family = options.families[rng.below(options.families.size())];
-      const std::vector<std::string>& pool = pools.at(r.family);
-      if (pool.empty()) {
-        r.skipped = true;
-        continue;
-      }
-      r.seed_key = pool[rng.below(pool.size())];
-      const SeedInput& seed = seeds.at(r.seed_key);
-      r.ops = plan_ops(r.family, seed, rng.next(), options.max_ops);
-      if (r.ops.empty()) {
-        r.skipped = true;
-        continue;
-      }
-      OracleReport verdict =
-          run_oracle(apply_ops(r.family, seed, r.ops), options.oracle);
-      r.outcome = verdict.outcome;
-      r.detail = std::move(verdict.detail);
-      r.fingerprint = verdict.fingerprint;
+  support::parallel_for(options.iters, options.threads, [&](size_t i) {
+    // Candidate i depends only on (campaign seed, i): the splitmix stream
+    // is re-derived per iteration, never shared across workers.
+    support::Rng rng(options.seed ^
+                     (0x2545f4914f6cdd1dull * (static_cast<uint64_t>(i) + 1)));
+    CandidateResult& r = results[i];
+    r.family = options.families[rng.below(options.families.size())];
+    const std::vector<std::string>& pool = pools.at(r.family);
+    if (pool.empty()) {
+      r.skipped = true;
+      return;
     }
-  };
-
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& thread : pool) thread.join();
-  }
+    r.seed_key = pool[rng.below(pool.size())];
+    const SeedInput& seed = seeds.at(r.seed_key);
+    r.ops = plan_ops(r.family, seed, rng.next(), options.max_ops);
+    if (r.ops.empty()) {
+      r.skipped = true;
+      return;
+    }
+    OracleReport verdict =
+        run_oracle(apply_ops(r.family, seed, r.ops), options.oracle);
+    r.outcome = verdict.outcome;
+    r.detail = std::move(verdict.detail);
+    r.fingerprint = verdict.fingerprint;
+  });
 
   // Fold in iteration order so first-hit attribution (and therefore the
   // whole report) is thread-count-invariant.

@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "src/core/files.h"
 #include "src/coverage/force_engine.h"
 #include "src/coverage/tracker.h"
 #include "src/dex/real/real_dex.h"
 #include "src/support/hash.h"
+#include "src/support/parallel.h"
 #include "src/support/timer.h"
 
 namespace dexlego::pipeline {
@@ -182,81 +181,24 @@ JobResult run_job(const BatchJob& job, DedupStore& store, bool keep_dex) {
 
 BatchReport run_batch(const std::vector<BatchJob>& jobs,
                       const BatchOptions& options) {
-  size_t threads = options.threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  // A job runs start to finish on one worker, so extra workers would idle;
-  // an empty batch starts none.
-  threads = std::min(threads, jobs.size());
-
   DedupStore store;
 
   BatchReport report;
   report.jobs.resize(jobs.size());
   support::Stopwatch wall;
 
-  // Workers claim *chunks* of job indices from one cursor over the input
-  // list, so with thousands of small apps the lock leaves the hot path. A
-  // claim shares the remaining backlog across workers (keeping ~2 refills
-  // per worker in reserve so a heavyweight chunk cannot starve siblings),
-  // floor 1, cap 32. Every job is known up front: a worker that finds the
-  // cursor at the end is done.
-  constexpr size_t kMaxChunk = 32;
-  std::mutex mu;
-  size_t next_job = 0;  // guarded by mu
-
-  // Per-worker scheduler tallies, merged into FleetStats after the join —
-  // workers never touch shared stats mid-batch.
-  struct WorkerLocal {
-    uint64_t pops = 0;
-    uint64_t tasks = 0;
-    size_t max_chunk = 0;
-  };
-  std::vector<WorkerLocal> locals(threads);
-
-  auto worker = [&](size_t worker_index) {
-    WorkerLocal& local = locals[worker_index];
-    for (;;) {
-      size_t begin = 0;
-      size_t end = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (next_job == jobs.size()) return;
-        begin = next_job;
-        size_t share = (jobs.size() - begin) / (threads * 2);
-        end = begin + std::clamp<size_t>(share, 1, kMaxChunk);
-        next_job = end;
-      }
-      ++local.pops;
-      local.tasks += end - begin;
-      local.max_chunk = std::max(local.max_chunk, end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        report.jobs[i] = run_job(jobs[i], store, options.keep_dex);
-      }
-    }
-  };
-
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (size_t t = 0; t < threads; ++t) {
-      pool.emplace_back(worker, t);
-    }
-    for (std::thread& thread : pool) thread.join();
-  }
-
+  // A job runs start to finish on the worker that claims it, one job per
+  // claim, so the pool never has more workers than jobs and an empty batch
+  // starts none.
   FleetStats& fleet = report.fleet;
+  fleet.threads =
+      support::parallel_for(jobs.size(), options.threads, [&](size_t i) {
+        report.jobs[i] = run_job(jobs[i], store, options.keep_dex);
+      });
   fleet.wall_ms = wall.elapsed_ms();
-  fleet.threads = threads;
   fleet.jobs = jobs.size();
-  for (const WorkerLocal& local : locals) {
-    fleet.queue_pops += local.pops;
-    fleet.queue_tasks += local.tasks;
-    if (local.max_chunk > fleet.max_chunk) fleet.max_chunk = local.max_chunk;
-  }
+  fleet.queue_pops = jobs.size();
+  fleet.queue_tasks = jobs.size();
   for (const JobResult& job : report.jobs) {
     if (job.ok) ++fleet.ok;
     if (job.verified) ++fleet.verified;

@@ -117,14 +117,12 @@ struct FleetStats {
   double cpu_ms = 0.0;   // summed worker CPU time
   double apps_per_sec = 0.0;
 
-  // Scheduler observability (merged from per-worker tallies after the pool
-  // joins): locked cursor claims vs jobs claimed. Every job is claimed
-  // exactly once, so queue_tasks == jobs; queue_pops << queue_tasks means
-  // chunked claims are amortizing the lock; see docs/PIPELINE.md "Batch
-  // pops".
+  // Cursor claims and jobs claimed. A worker claims one job at a time, so
+  // both equal `jobs`. They stay because perfbench derives its per-layer
+  // pipeline.pops_per_task from them; see docs/PIPELINE.md "Thread-pool
+  // sizing and job claims".
   uint64_t queue_pops = 0;
   uint64_t queue_tasks = 0;
-  size_t max_chunk = 0;  // largest chunk one claim took
 };
 
 struct BatchReport {
@@ -133,10 +131,10 @@ struct BatchReport {
 };
 
 struct BatchOptions {
-  // 0 = one worker per hardware thread. 1 = run inline on the caller thread
-  // (the sequential baseline the tests compare against). Either way the
-  // pool never exceeds the job count, so an empty batch starts no worker
-  // (FleetStats::threads reports it).
+  // 0 = one worker per hardware thread (support::resolve_threads). 1 = run
+  // inline on the caller thread (the sequential baseline the tests compare
+  // against). Either way the pool never exceeds the job count, so an empty
+  // batch starts no worker (FleetStats::threads reports it).
   size_t threads = 0;
   // Keep the reassembled DEX bytes in each JobResult (fingerprints are
   // always kept). Turn off for huge fleets to bound memory.

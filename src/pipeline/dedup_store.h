@@ -14,20 +14,18 @@
 //
 // Concurrency shape: the store is split into kShards shards by fingerprint
 // prefix (the id's top byte picks the shard), each shard owning its own
-// map, lock and stat counters. Workers interning unrelated contents
-// therefore touch disjoint locks, and the common steady-state case — a
-// dedup *hit* — takes only a shared (reader) lock plus relaxed atomic
-// counter bumps, so hits from many threads proceed in parallel.
-// Serialization, hashing and the copy of the incoming buffer all happen
-// before any lock is taken; a miss holds its shard's exclusive lock only
-// for the map insert itself.
+// map, mutex and plain stat counters. Serialization, hashing and the copy
+// of the incoming buffer all happen before any lock is taken; each probe
+// of an intern then locks one shard once and does one map lookup, so the
+// lock covers the probe, the counter bumps and, on a miss, the write-ahead
+// hook and the insert. A handful of workers spread over 16 shards seldom
+// meet on one lock, so hits take the same mutex as misses.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <shared_mutex>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -83,7 +81,7 @@ class DedupStore {
 
   // Stored bytes for an id, or nullptr. The pointer stays valid for the
   // store's lifetime (entries are never erased, and map values are stable
-  // across rehash). Takes only the owning shard's shared lock.
+  // across rehash). Takes only the owning shard's lock.
   const std::vector<uint8_t>* lookup(Id id) const;
 
   struct Stats {
@@ -109,11 +107,11 @@ class DedupStore {
  protected:
   // Write-ahead hook, called on the miss path with the final (possibly
   // collision-re-keyed) id immediately BEFORE the in-memory insert, while the
-  // owning shard's exclusive lock is held. The base store is purely
-  // in-memory, so this is a no-op; service::PersistentDedupStore overrides it
-  // to append the content to the shard's durable log. A throw here aborts
-  // the intern before the memory insert, so an entry is never visible in
-  // memory without having reached the log first (write-ahead ordering).
+  // owning shard's lock is held. The base store is purely in-memory, so this
+  // is a no-op; service::PersistentDedupStore overrides it to append the
+  // content to the shard's durable log. A throw here aborts the intern
+  // before the memory insert, so an entry is never visible in memory
+  // without having reached the log first (write-ahead ordering).
   virtual void persist(Id id, std::span<const uint8_t> content) {
     (void)id;
     (void)content;
@@ -123,23 +121,22 @@ class DedupStore {
   // id picks the shard, which keeps the mapping disjoint from any low-bit
   // structure the map's own bucketing keys on. Exposed so a persistence
   // subclass can mirror the memory sharding with one log file per shard
-  // (persist then runs under that shard's exclusive lock, making per-log
-  // append ordering free).
+  // (persist then runs under that shard's lock, making per-log append
+  // ordering free).
   static size_t shard_index(Id id) { return (id >> 56) & (kShards - 1); }
 
  private:
-  // One shard: its slice of the id space plus its own stat counters. The
-  // counters are atomics so the hit fast path can bump them under the
-  // *shared* lock; they fold into Stats on demand. Cache-line aligned so
-  // neighbouring shards' locks and counters never false-share.
+  // One shard: its slice of the id space plus its own stat counters, all
+  // guarded by `mu`; the counters fold into Stats on demand. Cache-line
+  // aligned so neighbouring shards' locks and counters never false-share.
   struct alignas(64) Shard {
-    mutable std::shared_mutex mu;
+    std::mutex mu;
     std::unordered_map<Id, std::vector<uint8_t>> entries;
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> bytes_stored{0};
-    std::atomic<uint64_t> bytes_deduped{0};
-    std::atomic<uint64_t> collisions{0};
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t bytes_stored = 0;
+    uint64_t bytes_deduped = 0;
+    uint64_t collisions = 0;
   };
 
   Shard& shard_for(Id id) const { return shards_[shard_index(id)]; }

@@ -92,8 +92,8 @@ class PersistentDedupStore : public pipeline::DedupStore {
  protected:
   // DedupStore write-ahead hook: append the record to the shard's segment
   // (fflush, optional fsync) before the in-memory insert. Runs under the
-  // shard's exclusive lock; throws on I/O failure, which aborts the intern
-  // and fails only the calling job.
+  // shard's lock; throws on I/O failure, which aborts the intern and fails
+  // only the calling job.
   void persist(Id id, std::span<const uint8_t> content) override;
 
  private:
@@ -114,7 +114,7 @@ class PersistentDedupStore : public pipeline::DedupStore {
   bool replaying_ = true;  // suppress persist() during constructor replay
   OpenStats open_stats_;
   // One append log per memory shard; persist() appends under that shard's
-  // exclusive lock, which already orders the log's records.
+  // lock, which already orders the log's records.
   std::array<std::unique_ptr<RecordLog>, kShards> segments_;
 };
 

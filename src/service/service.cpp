@@ -8,6 +8,7 @@
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
 #include "src/support/log.h"
+#include "src/support/parallel.h"
 #include "src/support/timer.h"
 
 namespace dexlego::service {
@@ -60,9 +61,7 @@ ExtractionService::ExtractionService(std::string store_dir,
   open_stats_ = store_->open_stats();
   load_manifest();
 
-  size_t threads = options_.threads;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads < 1) threads = 1;
+  const size_t threads = support::resolve_threads(options_.threads);
   workers_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

@@ -2,7 +2,10 @@
 // (paper Section V) checked behaviourally. Every case runs the original and
 // the revealed app side by side through the differential oracle
 // (fuzz::run_oracle) and asserts identical observable behaviour, verifier
-// cleanliness and reveal idempotence.
+// cleanliness and reveal idempotence; every reveal the oracle passes must
+// also have written collection files and parse back from its bytes into a
+// verifier-clean DEX. Every DroidBench sample is revealed here, plain, and
+// 15 of them packed as well.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +14,8 @@
 #include "src/analysis/static_taint.h"
 #include "src/benchsuite/appgen.h"
 #include "src/benchsuite/droidbench.h"
+#include "src/bytecode/verify_code.h"
+#include "src/dex/io.h"
 #include "src/fuzz/replay.h"
 #include "src/packer/packer.h"
 #include "src/runtime/script.h"
@@ -26,33 +31,37 @@ const suite::DroidBench& db() {
 
 // The oracle on the runtime's full step budget: these are whole apps, not
 // the fuzzer's goto-loop mutants. Containment is a full-coverage property,
-// so only the generated-app sweep turns it on.
+// so only the generated-app sweep turns it on. After an equivalent verdict
+// the reveal must also have written collection files, and its revealed
+// classes must parse back from bytes and re-verify.
 fuzz::OracleReport check_reveal(const fuzz::Mutant& input,
                                 bool check_containment = false) {
   fuzz::OracleOptions options;
   options.step_limit = rt::RuntimeConfig{}.step_limit;
   options.check_containment = check_containment;
-  return fuzz::run_oracle(input, options);
-}
-
-// Every sample except the self-modifying ones. Those can't replay: their
-// tamper native patches instruction offsets computed against the original
-// layout, which are meaningless in the reassembled method (the revealed DEX
-// encodes both code states behind guards for *static* analysis instead).
-// They get their own differential check below.
-std::vector<std::string> replayable_sample_names() {
-  std::vector<std::string> names;
-  for (const suite::Sample& s : db().samples) {
-    if (s.category.rfind("self-modifying", 0) == 0) continue;
-    names.push_back(s.name);
+  fuzz::OracleReport report = fuzz::run_oracle(input, options);
+  if (report.outcome == fuzz::Outcome::kEquivalent) {
+    EXPECT_GT(report.reveal.files.total_size(), 0u);
+    dex::DexFile revealed =
+        dex::read_dex(report.reveal.revealed_apk.classes());
+    EXPECT_TRUE(bc::verify_dex(revealed).ok());
   }
-  return names;
+  return report;
 }
 
-std::vector<std::string> selfmod_sample_names() {
+// Self-modifying samples can't replay: their tamper native patches
+// instruction offsets computed against the original layout, which are
+// meaningless in the reassembled method (the revealed DEX encodes both code
+// states behind guards for *static* analysis instead). They get their own
+// differential check below.
+bool self_modifying(const suite::Sample& sample) {
+  return sample.category.rfind("self-modifying", 0) == 0;
+}
+
+std::vector<std::string> sample_names(bool want_self_modifying) {
   std::vector<std::string> names;
   for (const suite::Sample& s : db().samples) {
-    if (s.category.rfind("self-modifying", 0) == 0) names.push_back(s.name);
+    if (self_modifying(s) == want_self_modifying) names.push_back(s.name);
   }
   return names;
 }
@@ -97,9 +106,10 @@ TEST_P(DifferentialEverySample, OriginalAndRevealedBehaveIdentically) {
   EXPECT_EQ(report.outcome, fuzz::Outcome::kEquivalent) << report.detail;
 }
 
-INSTANTIATE_TEST_SUITE_P(DroidBench, DifferentialEverySample,
-                         ::testing::ValuesIn(replayable_sample_names()),
-                         [](const auto& info) { return info.param; });
+INSTANTIATE_TEST_SUITE_P(
+    DroidBench, DifferentialEverySample,
+    ::testing::ValuesIn(sample_names(/*want_self_modifying=*/false)),
+    [](const auto& info) { return info.param; });
 
 // Self-modifying samples: differential *static analysis* instead of replay
 // (the paper's Table III claim). The oracle, told the sample cannot replay,
@@ -131,9 +141,10 @@ TEST_P(DifferentialSelfModSample, RevealDisclosesCovertFlowToStaticAnalysis) {
   EXPECT_TRUE(after.leak_detected());
 }
 
-INSTANTIATE_TEST_SUITE_P(DroidBench, DifferentialSelfModSample,
-                         ::testing::ValuesIn(selfmod_sample_names()),
-                         [](const auto& info) { return info.param; });
+INSTANTIATE_TEST_SUITE_P(
+    DroidBench, DifferentialSelfModSample,
+    ::testing::ValuesIn(sample_names(/*want_self_modifying=*/true)),
+    [](const auto& info) { return info.param; });
 
 // Generated full-coverage apps of varying size/seed round-trip too, and
 // every instruction of the original survives in the reveal (containment) —
@@ -177,8 +188,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Packed inputs: the packed app (stub + encrypted payload) and its revealed
-// form must behave identically — this is the unpacking claim. Containment
-// stays off because classes.ldex of the packed APK is the stub, not the app.
+// form must behave identically — this is the unpacking claim — and the
+// app's own main class must be back in the revealed DEX. Packed
+// self-modifying samples cannot replay either, so the oracle demands their
+// captured variants instead. Containment stays off because classes.ldex of
+// the packed APK is the stub, not the app. The full 134-sample packed sweep
+// lives in bench/table3_packed_tools.
 class DifferentialPackedSample : public ::testing::TestWithParam<std::string> {
 };
 
@@ -188,20 +203,27 @@ TEST_P(DifferentialPackedSample, PackedAndRevealedBehaveIdentically) {
   auto packed = packer::pack(sample->apk, packer::packer_360());
   ASSERT_TRUE(packed.has_value());
   fuzz::OracleReport report =
-      check_reveal({*packed, [sample](rt::Runtime& runtime) {
-                      packer::register_packer_natives(runtime);
-                      if (sample->configure_runtime) {
-                        sample->configure_runtime(runtime);
-                      }
-                    }});
-  EXPECT_EQ(report.outcome, fuzz::Outcome::kEquivalent) << report.detail;
+      check_reveal({.apk = *packed,
+                    .configure_runtime =
+                        [sample](rt::Runtime& runtime) {
+                          packer::register_packer_natives(runtime);
+                          if (sample->configure_runtime) {
+                            sample->configure_runtime(runtime);
+                          }
+                        },
+                    .replay_safe = !self_modifying(*sample)});
+  ASSERT_EQ(report.outcome, fuzz::Outcome::kEquivalent) << report.detail;
+  dex::DexFile revealed = dex::read_dex(report.reveal.revealed_apk.classes());
+  EXPECT_NE(revealed.find_class("Ldb/" + GetParam() + "/Main;"), nullptr);
 }
 
-INSTANTIATE_TEST_SUITE_P(Packed, DifferentialPackedSample,
-                         ::testing::Values("Straight1", "Button1", "Icc1",
-                                           "Lifecycle7", "DynLoad1",
-                                           "PrivateDataLeak3", "Clean1"),
-                         [](const auto& info) { return info.param; });
+INSTANTIATE_TEST_SUITE_P(
+    Packed, DifferentialPackedSample,
+    ::testing::Values("Straight1", "Button1", "Icc1", "SelfMod1", "SelfMod3",
+                      "DynLoad1", "AdvReflect1", "ObfReflect1", "Lifecycle7",
+                      "Exception9", "Switch10", "ImplicitFlow1", "Clean1",
+                      "Unreachable1", "PrivateDataLeak3"),
+    [](const auto& info) { return info.param; });
 
 // --- FuzzRegressions: divergences surfaced by src/fuzz/, pinned forever ----
 // Every checked-in replay file under tests/data/fuzz/ names a seed input and

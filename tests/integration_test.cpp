@@ -1,17 +1,13 @@
-// Parameterized end-to-end properties:
-//   * every DroidBench sample reveals to a verifier-clean DEX (134 cases),
-//   * every sample revealed from its PACKED form also verifies,
-//   * random collection outputs round-trip through the five files.
-// Generated apps of any size/seed, revealed and checked for containment,
-// are DifferentialGeneratedApp in tests/differential_test.cpp.
+// Collection-file properties: random collection outputs round-trip through
+// the five files, and a reveal's files survive a disk round trip. Reveals
+// of every DroidBench sample, plain and packed, are checked through the
+// differential oracle in tests/differential_test.cpp, and generated apps of
+// any size/seed there too (DifferentialGeneratedApp).
 #include <gtest/gtest.h>
 
 #include "src/benchsuite/droidbench.h"
-#include "src/bytecode/verify_code.h"
 #include "src/core/dexlego.h"
 #include "src/core/files.h"
-#include "src/dex/io.h"
-#include "src/packer/packer.h"
 #include "src/support/rng.h"
 
 namespace dexlego {
@@ -21,62 +17,6 @@ const suite::DroidBench& db() {
   static suite::DroidBench suite = suite::build_droidbench();
   return suite;
 }
-
-std::vector<std::string> all_sample_names() {
-  std::vector<std::string> names;
-  for (const suite::Sample& s : db().samples) names.push_back(s.name);
-  return names;
-}
-
-class RevealEverySample : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(RevealEverySample, ProducesVerifiedDex) {
-  const suite::Sample* sample = db().find(GetParam());
-  ASSERT_NE(sample, nullptr);
-  core::DexLegoOptions options;
-  options.configure_runtime = sample->configure_runtime;
-  core::DexLego dexlego(options);
-  core::RevealResult result = dexlego.reveal(sample->apk);
-  EXPECT_TRUE(result.verified) << result.verify_errors;
-  EXPECT_GT(result.files.total_size(), 0u);
-  // The reassembled DEX parses back and re-verifies from bytes.
-  dex::DexFile revealed = dex::read_dex(result.revealed_apk.classes());
-  EXPECT_TRUE(bc::verify_dex(revealed).ok());
-}
-
-INSTANTIATE_TEST_SUITE_P(DroidBench, RevealEverySample,
-                         ::testing::ValuesIn(all_sample_names()),
-                         [](const auto& info) { return info.param; });
-
-// A representative slice of the suite also goes through packing first
-// (the full 134-sample packed sweep lives in bench/table3_packed_tools).
-class RevealPackedSample : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(RevealPackedSample, ProducesVerifiedDex) {
-  const suite::Sample* sample = db().find(GetParam());
-  ASSERT_NE(sample, nullptr);
-  auto packed = packer::pack(sample->apk, packer::packer_360());
-  ASSERT_TRUE(packed.has_value());
-  core::DexLegoOptions options;
-  options.configure_runtime = [sample](rt::Runtime& runtime) {
-    packer::register_packer_natives(runtime);
-    if (sample->configure_runtime) sample->configure_runtime(runtime);
-  };
-  core::DexLego dexlego(options);
-  core::RevealResult result = dexlego.reveal(*packed);
-  EXPECT_TRUE(result.verified) << result.verify_errors;
-  // The original app class must be back in the revealed DEX.
-  dex::DexFile revealed = dex::read_dex(result.revealed_apk.classes());
-  EXPECT_NE(revealed.find_class("Ldb/" + GetParam() + "/Main;"), nullptr);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Packed, RevealPackedSample,
-    ::testing::Values("Straight1", "Button1", "Icc1", "SelfMod1", "SelfMod3",
-                      "DynLoad1", "AdvReflect1", "ObfReflect1", "Lifecycle7",
-                      "Exception9", "Switch10", "ImplicitFlow1", "Clean1",
-                      "Unreachable1", "PrivateDataLeak3"),
-    [](const auto& info) { return info.param; });
 
 // Property: random collection outputs round-trip through the five files.
 class CollectionRoundTrip : public ::testing::TestWithParam<uint64_t> {};

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
+#include "src/support/parallel.h"
 #include "src/support/rng.h"
 
 namespace dexlego::support {
@@ -155,6 +163,48 @@ TEST(Files, RoundTrip) {
 
 TEST(Files, ReadMissingThrows) {
   EXPECT_THROW(read_file("/nonexistent/dexlego/file"), std::runtime_error);
+}
+
+TEST(Parallel, ResolveThreads) {
+  EXPECT_GE(resolve_threads(0), 1u);
+  for (size_t n : {1u, 2u, 3u, 8u, 64u}) EXPECT_EQ(resolve_threads(n), n);
+}
+
+TEST(Parallel, EveryIndexRunsExactlyOnce) {
+  for (size_t count : {0u, 1u, 3u, 100u}) {
+    for (size_t threads : {0u, 1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("count=" + std::to_string(count) +
+                   " threads=" + std::to_string(threads));
+      std::vector<std::atomic<int>> runs(count);
+      std::mutex mu;
+      std::set<std::thread::id> ran_on;
+      size_t workers = parallel_for(count, threads, [&](size_t i) {
+        ++runs[i];
+        std::lock_guard<std::mutex> lock(mu);
+        ran_on.insert(std::this_thread::get_id());
+      });
+      // An empty range has no worker, so nothing runs on any thread.
+      EXPECT_EQ(workers, std::min(resolve_threads(threads), count));
+      EXPECT_LE(ran_on.size(), workers);
+      for (size_t i = 0; i < count; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
+    }
+  }
+}
+
+TEST(Parallel, OneWorkerRunsInOrderOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  // Asked for one worker, or more than there are indices to run.
+  for (auto [count, threads] : {std::pair<size_t, size_t>{5, 1},
+                                std::pair<size_t, size_t>{1, 8}}) {
+    std::vector<size_t> order;
+    size_t workers = parallel_for(count, threads, [&](size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    EXPECT_EQ(workers, 1u);
+    ASSERT_EQ(order.size(), count);
+    for (size_t i = 0; i < count; ++i) EXPECT_EQ(order[i], i);
+  }
 }
 
 }  // namespace
